@@ -317,7 +317,7 @@ def cmd_fuse(args) -> int:
         for qid in runs_a
         if qid in runs_b
     ]
-    formats.write_run(args.out, fused, tag=args.tag)
+    formats.write_search_results(args.out, ((r.qid, r.ranking()) for r in fused), tag=args.tag)
     return EXIT_OK
 
 

@@ -24,13 +24,6 @@ OP_UNION = "union"
 OP_INTERSECTION = "intersection"
 OP_ATOMIC = "atomic"
 
-METHODS = {
-    OP_DIFFERENCE: ("subtract", "ignore", "disentangled", "orthogonal", "nrf"),
-    OP_UNION: ("add", "maxpool"),
-    OP_INTERSECTION: ("add", "maxpool", "cpt"),
-    OP_ATOMIC: ("atomic",),
-}
-
 DEFAULT_LAMBDA = 0.5
 DEFAULT_M = 5
 
@@ -53,9 +46,7 @@ class CompositionalQuery:
     params: CompositionParams = field(default_factory=CompositionParams)
 
     def __post_init__(self):
-        if self.operator not in METHODS:
-            raise ValueError(f"unknown operator {self.operator!r}")
-        if self.method not in METHODS[self.operator]:
+        if (self.operator, self.method) not in COMPOSITIONS:
             raise ValueError(
                 f"method {self.method!r} is not valid for operator {self.operator!r}"
             )
@@ -121,24 +112,23 @@ def intersection_cpt(a: SparseVector, b: SparseVector, m: int = DEFAULT_M) -> Ps
     return expand_query(a, b, m)
 
 
+# (operator, method) -> encoder.  The lambdas look the wrappers (and through
+# them expand_query and maxpool) up at call time, so tracing can replace them.
+COMPOSITIONS = {
+    (OP_DIFFERENCE, "subtract"): lambda q: difference_subtract(q.a, q.b),
+    (OP_DIFFERENCE, "ignore"): lambda q: difference_ignore(q.a, q.b),
+    (OP_DIFFERENCE, "disentangled"): lambda q: difference_disentangled(q.a, q.b),
+    (OP_DIFFERENCE, "orthogonal"): lambda q: difference_orthogonal(q.a, q.b),
+    (OP_DIFFERENCE, "nrf"): lambda q: difference_nrf(q.a, q.b, q.params.lambda_),
+    (OP_UNION, "add"): lambda q: union_add(q.a, q.b),
+    (OP_UNION, "maxpool"): lambda q: union_maxpool(q.a, q.b),
+    (OP_INTERSECTION, "add"): lambda q: intersection_add(q.a, q.b),
+    (OP_INTERSECTION, "maxpool"): lambda q: intersection_maxpool(q.a, q.b),
+    (OP_INTERSECTION, "cpt"): lambda q: intersection_cpt(q.a, q.b, q.params.m),
+    (OP_ATOMIC, "atomic"): lambda q: q.a,
+}
+
+
 def compose(q: CompositionalQuery) -> SparseVector | PseudoTermVector:
     """Apply the query's (operator, method) pair to its atomic vectors."""
-    if q.operator == OP_ATOMIC:
-        return q.a
-    if q.operator == OP_DIFFERENCE:
-        if q.method == "subtract":
-            return difference_subtract(q.a, q.b)
-        if q.method == "ignore":
-            return difference_ignore(q.a, q.b)
-        if q.method == "disentangled":
-            return difference_disentangled(q.a, q.b)
-        if q.method == "orthogonal":
-            return difference_orthogonal(q.a, q.b)
-        return difference_nrf(q.a, q.b, q.params.lambda_)
-    if q.operator == OP_UNION:
-        return union_add(q.a, q.b) if q.method == "add" else union_maxpool(q.a, q.b)
-    if q.method == "add":
-        return intersection_add(q.a, q.b)
-    if q.method == "maxpool":
-        return intersection_maxpool(q.a, q.b)
-    return intersection_cpt(q.a, q.b, q.params.m)
+    return COMPOSITIONS[q.operator, q.method](q)

@@ -238,14 +238,6 @@ def read_run(path) -> dict[str, ScoredRun]:
     return runs
 
 
-def write_run(path, runs: Iterable[ScoredRun], tag: str = DEFAULT_RUN_TAG) -> None:
-    """Emit runs in the given order; ranks 1-based, scores to 6 decimals."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for run in runs:
-            for rank, (doc, score) in enumerate(run.ranking(), start=1):
-                fh.write(f"{run.qid} Q0 {doc} {rank} {score:.6f} {tag}\n")
-
-
 def write_search_results(path, results: Iterable[tuple[str, list]], tag: str = DEFAULT_RUN_TAG) -> None:
     """Emit (qid, ranked hits) pairs as a run, preserving the given ranking."""
     with open(path, "w", encoding="utf-8") as fh:

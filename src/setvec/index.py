@@ -6,16 +6,18 @@ negative, and exactness is the contract here.  A document is returned iff at
 least one query term touches it, even when its accumulated score is zero or
 negative; ties break by ascending internal doc id (ingestion order).
 
-The on-disk format is little-endian binary: magic, format version, the
-vocabulary, the doc-name table, per-term posting lists with varint
-delta-encoded doc ids and raw 8-byte weights, and a trailing CRC32 checksum.
+Postings live in one columnar (CSR) layout shared by every layer: term ``t``
+owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending) and the matching
+slice of ``weights``.  The on-disk format is little-endian binary: magic,
+format version, the vocabulary, the doc-name table, the raw offsets, two zlib
+streams (the weights, then the doc-id gaps), and a trailing CRC32 checksum.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -28,7 +30,8 @@ from .errors import (
 from .sparse import SparseVector, Vocabulary, maxpool
 
 MAGIC = b"SVIX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+ZLIB_LEVEL = 1
 
 # Ranked (doc name, score) pairs, best first.
 SearchResult = list[tuple[str, float]]
@@ -37,17 +40,21 @@ SearchResult = list[tuple[str, float]]
 class InvertedIndex:
     """Immutable posting-list index over a fixed document collection."""
 
-    __slots__ = ("vocab", "doc_names", "_postings")
+    __slots__ = ("vocab", "doc_names", "offsets", "doc_ids", "weights")
 
     def __init__(
         self,
         vocab: Vocabulary,
         doc_names: list[str],
-        postings: dict[int, tuple[np.ndarray, np.ndarray]],
+        offsets: np.ndarray,
+        doc_ids: np.ndarray,
+        weights: np.ndarray,
     ):
         self.vocab = vocab
         self.doc_names = doc_names
-        self._postings = postings
+        self.offsets = offsets
+        self.doc_ids = doc_ids
+        self.weights = weights
 
     @property
     def doc_count(self) -> int:
@@ -55,11 +62,20 @@ class InvertedIndex:
 
     @property
     def term_count(self) -> int:
-        return len(self._postings)
+        return int(np.count_nonzero(np.diff(self.offsets)))
 
     def postings(self, term_id: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """(doc ids, weights) for a term, or None when the term indexes nothing."""
-        return self._postings.get(int(term_id))
+        """(doc ids, weights) for a term, or None when the term indexes nothing.
+
+        Terms added to the vocabulary after the index was built index nothing.
+        """
+        tid = int(term_id)
+        if not 0 <= tid < self.offsets.size - 1:
+            return None
+        start, end = self.offsets[tid], self.offsets[tid + 1]
+        if start == end:
+            return None
+        return self.doc_ids[start:end], self.weights[start:end]
 
     def __repr__(self) -> str:
         return f"InvertedIndex({self.doc_count} docs, {self.term_count} posted terms)"
@@ -75,7 +91,8 @@ def build(
     """
     doc_names: list[str] = []
     seen: set[str] = set()
-    lists: dict[int, tuple[list[int], list[float]]] = {}
+    term_cols = [np.empty(0, dtype=np.uint32)]
+    weight_cols = [np.empty(0, dtype=np.float64)]
     for name, vec in docs:
         if vocab is None:
             vocab = vec.vocab
@@ -84,25 +101,20 @@ def build(
         if name in seen:
             raise DuplicateDocError(f"duplicate document name {name!r}")
         seen.add(name)
-        doc_id = len(doc_names)
         doc_names.append(name)
-        for tid, w in zip(vec.ids.tolist(), vec.weights.tolist()):
-            slot = lists.get(tid)
-            if slot is None:
-                slot = ([], [])
-                lists[tid] = slot
-            slot[0].append(doc_id)
-            slot[1].append(w)
+        term_cols.append(vec.ids)
+        weight_cols.append(vec.weights)
     if vocab is None:
         vocab = Vocabulary()
-    postings = {
-        tid: (
-            np.asarray(ids, dtype=np.uint32),
-            np.asarray(ws, dtype=np.float64),
-        )
-        for tid, (ids, ws) in sorted(lists.items())
-    }
-    return InvertedIndex(vocab, doc_names, postings)
+    lengths = [col.size for col in term_cols[1:]]
+    term_ids = np.concatenate(term_cols)
+    # A stable sort keeps each list's doc ids in ingestion (ascending) order.
+    order = np.argsort(term_ids, kind="stable")
+    doc_ids = np.repeat(np.arange(len(doc_names), dtype=np.uint32), lengths)[order]
+    weights = np.concatenate(weight_cols)[order]
+    offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(term_ids, minlength=len(vocab)), out=offsets[1:])
+    return InvertedIndex(vocab, doc_names, offsets, doc_ids, weights)
 
 
 def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +127,7 @@ def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray
     scores = np.zeros(n, dtype=np.float64)
     touched = np.zeros(n, dtype=bool)
     for tid, qw in zip(q.ids.tolist(), q.weights.tolist()):
-        posting = idx._postings.get(tid)
+        posting = idx.postings(tid)
         if posting is None:
             continue
         doc_ids, weights = posting
@@ -178,7 +190,7 @@ def _sqrt_factor(idx: InvertedIndex, side: SparseVector, side_ids: list[int]) ->
             )
         if qw == 0.0:
             continue
-        posting = idx._postings.get(int(tid))
+        posting = idx.postings(tid)
         if posting is None:
             continue
         doc_ids, weights = posting
@@ -191,44 +203,43 @@ def _sqrt_factor(idx: InvertedIndex, side: SparseVector, side_ids: list[int]) ->
     return acc
 
 
-def _write_uvarint(buf: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
-
-
-def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise IndexFormatError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-
-
 def _write_str(buf: bytearray, s: str) -> None:
     raw = s.encode("utf-8")
     buf += struct.pack("<I", len(raw))
     buf += raw
 
 
-def _read_str(data: bytes, pos: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from("<I", data, pos)
+def _read_strs(data, pos: int, what: str) -> tuple[list[str], int]:
+    """A u32 count, then that many length-prefixed UTF-8 strings, all distinct and non-empty."""
+    (count,) = struct.unpack_from("<I", data, pos)
     pos += 4
-    end = pos + length
-    if end > len(data):
-        raise IndexFormatError("truncated string block")
-    return data[pos:end].decode("utf-8"), end
+    strings = []
+    for _ in range(count):
+        (length,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        end = pos + length
+        if end > len(data):
+            raise IndexFormatError("truncated string block")
+        strings.append(str(data[pos:end], "utf-8"))
+        pos = end
+    if "" in strings or len(set(strings)) != count:
+        raise IndexFormatError(f"empty or duplicate {what}")
+    return strings, pos
+
+
+def _inflate(data, dtype: str, count: int, what: str) -> tuple[np.ndarray, bytes]:
+    """Decompress one zlib stream of exactly *count* values; also return the bytes after it."""
+    expected = count * np.dtype(dtype).itemsize
+    stream = zlib.decompressobj()
+    try:
+        # One byte over the expected size catches an overlong stream without
+        # inflating it further; a limit of 0 would mean no limit at all.
+        raw = stream.decompress(data, expected + 1)
+    except zlib.error as exc:
+        raise IndexFormatError(f"corrupt {what} stream ({exc})") from exc
+    if len(raw) != expected or not stream.eof:
+        raise IndexFormatError(f"{what} stream does not hold {count} values")
+    return np.frombuffer(raw, dtype=dtype), stream.unused_data
 
 
 def save(idx: InvertedIndex, path) -> None:
@@ -243,67 +254,65 @@ def save(idx: InvertedIndex, path) -> None:
     buf += struct.pack("<I", idx.doc_count)
     for name in idx.doc_names:
         _write_str(buf, name)
-    buf += struct.pack("<I", idx.term_count)
-    for tid in sorted(idx._postings):
-        doc_ids, weights = idx._postings[tid]
-        buf += struct.pack("<II", tid, doc_ids.size)
-        previous = -1
-        for d in doc_ids.tolist():
-            _write_uvarint(buf, d - previous)
-            previous = d
-        buf += weights.astype("<f8").tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
+    # Terms added to the vocabulary after build get empty lists.
+    offsets = np.pad(idx.offsets, (0, len(terms) + 1 - idx.offsets.size), mode="edge")
+    buf += offsets.astype("<i8").tobytes()
+    buf += zlib.compress(np.asarray(idx.weights, dtype="<f8"), ZLIB_LEVEL)
+    # Gaps wrap modulo 2**32 at list starts; a uint32 cumsum undoes that exactly.
+    gaps = np.diff(idx.doc_ids, prepend=np.uint32(0))
+    buf += zlib.compress(np.asarray(gaps, dtype="<u4"), ZLIB_LEVEL)
+    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
     with open(path, "wb") as fh:
         fh.write(buf)
 
 
 def load(path) -> InvertedIndex:
-    """Read an index written by :func:`save`, verifying version and checksum."""
+    """Read an index written by :func:`save`, verifying version, checksum and structure."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12 or data[:4] != MAGIC:
         raise IndexFormatError(f"{path}: not an index file (bad magic)")
+    body = memoryview(data)[:-4]
     stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
-    if zlib.crc32(data[:-4]) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
         raise IndexFormatError(f"{path}: checksum mismatch (corrupt or truncated file)")
     (version,) = struct.unpack_from("<I", data, 4)
     if version != FORMAT_VERSION:
         raise IndexFormatError(f"{path}: unsupported format version {version}")
-    pos = 8
     try:
-        (n_terms,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        terms = []
-        for _ in range(n_terms):
-            term, pos = _read_str(data, pos)
-            terms.append(term)
-        vocab = Vocabulary(terms)
-        (n_docs,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        doc_names = []
-        for _ in range(n_docs):
-            name, pos = _read_str(data, pos)
-            doc_names.append(name)
-        (n_lists,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for _ in range(n_lists):
-            tid, count = struct.unpack_from("<II", data, pos)
-            pos += 8
-            doc_ids = np.empty(count, dtype=np.uint32)
-            previous = -1
-            for i in range(count):
-                gap, pos = _read_uvarint(data, pos)
-                previous += gap
-                doc_ids[i] = previous
-            end = pos + 8 * count
-            if end > len(data) - 4:
-                raise IndexFormatError(f"{path}: truncated posting list")
-            weights = np.frombuffer(data, dtype="<f8", count=count, offset=pos).astype(
-                np.float64
-            )
-            pos = end
-            postings[tid] = (doc_ids, weights)
+        terms, pos = _read_strs(body, 8, "vocabulary term")
+        doc_names, pos = _read_strs(body, pos, "doc name")
+        end = pos + 8 * (len(terms) + 1)
+        if end > len(body):
+            raise IndexFormatError("truncated offsets")
+        offsets = np.frombuffer(body[pos:end], dtype="<i8").astype(np.int64)
+        # A list holds each doc at most once; checking that here also keeps
+        # the stream sizes below from overflowing.
+        lengths = np.diff(offsets)
+        n_docs = len(doc_names)
+        if offsets[0] != 0 or lengths.min(initial=0) < 0 or lengths.max(initial=0) > n_docs:
+            raise IndexFormatError("posting offsets do not partition the postings")
+        n_postings = int(offsets[-1])
+        weights, rest = _inflate(body[end:], "<f8", n_postings, "weight")
+        gaps, rest = _inflate(rest, "<u4", n_postings, "doc-id gap")
+        if rest:
+            raise IndexFormatError("trailing bytes after the posting streams")
+        doc_ids = np.cumsum(gaps, dtype=np.uint32)
+        del gaps  # free before the checks' temporaries
+        if doc_ids.size and int(doc_ids.max()) >= n_docs:
+            raise IndexFormatError("doc id out of range")
+        # unordered[i] compares postings i and i + 1; skip pairs that span two lists.
+        unordered = doc_ids[1:] <= doc_ids[:-1]
+        starts = offsets[1:-1]
+        unordered[starts[(starts > 0) & (starts < n_postings)] - 1] = False
+        if unordered.any():
+            raise IndexFormatError("doc ids not strictly increasing within a posting list")
+        if not np.isfinite(weights).all():
+            raise IndexFormatError("non-finite posting weight")
+    except IndexFormatError as exc:
+        raise IndexFormatError(f"{path}: {exc}") from None
     except struct.error as exc:
         raise IndexFormatError(f"{path}: truncated index file") from exc
-    return InvertedIndex(vocab, doc_names, postings)
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"{path}: invalid UTF-8 in a string block") from exc
+    return InvertedIndex(Vocabulary(terms), doc_names, offsets, doc_ids, weights)

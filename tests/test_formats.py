@@ -18,7 +18,7 @@ from setvec.formats import (
     read_run,
     read_texts,
     read_vectors,
-    write_run,
+    write_search_results,
     write_vectors,
 )
 
@@ -182,7 +182,7 @@ class TestRuns:
     def test_write_format(self, tmp_path):
         run = ScoredRun(qid="q1", scores={"d1": 1.25, "d2": -0.5})
         path = tmp_path / "r.trec"
-        write_run(path, [run], tag="tagged")
+        write_search_results(path, [(run.qid, run.ranking())], tag="tagged")
         assert path.read_text() == (
             "q1 Q0 d1 1 1.250000 tagged\nq1 Q0 d2 2 -0.500000 tagged\n"
         )
@@ -197,10 +197,10 @@ class TestRuns:
             for i in range(5)
         ]
         first = tmp_path / "a.trec"
-        write_run(first, runs)
+        write_search_results(first, ((r.qid, r.ranking()) for r in runs))
         loaded = read_run(first)
         second = tmp_path / "b.trec"
-        write_run(second, loaded.values())
+        write_search_results(second, ((r.qid, r.ranking()) for r in loaded.values()))
         assert first.read_bytes() == second.read_bytes()
 
     def test_nonmonotonic_rank_rejected(self, tmp_path):

@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setvec import (
     CptDomainError,
@@ -19,6 +21,7 @@ from setvec import (
     search_cpt,
     top_m,
 )
+from setvec.cli import main
 
 from conftest import random_lattice_vector, random_vector
 
@@ -282,18 +285,178 @@ class TestPersistence:
         with pytest.raises(IndexFormatError):
             load(path)
 
-    def test_version_mismatch_rejected(self, tmp_path, small_corpus):
+    @pytest.mark.parametrize("version", [999, 1])
+    def test_version_mismatch_rejected(self, tmp_path, small_corpus, version):
         idx, _ = small_corpus
         path = tmp_path / "idx.svix"
         save(idx, path)
         data = bytearray(path.read_bytes())
-        struct.pack_into("<I", data, 4, 999)  # bump version, then re-checksum
+        struct.pack_into("<I", data, 4, version)  # change version, then re-checksum
         struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])) & 0xFFFFFFFF)
         path.write_bytes(bytes(data))
-        with pytest.raises(IndexFormatError, match="version"):
+        with pytest.raises(IndexFormatError, match=f"unsupported format version {version}"):
             load(path)
 
     def test_unwritable_path(self, tmp_path, small_corpus):
         idx, _ = small_corpus
         with pytest.raises(OSError):
             save(idx, tmp_path / "missing" / "idx.svix")
+
+
+def write_raw_index(path, terms, names, offsets, doc_ids, weights, tail=b""):
+    """Independent v2 encoder for crafted files; str or raw bytes strings, valid CRC."""
+    buf = bytearray(b"SVIX" + struct.pack("<I", 2))
+    for strings in (terms, names):
+        buf += struct.pack("<I", len(strings))
+        for s in strings:
+            raw = s if isinstance(s, bytes) else s.encode("utf-8")
+            buf += struct.pack("<I", len(raw)) + raw
+    buf += np.asarray(offsets, dtype="<i8").tobytes()
+    buf += zlib.compress(np.asarray(weights, dtype="<f8").tobytes())
+    ids = np.asarray(doc_ids, dtype=np.int64)
+    gaps = np.diff(ids, prepend=0) % 2**32
+    buf += zlib.compress(gaps.astype("<u4").tobytes()) + tail
+    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
+    path.write_bytes(bytes(buf))
+
+
+# Two terms over three docs: "a" -> d0, d2; "b" -> d1.
+VALID_PARTS = dict(
+    terms=["a", "b"],
+    names=["d0", "d1", "d2"],
+    offsets=[0, 2, 3],
+    doc_ids=[0, 2, 1],
+    weights=[1.5, -2.0, 0.25],
+)
+
+
+class TestLoaderStructure:
+    def test_crafted_valid_file_loads(self, tmp_path):
+        path = tmp_path / "ok.svix"
+        write_raw_index(path, **VALID_PARTS)
+        idx = load(path)
+        assert idx.doc_names == ["d0", "d1", "d2"]
+        ids, weights = idx.postings(idx.vocab.id_of("a"))
+        assert ids.tolist() == [0, 2] and weights.tolist() == [1.5, -2.0]
+        q = SparseVector.from_pairs([("a", 1.0), ("b", 1.0)], idx.vocab)
+        assert search(idx, q, 5) == [("d0", 1.5), ("d1", 0.25), ("d2", -2.0)]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"terms": [b"\xffa", "b"]}, "UTF-8"),
+            ({"names": ["d0", b"d\xc3", "d2"]}, "UTF-8"),
+            ({"terms": ["", "b"]}, "empty or duplicate vocabulary term"),
+            ({"terms": ["a", "a"]}, "empty or duplicate vocabulary term"),
+            ({"names": ["d0", "d1", "d0"]}, "empty or duplicate doc name"),
+            ({"offsets": [1, 2, 3]}, "offsets"),
+            ({"offsets": [0, 2, 1], "doc_ids": [0], "weights": [1.0]}, "offsets"),
+            ({"offsets": [0, 2**62, 2**62]}, "offsets"),
+            ({"offsets": [0, 2, 4]}, "weight stream does not hold 4 values"),
+            ({"offsets": [0, 2, 2]}, "weight stream does not hold 2 values"),
+            ({"doc_ids": [0, 3, 1]}, "doc id out of range"),
+            ({"doc_ids": [2, 0, 1]}, "strictly increasing"),
+            ({"doc_ids": [2, 2, 1]}, "strictly increasing"),
+            ({"offsets": [0, 0, 3], "doc_ids": [0, 2, 1]}, "strictly increasing"),
+            ({"weights": [1.5, float("nan"), 0.25]}, "non-finite"),
+            ({"weights": [1.5, -2.0, float("-inf")]}, "non-finite"),
+            ({"tail": b"\0"}, "trailing bytes"),
+        ],
+    )
+    def test_malformed_structure_rejected(self, tmp_path, change, message):
+        path = tmp_path / "bad.svix"
+        write_raw_index(path, **{**VALID_PARTS, **change})
+        with pytest.raises(IndexFormatError, match=message):
+            load(path)
+
+    def test_malformed_index_is_a_data_error(self, tmp_path):
+        index = tmp_path / "nan.svix"
+        write_raw_index(index, **{**VALID_PARTS, "weights": [1.5, float("nan"), 0.25]})
+        queries = tmp_path / "q.jsonl"
+        queries.write_text('{"id": "q", "vector": {"a": 1.0}}\n')
+        argv = ["search", "--index", str(index), "--queries", str(queries),
+                "--out", str(tmp_path / "run.trec")]
+        assert main(argv) == 2
+
+
+# Multiples of 1/16 in [-4, 4], zero excluded: signed, exactly representable.
+lattice_weights = st.integers(-64, 64).filter(bool).map(lambda k: k / 16.0)
+
+
+@st.composite
+def corpora(draw):
+    """(vocab, [(name, vector)], late terms): empty docs and empty lists allowed."""
+    n_terms = draw(st.integers(1, 8))
+    vocab = Vocabulary(f"t{i}" for i in range(n_terms))
+    doc = st.dictionaries(st.integers(0, n_terms - 1), lattice_weights)
+    docs = draw(st.lists(doc, max_size=8))
+    vectors = [
+        (f"doc-{i}", SparseVector(list(d), list(d.values()), vocab)) for i, d in enumerate(docs)
+    ]
+    late = draw(st.integers(0, 3))
+    return vocab, vectors, late
+
+
+def check_index(idx):
+    """Every structural invariant of an index, and search against a brute-force scan."""
+    terms = idx.vocab.terms
+    assert "" not in terms and len(set(terms)) == len(terms)
+    assert len(set(idx.doc_names)) == idx.doc_count
+    doc_dicts = [{} for _ in range(idx.doc_count)]
+    for tid in range(len(terms) + 1):
+        entry = idx.postings(tid)
+        if entry is None:
+            continue
+        ids, weights = entry
+        assert ids.size and np.all(np.diff(ids.astype(np.int64)) > 0)
+        assert int(ids[-1]) < idx.doc_count and np.all(np.isfinite(weights))
+        for d, w in zip(ids.tolist(), weights.tolist()):
+            doc_dicts[d][tid] = w
+    signed = [1.0 - 0.75 * (i % 3) for i in range(len(terms))]
+    query = SparseVector(range(len(terms)), signed, idx.vocab)
+    expected = brute_force(doc_dicts, idx.doc_names, dict(query.entries()), idx.doc_count + 1)
+    assert search(idx, query, idx.doc_count + 1) == expected
+
+
+class TestIndexProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(corpora())
+    def test_save_load_round_trip(self, tmp_path_factory, corpus):
+        vocab, vectors, late = corpus
+        idx = build(vectors, vocab)
+        for i in range(late):
+            vocab.add(f"late{i}")
+        path = tmp_path_factory.mktemp("rt") / "idx.svix"
+        save(idx, path)
+        loaded = load(path)
+        check_index(loaded)
+        assert loaded.doc_names == idx.doc_names
+        assert loaded.vocab.terms == vocab.terms
+        for tid in range(len(vocab) + 1):
+            got, want = loaded.postings(tid), idx.postings(tid)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got[0].tolist() == want[0].tolist()
+                assert got[1].tolist() == want[1].tolist()
+        for _, vec in vectors:
+            q = SparseVector(vec.ids, vec.weights, loaded.vocab)
+            assert search(loaded, q, 10) == search(idx, vec, 10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpora(), st.data())
+    def test_flipped_byte_rejected_or_consistent(self, tmp_path_factory, corpus, data):
+        vocab, vectors, late = corpus
+        for i in range(late):
+            vocab.add(f"late{i}")
+        path = tmp_path_factory.mktemp("flip") / "idx.svix"
+        save(build(vectors, vocab), path)
+        raw = bytearray(path.read_bytes())
+        pos = data.draw(st.integers(8, len(raw) - 5))
+        raw[pos] ^= data.draw(st.integers(1, 255))
+        struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(bytes(raw[:-4])) & 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        try:
+            idx = load(path)
+        except IndexFormatError:
+            return
+        check_index(idx)
