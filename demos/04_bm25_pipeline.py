@@ -10,8 +10,7 @@ from setvec import (
     Qrels,
     Vocabulary,
     build,
-    corpus_stats,
-    encode_bm25_doc,
+    encode_bm25,
     encode_tf,
     ndcg_at_k,
     recall_at_k,
@@ -34,13 +33,10 @@ RELEVANT = {"hummingbirds", "condor"}
 def main():
     vocab = Vocabulary()
     token_docs = {name: tokenize(text) for name, text in DOCS.items()}
-    stats = corpus_stats(token_docs.values(), vocab)
-    print(f"corpus: {stats.doc_count} docs, avg length {stats.avg_doc_len:.1f} tokens\n")
+    avg_len = sum(map(len, token_docs.values())) / len(token_docs)
+    print(f"corpus: {len(token_docs)} docs, avg length {avg_len:.1f} tokens\n")
 
-    idx = build(
-        ((name, encode_bm25_doc(tokens, stats)) for name, tokens in token_docs.items()),
-        vocab,
-    )
+    idx = build(encode_bm25(token_docs.items(), vocab), vocab)
 
     q = encode_tf(tokenize(QUERY), vocab)
     hits = search(idx, q, 5)

@@ -39,7 +39,6 @@ from .cpt import (
     expand_query,
 )
 from .errors import (
-    CorpusStatsError,
     CptDomainError,
     DuplicateDocError,
     FormatError,
@@ -61,7 +60,7 @@ from .evaluation import (
 )
 from .fusion import ScoredRun, fuse, min_max_scale
 from .index import InvertedIndex, SearchResult, build, load, save, search, search_cpt
-from .lexical import CorpusStats, corpus_stats, encode_bm25_doc, encode_tf, tokenize
+from .lexical import encode_bm25, encode_tf, tokenize
 from .sparse import (
     SparseVector,
     Vocabulary,
@@ -83,8 +82,6 @@ __all__ = [
     "ActivationConfig",
     "CompositionParams",
     "CompositionalQuery",
-    "CorpusStats",
-    "CorpusStatsError",
     "CptDomainError",
     "DuplicateDocError",
     "FormatError",
@@ -108,7 +105,6 @@ __all__ = [
     "add",
     "build",
     "compose",
-    "corpus_stats",
     "cosine",
     "cpt_score",
     "cpt_score_factorized",
@@ -118,7 +114,7 @@ __all__ = [
     "difference_orthogonal",
     "difference_subtract",
     "dot",
-    "encode_bm25_doc",
+    "encode_bm25",
     "encode_tf",
     "expand_doc",
     "expand_query",

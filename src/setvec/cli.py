@@ -20,7 +20,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import formats
 from .activations import AGGREGATIONS, NEG_FORMULAS, ActivationConfig, activate
-from .compose import OP_ATOMIC, OP_DIFFERENCE, CompositionalQuery, compose
+from .compose import (
+    DEFAULT_LAMBDA,
+    DEFAULT_M,
+    OP_ATOMIC,
+    OP_DIFFERENCE,
+    CompositionalQuery,
+    CompositionParams,
+    compose,
+)
 from .cpt import PseudoTermVector
 from .errors import SetvecError, UndefinedMetricError
 from .evaluation import (
@@ -32,7 +40,7 @@ from .evaluation import (
 )
 from .fusion import FUSE_OPS, ScoredRun, fuse
 from .index import build, load, save, search, search_cpt
-from .lexical import DEFAULT_B, DEFAULT_K1, corpus_stats, encode_bm25_doc, encode_tf, tokenize
+from .lexical import DEFAULT_B, DEFAULT_K1, encode_bm25, encode_tf, tokenize
 from .sparse import Vocabulary
 
 log = logging.getLogger("setvec")
@@ -41,6 +49,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 class _UsageError(Exception):
@@ -52,19 +62,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
-def _add_threads_flag(parser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker threads (affects throughput only, never results; default: %(default)s)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build an inverted index from a vector file")
     p.add_argument("--vectors", required=True, help="document vector JSONL")
     p.add_argument("--out", required=True, help="output index file")
-    _add_threads_flag(p)
+    p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("compose", help="turn compositional query records into vectors")
@@ -133,7 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tag", default=formats.DEFAULT_RUN_TAG, help="run tag (default: %(default)s)")
     p.add_argument("--out", required=True, help="output TREC run file")
-    _add_threads_flag(p)
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker threads, at most one per query and per CPU "
+        "(affects throughput only, never results; default: %(default)s)",
+    )
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("fuse", help="fuse two per-atomic-query runs")
@@ -212,19 +215,13 @@ def cmd_encode(args) -> int:
             yield rec_id, tokens
 
     if args.tf:
-        formats.write_vectors(
-            args.out, ((rec_id, encode_tf(tokens, vocab)) for rec_id, tokens in doc_tokens())
-        )
+        vectors = ((rec_id, encode_tf(tokens, vocab)) for rec_id, tokens in doc_tokens())
     else:
-        stats = corpus_stats((tokens for _, tokens in doc_tokens()), vocab)
-        log.info("bm25 stats: %d docs, avgdl %.2f", stats.doc_count, stats.avg_doc_len)
-        formats.write_vectors(
-            args.out,
-            (
-                (rec_id, encode_bm25_doc(tokens, stats, k1=args.k1, b=args.b))
-                for rec_id, tokens in doc_tokens()
-            ),
-        )
+        try:
+            vectors = encode_bm25(doc_tokens(), vocab, k1=args.k1, b=args.b)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
+    formats.write_vectors(args.out, vectors)
     return EXIT_OK
 
 
@@ -250,7 +247,19 @@ def _load_queries(args, vocab) -> list[CompositionalQuery]:
     )
 
 
+def _check_query_defaults(args) -> None:
+    """Reject bad --lambda/--m before any file is read."""
+    try:
+        CompositionParams(
+            lambda_=DEFAULT_LAMBDA if args.lambda_ is None else args.lambda_,
+            m=DEFAULT_M if args.m is None else args.m,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def cmd_compose(args) -> int:
+    _check_query_defaults(args)
     vocab = Vocabulary()
     queries = _load_queries(args, vocab)
     formats.write_vectors(args.out, ((q.qid, compose(q)) for q in queries))
@@ -273,6 +282,7 @@ def cmd_search(args) -> int:
         raise _UsageError("--k must be a positive integer")
     if args.candidate_pool < 1:
         raise _UsageError("--candidate-pool must be a positive integer")
+    _check_query_defaults(args)
     idx = load(args.index)
     vocab = idx.vocab
 
@@ -295,12 +305,9 @@ def cmd_search(args) -> int:
 
         jobs = loaded
 
-    threads = max(1, args.threads)
-    if threads == 1 or len(jobs) <= 1:
-        results = [run_one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, jobs))
+    workers = max(1, min(args.threads, len(jobs), os.cpu_count() or 1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(run_one, jobs))
     formats.write_search_results(args.out, results, tag=args.tag)
     return EXIT_OK
 
@@ -468,12 +475,12 @@ def cmd_analyze_interference(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=getattr(logging, os.environ.get("SETVEC_LOG", "warning").upper(), logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     parser = build_parser()
     try:
+        level = os.environ.get("SETVEC_LOG") or "warning"
+        if level.lower() not in LOG_LEVELS:
+            raise _UsageError(f"SETVEC_LOG={level!r} is not one of {', '.join(LOG_LEVELS)}")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:

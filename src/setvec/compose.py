@@ -14,6 +14,7 @@ empty atomic vector is legal: it propagates as an empty result.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .cpt import PseudoTermVector, expand_query
@@ -34,6 +35,14 @@ class CompositionParams:
 
     lambda_: float = DEFAULT_LAMBDA
     m: int = DEFAULT_M
+
+    def __post_init__(self):
+        # bool is an int subclass: without the first test, True would pass as m = 1.
+        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
+            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
+        lam = self.lambda_
+        if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0 <= lam <= sys.float_info.max:
+            raise ValueError(f"lambda must be a finite number >= 0, got {lam!r}")
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class CptDomainError(SetvecError):
     """Negative weights fed into the pseudo-term expansion (sqrt domain)."""
 
 
-class CorpusStatsError(SetvecError):
-    """Document statistics are inconsistent with the document being encoded."""
-
-
 class DuplicateDocError(SetvecError):
     """The same document name was ingested twice while building an index."""
 

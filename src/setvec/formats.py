@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from typing import Iterable, Iterator, Mapping
 
@@ -41,8 +42,13 @@ DEFAULT_RUN_TAG = "setvec"
 
 
 def _jsonl_records(path) -> Iterator[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    # Decoded line by line, so that bad UTF-8 is reported with its line.
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}:{line_no}: not valid UTF-8 ({exc.reason})") from None
             if not line.strip():
                 continue
             try:
@@ -61,7 +67,8 @@ def _vector_from_json(mapping, vocab: Vocabulary, where: str) -> SparseVector:
     for term, weight in mapping.items():
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise FormatError(f"{where}: weight for {term!r} is not a number")
-        if not math.isfinite(weight):
+        # An integer too large for a float is as unusable as inf.
+        if not -sys.float_info.max <= weight <= sys.float_info.max:
             raise FormatError(f"{where}: weight for {term!r} is not finite")
         pairs.append((term, float(weight)))
     return SparseVector.from_pairs(pairs, vocab)
@@ -176,7 +183,7 @@ def read_queries(
                 method=method,
                 a=a,
                 b=b,
-                params=CompositionParams(lambda_=float(lambda_), m=int(m)),
+                params=CompositionParams(lambda_=lambda_, m=m),
             )
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{where}: {exc}") from exc

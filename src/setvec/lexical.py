@@ -1,19 +1,20 @@
 """Text to sparse vectors without a neural encoder: raw TF and Okapi BM25.
 
 BM25 impact weights are placed on the *document* side, so that
-``dot(encode_tf(query), encode_bm25_doc(doc))`` reproduces the classic
-query-document BM25 score.
+``dot(encode_tf(query), doc_vector)`` with a vector from
+:func:`encode_bm25` reproduces the classic query-document BM25 score.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import CorpusStatsError
+import numpy as np
+
 from .sparse import SparseVector, Vocabulary
 
 # Runs of word characters, minus the underscore; splits on any Unicode
@@ -29,31 +30,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    """Global statistics needed for BM25 weighting, frozen after the build pass."""
-
-    vocab: Vocabulary
-    doc_count: int
-    doc_freq: Mapping[int, int]
-    avg_doc_len: float
-
-
-def corpus_stats(token_docs: Iterable[Sequence[str]], vocab: Vocabulary) -> CorpusStats:
-    """Collect document frequencies and average length over tokenized docs."""
-    doc_freq: dict[int, int] = {}
-    doc_count = 0
-    total_len = 0
-    for tokens in token_docs:
-        doc_count += 1
-        total_len += len(tokens)
-        for term in set(tokens):
-            tid = vocab.add(term)
-            doc_freq[tid] = doc_freq.get(tid, 0) + 1
-    avg_doc_len = total_len / doc_count if doc_count else 0.0
-    return CorpusStats(vocab=vocab, doc_count=doc_count, doc_freq=doc_freq, avg_doc_len=avg_doc_len)
-
-
 def encode_tf(tokens: Sequence[str], vocab: Vocabulary) -> SparseVector:
     """Raw term-frequency vector (weight = token multiplicity)."""
     counts = Counter(tokens)
@@ -62,43 +38,51 @@ def encode_tf(tokens: Sequence[str], vocab: Vocabulary) -> SparseVector:
     )
 
 
-def bm25_idf(doc_count: int, df: int) -> float:
-    """Lucene-style nonnegative idf: ``ln(1 + (N - df + 0.5) / (df + 0.5))``."""
-    return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
-
-
-def encode_bm25_doc(
-    tokens: Sequence[str],
-    stats: CorpusStats,
+def encode_bm25(
+    docs: Iterable[tuple[str, Sequence[str]]],
+    vocab: Vocabulary,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
-) -> SparseVector:
-    """Okapi BM25 impact vector for one document.
+) -> Iterator[tuple[str, SparseVector]]:
+    """Okapi BM25 impact vectors for a tokenized corpus of ``(id, tokens)`` pairs.
 
-    weight(t) = idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl/avgdl))
+    weight(t) = idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl/avgdl)),
+    idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))   (Lucene's nonnegative idf)
 
-    Every token must have a document frequency in *stats* (the stats must
-    have been built over a corpus containing this document).
+    Reads *docs* once, in full, before returning; the returned iterator
+    then builds the vectors one at a time.  Unseen tokens are added to
+    *vocab* in first-occurrence order, so term ids do not depend on the
+    interpreter's hash seed.  Only flat count columns are kept, never the
+    tokens.  The parameters are checked before *docs* is read.
     """
-    if k1 < 0.0:
-        raise ValueError("k1 must be nonnegative")
+    if not (math.isfinite(k1) and k1 >= 0.0):
+        raise ValueError("k1 must be a finite number >= 0")
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must be in [0, 1]")
-    counts = Counter(tokens)
-    if not counts:
-        return SparseVector.empty(stats.vocab)
-    dl = len(tokens)
-    length_norm = k1 * (1.0 - b + b * dl / stats.avg_doc_len)
-    ids = []
-    weights = []
-    for term, tf in counts.items():
-        tid = stats.vocab.get(term)
-        df = stats.doc_freq.get(tid, 0) if tid is not None else 0
-        if df <= 0:
-            raise CorpusStatsError(
-                f"token {term!r} has no document frequency; stats were built on a different corpus"
-            )
-        idf = bm25_idf(stats.doc_count, df)
-        ids.append(tid)
-        weights.append(idf * tf * (k1 + 1.0) / (tf + length_norm))
-    return SparseVector(ids, weights, stats.vocab)
+    names: list[str] = []
+    term_ids, tfs, doc_lens, nnzs = array("I"), array("I"), array("I"), array("I")
+    for name, tokens in docs:
+        counts = Counter(tokens)
+        names.append(name)
+        term_ids.extend(map(vocab.add, counts))
+        tfs.extend(counts.values())
+        doc_lens.append(len(tokens))
+        nnzs.append(len(counts))
+
+    n = len(names)
+    tids = np.asarray(term_ids, dtype=np.uint32)
+    tf = np.asarray(tfs, dtype=np.uint32)
+    total = sum(doc_lens)
+    avgdl = total / n if total else 1.0  # every doc is empty: nothing to weight
+    dl = np.asarray(doc_lens, dtype=np.float64)
+    df = np.bincount(tids, minlength=len(vocab)).tolist()
+    # math.log, not np.log: the two differ in the last bit on some inputs.
+    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df])
+    norm = k1 * (1.0 - b + b * dl / avgdl)
+    weights = idf[tids] * tf * (k1 + 1.0) / (tf + np.repeat(norm, nnzs))
+    ends = np.cumsum(nnzs, dtype=np.int64).tolist()
+    starts = [0] + ends[:-1]
+    return (
+        (name, SparseVector(tids[s:e], weights[s:e], vocab))
+        for name, s, e in zip(names, starts, ends)
+    )

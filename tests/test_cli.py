@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import setvec
+from setvec import cli
 from setvec.cli import main
 
 
@@ -131,6 +137,36 @@ class TestSearch:
         assert lines[0].startswith("i1 Q0 d2 1 1.000000")
         assert len(lines) == 3  # one-sided docs kept, scored 0
 
+    @pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2)])
+    def test_worker_count_capped(self, tmp_path, indexed_corpus, monkeypatch, cpus, workers):
+        # A recording stand-in for the pool, so no thread is ever started.
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        queries = tmp_path / "q.jsonl"
+        write_lines(queries, *[json.dumps({"id": f"q{i}", "vector": {"colombia": 1.0}}) for i in range(3)])
+        run = tmp_path / "run.trec"
+        assert main([
+            "search", "--index", str(indexed_corpus), "--queries", str(queries),
+            "--threads", "64", "--out", str(run),
+        ]) == 0
+        assert created == [workers]
+        assert len(run.read_text().splitlines()) == 6
+
     def test_threads_do_not_change_output(self, tmp_path, indexed_corpus):
         queries = tmp_path / "q.jsonl"
         write_lines(
@@ -185,6 +221,48 @@ class TestEncode:
             "encode", "--logits", str(grid), "--out", str(positive_only),
         ]) == 0
         assert "european" not in json.loads(positive_only.read_text())["vector"]
+
+    def test_bm25_output_independent_of_hash_seed(self, tmp_path):
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(300)]
+        docs = tmp_path / "docs.jsonl"
+        write_lines(docs, *[
+            json.dumps({"id": f"d{i}", "text": " ".join(rng.choice(words, size=rng.integers(1, 40)))})
+            for i in range(60)
+        ])
+        src = os.path.dirname(os.path.dirname(setvec.__file__))
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            out.mkdir()
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            for argv in (
+                ["encode", "--bm25", "--docs", str(docs), "--out", str(out / "vectors.jsonl")],
+                ["index", "--vectors", str(out / "vectors.jsonl"), "--out", str(out / "corpus.svix")],
+            ):
+                subprocess.run([sys.executable, "-m", "setvec.cli", *argv], env=env, check=True, timeout=120)
+            outputs.append(((out / "vectors.jsonl").read_bytes(), (out / "corpus.svix").read_bytes()))
+        assert outputs[0][0] == outputs[1][0]
+        assert outputs[0][1] == outputs[1][1]
+
+    @pytest.mark.parametrize("flag", ["--k1=-1", "--k1=nan", "--k1=inf", "--b=2", "--b=-0.5", "--b=nan"])
+    def test_bad_bm25_parameter_is_usage_error(self, tmp_path, flag):
+        docs = tmp_path / "docs.jsonl"
+        write_lines(docs, json.dumps({"id": "d1", "text": "birds of colombia"}))
+        out = tmp_path / "bm25.jsonl"
+        assert main(["encode", "--docs", str(docs), "--bm25", flag, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad_line", [b"{not json", b'{"id": "d2", "text": "caf\xe9"}'],
+                             ids=["json", "utf8"])
+    def test_bm25_bad_corpus_is_data_error_without_output(self, tmp_path, capsys, bad_line):
+        # The whole corpus is read before the output file is opened.
+        docs = tmp_path / "docs.jsonl"
+        docs.write_bytes(b'{"id": "d1", "text": "birds"}\n' + bad_line + b"\n")
+        out = tmp_path / "bm25.jsonl"
+        assert main(["encode", "--docs", str(docs), "--bm25", "--out", str(out)]) == 2
+        assert f"{docs}:2: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tf_without_docs_is_usage_error(self, tmp_path):
         assert main(["encode", "--tf", "--out", str(tmp_path / "o.jsonl")]) == 1
@@ -299,3 +377,50 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+    def test_unknown_log_level_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SETVEC_LOG", "loud")
+        assert main(["index", "--vectors", str(tmp_path / "v.jsonl"), "--out", str(tmp_path / "o")]) == 1
+        assert "debug, info, warning, error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("search", "--m=0"), ("search", "--lambda=-1"), ("search", "--lambda=nan"),
+        ("compose", "--m=0"), ("compose", "--lambda=-1"),
+    ])
+    def test_bad_query_default_is_usage_error(self, tmp_path, indexed_corpus, birds_files, command, flag):
+        vectors, queries = birds_files
+        out = tmp_path / "out"
+        argv = [command, "--queries", str(queries), "--vectors", str(vectors), flag, "--out", str(out)]
+        if command == "search":
+            argv += ["--index", str(indexed_corpus)]
+        assert main(argv) == 1
+        assert not out.exists()
+
+
+HUGE = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+def _query(method, params):
+    operator = "intersection" if method == "cpt" else "difference"
+    return json.dumps({"qid": "q1", "operator": operator, "method": method,
+                       "a": {"x": 1.0}, "b": {"y": 1.0}, "params": params})
+
+
+@pytest.mark.parametrize("command, line", [
+    ("index", '{"id": "d1", "vector": {"x": %s}}' % HUGE),
+    ("compose", '{"qid": "q1", "operator": "atomic", "method": "atomic", "a": {"x": -%s}}' % HUGE),
+    ("compose", _query("cpt", {"m": 0})),
+    ("compose", _query("cpt", {"m": 2.7})),
+    ("compose", _query("cpt", {"m": True})),
+    ("compose", _query("cpt", {"m": "5"})),
+    ("compose", _query("nrf", {"lambda": -1})),
+    ("compose", _query("nrf", {"lambda": True})),
+    ("compose", _query("nrf", {"lambda": "0.5"})),
+], ids=["vector-weight-overflow", "inline-weight-overflow", "m-0", "m-2.7", "m-true", "m-str",
+        "lambda-neg", "lambda-true", "lambda-str"])
+def test_malformed_value_is_located_data_error(tmp_path, capsys, command, line):
+    path = tmp_path / "input.jsonl"
+    write_lines(path, line)
+    flag = "--vectors" if command == "index" else "--queries"
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}:1: " in capsys.readouterr().err

@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from setvec import (
-    CorpusStatsError,
-    Vocabulary,
-    corpus_stats,
-    dot,
-    encode_bm25_doc,
-    encode_tf,
-    tokenize,
-)
+from setvec import Vocabulary, dot, encode_bm25, encode_tf, tokenize
 
 
 class TestTokenize:
@@ -71,26 +63,25 @@ def reference_bm25(query_tokens, doc_tokens, all_docs, k1, b):
     return score
 
 
+def bm25(docs, vocab, **params):
+    """BM25 vectors of a list of token lists, in corpus order."""
+    return [vec for _, vec in encode_bm25(((str(i), d) for i, d in enumerate(docs)), vocab, **params)]
+
+
 class TestBm25:
     def test_term_in_every_doc(self, vocab):
         # N=2, df=2, tf=1, dl=avgdl: the tf factor is (k1+1)/(1+k1) = 1, so
         # the weight is just idf = ln(1 + 0.5/2.5) = ln(1.2).
-        docs = [["x", "a"], ["x", "b"]]
-        stats = corpus_stats(docs, vocab)
-        vec = encode_bm25_doc(docs[0], stats)
+        vec = bm25([["x", "a"], ["x", "b"]], vocab)[0]
         assert vec.get(vocab.id_of("x")) == pytest.approx(math.log(1.2), rel=1e-12)
 
     def test_absent_term_absent(self, vocab):
-        docs = [["x"], ["y"]]
-        stats = corpus_stats(docs, vocab)
-        vec = encode_bm25_doc(["x"], stats)
+        vec = bm25([["x"], ["y"]], vocab)[0]
         assert vec.get(vocab.id_of("y")) == 0.0
 
     def test_single_doc_corpus_idf(self, vocab):
         # N=df=1 gives idf = ln(1 + 0.5/1.5) = ln(4/3) for every term.
-        docs = [["only", "doc"]]
-        stats = corpus_stats(docs, vocab)
-        vec = encode_bm25_doc(docs[0], stats)
+        vec = bm25([["only", "doc"]], vocab)[0]
         expected = math.log(4.0 / 3.0)
         for _, w in vec.entries():
             assert w == pytest.approx(expected, rel=1e-12)
@@ -98,19 +89,14 @@ class TestBm25:
     def test_monotone_in_tf_and_df(self, vocab):
         # More occurrences never lower the weight; a rarer term never scores lower.
         docs = [["t"] * (i + 1) + ["pad"] for i in range(6)]
-        stats = corpus_stats(docs, vocab)
-        weights = [
-            encode_bm25_doc(["t"] * tf + ["pad"] * 3, stats).get(vocab.id_of("t"))
-            for tf in range(1, 6)
-        ]
+        probes = [["t"] * tf + ["pad"] * 3 for tf in range(1, 6)]
+        vecs = bm25(docs + probes, vocab)[len(docs):]
+        weights = [vec.get(vocab.id_of("t")) for vec in vecs]
         assert all(b >= a for a, b in zip(weights, weights[1:]))
 
         vocab2 = Vocabulary()
-        base = [["rare", "x"], ["x"], ["x"], ["x"]]
-        rare_stats = corpus_stats(base, vocab2)
-        w_rare = encode_bm25_doc(["rare", "x"], rare_stats).get(vocab2.id_of("rare"))
-        w_common = encode_bm25_doc(["rare", "x"], rare_stats).get(vocab2.id_of("x"))
-        assert w_rare > w_common
+        vec = bm25([["rare", "x"], ["x"], ["x"], ["x"]], vocab2)[0]
+        assert vec.get(vocab2.id_of("rare")) > vec.get(vocab2.id_of("x"))
 
     def test_scoring_equivalence_with_reference(self, vocab):
         rng = np.random.default_rng(31)
@@ -118,23 +104,31 @@ class TestBm25:
         docs = [
             list(rng.choice(alphabet, size=rng.integers(1, 30))) for _ in range(12)
         ]
-        stats = corpus_stats(docs, vocab)
         k1, b = 0.9, 0.4
+        vecs = bm25(docs, vocab, k1=k1, b=b)
         for _ in range(40):
             query = list(rng.choice(alphabet, size=rng.integers(1, 6)))
-            doc = docs[int(rng.integers(0, len(docs)))]
-            ours = dot(encode_tf(query, vocab), encode_bm25_doc(doc, stats, k1, b))
-            ref = reference_bm25(query, doc, docs, k1, b)
+            i = int(rng.integers(0, len(docs)))
+            ours = dot(encode_tf(query, vocab), vecs[i])
+            ref = reference_bm25(query, docs[i], docs, k1, b)
             assert ours == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
-    def test_stats_from_wrong_corpus_rejected(self, vocab):
-        stats = corpus_stats([["a", "b"]], vocab)
-        with pytest.raises(CorpusStatsError):
-            encode_bm25_doc(["zzz"], stats)
+    def test_term_ids_in_first_occurrence_order(self, vocab):
+        bm25([["b", "a", "b"], [], ["c", "a"]], vocab)
+        assert vocab.terms == ("b", "a", "c")
+
+    def test_empty_docs(self, vocab):
+        assert [vec.nnz for vec in bm25([[], ["a"], []], vocab)] == [0, 1, 0]
+        assert [vec.nnz for vec in bm25([[], []], vocab)] == [0, 0]
+        assert bm25([], vocab) == []
 
     def test_parameter_validation(self, vocab):
-        stats = corpus_stats([["a"]], vocab)
-        with pytest.raises(ValueError):
-            encode_bm25_doc(["a"], stats, k1=-0.1)
-        with pytest.raises(ValueError):
-            encode_bm25_doc(["a"], stats, b=1.5)
+        # Checked before any document is read.
+        def docs():
+            raise AssertionError("docs read before the parameters were checked")
+            yield
+
+        for params in ({"k1": -0.1}, {"k1": math.nan}, {"k1": math.inf},
+                       {"b": 1.5}, {"b": -0.1}, {"b": math.nan}):
+            with pytest.raises(ValueError):
+                encode_bm25(docs(), vocab, **params)
