@@ -12,7 +12,7 @@ Set SETVEC_LOG=debug|info|warning|error to control log verbosity.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import logging
 import os
 import sys
@@ -31,14 +31,8 @@ from .compose import (
 )
 from .cpt import PseudoTermVector
 from .errors import SetvecError, UndefinedMetricError
-from .evaluation import (
-    PairedQueries,
-    interference_bins,
-    ndcg_at_k,
-    pairwise_accuracy,
-    recall_at_k,
-)
-from .fusion import FUSE_OPS, ScoredRun, fuse
+from .evaluation import interference_bins, ndcg_at_k, pairwise_accuracy, recall_at_k
+from .fusion import FUSE_OPS, fuse
 from .index import build, load, save, search, search_cpt
 from .lexical import DEFAULT_B, DEFAULT_K1, encode_bm25, encode_tf, tokenize
 from .sparse import Vocabulary
@@ -108,9 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True, help="query JSONL")
     p.add_argument("--vectors", help="atomic vector JSONL for a_ref/b_ref lookups")
     p.add_argument("--method", help="override the method of every non-atomic record")
-    p.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float,
-                   help="nrf lambda when a record omits it")
-    p.add_argument("--m", type=int, help="cpt top-m when a record omits it")
+    p.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float, default=DEFAULT_LAMBDA,
+                   help="nrf lambda when a record omits it (default: %(default)s)")
+    p.add_argument("--m", type=int, default=DEFAULT_M,
+                   help="cpt top-m when a record omits it (default: %(default)s)")
     p.add_argument("--out", required=True, help="output vector JSONL (cpt rows use term∩term keys)")
     p.set_defaults(func=cmd_compose)
 
@@ -120,8 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", help="atomic vectors for query records with refs")
     p.add_argument("--k", type=int, default=10, help="results per query (default: %(default)s)")
     p.add_argument("--method", help="override method of every non-atomic query record")
-    p.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float, help="nrf lambda default")
-    p.add_argument("--m", type=int, help="cpt top-m default")
+    p.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float, default=DEFAULT_LAMBDA,
+                   help="nrf lambda when a record omits it (default: %(default)s)")
+    p.add_argument("--m", type=int, default=DEFAULT_M,
+                   help="cpt top-m when a record omits it (default: %(default)s)")
     p.add_argument(
         "--candidate-pool",
         type=int,
@@ -180,11 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_stopwords(path) -> set[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return {line.strip() for line in fh if line.strip()}
-
-
 def cmd_encode(args) -> int:
     vocab = Vocabulary()
     if args.logits:
@@ -205,7 +197,7 @@ def cmd_encode(args) -> int:
 
     if not args.docs:
         raise _UsageError("--tf/--bm25 need --docs")
-    stop = _read_stopwords(args.stopwords) if args.stopwords else None
+    stop = formats.read_stopwords(args.stopwords) if args.stopwords else None
 
     def doc_tokens():
         for rec_id, text in formats.read_texts(args.docs):
@@ -233,48 +225,37 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _load_queries(args, vocab) -> list[CompositionalQuery]:
-    vectors = {}
-    if args.vectors:
-        vectors = dict(formats.read_vectors(args.vectors, vocab))
-    return formats.read_queries(
-        args.queries,
-        vectors,
-        vocab,
-        default_method=args.method,
-        default_lambda=getattr(args, "lambda_", None),
-        default_m=args.m,
-    )
-
-
-def _check_query_defaults(args) -> None:
-    """Reject bad --lambda/--m before any file is read."""
+def _query_defaults(args) -> dict:
+    """--method/--lambda/--m as read_queries keywords; bad values are usage errors."""
     try:
-        CompositionParams(
-            lambda_=DEFAULT_LAMBDA if args.lambda_ is None else args.lambda_,
-            m=DEFAULT_M if args.m is None else args.m,
-        )
+        CompositionParams(lambda_=args.lambda_, m=args.m)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    return {"default_method": args.method, "default_lambda": args.lambda_, "default_m": args.m}
+
+
+def _load_queries(args, vocab, **defaults) -> list[CompositionalQuery]:
+    vectors = dict(formats.read_vectors(args.vectors, vocab)) if args.vectors else {}
+    return formats.read_queries(args.queries, vectors, vocab, **defaults)
+
+
+def _naming_errors(path, fn):
+    """Wrap ``fn(query)`` so that a data error it raises names the query file and qid."""
+
+    def run(q: CompositionalQuery):
+        try:
+            return fn(q)
+        except (SetvecError, ValueError) as exc:
+            raise SetvecError(f"{path}: query {q.qid!r}: {exc}") from exc
+
+    return run
 
 
 def cmd_compose(args) -> int:
-    _check_query_defaults(args)
-    vocab = Vocabulary()
-    queries = _load_queries(args, vocab)
-    formats.write_vectors(args.out, ((q.qid, compose(q)) for q in queries))
+    defaults = _query_defaults(args)
+    queries = _load_queries(args, Vocabulary(), **defaults)
+    formats.write_vectors(args.out, map(_naming_errors(args.queries, lambda q: (q.qid, compose(q))), queries))
     return EXIT_OK
-
-
-def _sniff_query_file(path) -> str:
-    """'records' for compositional query files, 'vectors' for plain vectors."""
-    for _, record in formats._jsonl_records(path):
-        if "operator" in record:
-            return "records"
-        if "vector" in record:
-            return "vectors"
-        break
-    return "vectors"
 
 
 def cmd_search(args) -> int:
@@ -282,32 +263,25 @@ def cmd_search(args) -> int:
         raise _UsageError("--k must be a positive integer")
     if args.candidate_pool < 1:
         raise _UsageError("--candidate-pool must be a positive integer")
-    _check_query_defaults(args)
+    defaults = _query_defaults(args)
     idx = load(args.index)
-    vocab = idx.vocab
-
-    if _sniff_query_file(args.queries) == "records":
-        queries = _load_queries(args, vocab)
-
-        def run_one(q: CompositionalQuery):
-            rep = compose(q)
-            if isinstance(rep, PseudoTermVector):
-                return q.qid, search_cpt(idx, rep, q.a, q.b, args.k, args.candidate_pool)
-            return q.qid, search(idx, rep, args.k)
-
-        jobs = queries
+    if formats.is_query_file(args.queries):
+        queries = _load_queries(args, idx.vocab, **defaults)
     else:
-        loaded = list(formats.read_vectors(args.queries, vocab))
+        queries = [
+            CompositionalQuery(qid=qid, operator=OP_ATOMIC, method="atomic", a=vec)
+            for qid, vec in formats.read_vectors(args.queries, idx.vocab)
+        ]
 
-        def run_one(item):
-            qid, vec = item
-            return qid, search(idx, vec, args.k)
+    def run_one(q: CompositionalQuery):
+        rep = compose(q)
+        if isinstance(rep, PseudoTermVector):
+            return q.qid, search_cpt(idx, rep, q.a, q.b, args.k, args.candidate_pool)
+        return q.qid, search(idx, rep, args.k)
 
-        jobs = loaded
-
-    workers = max(1, min(args.threads, len(jobs), os.cpu_count() or 1))
+    workers = max(1, min(args.threads, len(queries), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_one, jobs))
+        results = list(pool.map(_naming_errors(args.queries, run_one), queries))
     formats.write_search_results(args.out, results, tag=args.tag)
     return EXIT_OK
 
@@ -380,33 +354,14 @@ def cmd_eval(args) -> int:
             "metrics": means,
             "per_query": per_query,
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        formats.write_json(args.out, report, sort_keys=True)
     if args.per_query:
-        with open(args.per_query, "w", encoding="utf-8") as fh:
-            for qid, row in per_query.items():
-                for label in labels:
-                    fh.write(f"{qid}\t{label}\t{row[label]:.6f}\n")
+        formats.write_per_query(args.per_query, per_query)
     return EXIT_OK
 
 
 def cmd_pairwise(args) -> int:
-    pairs = []
-    for line_no, record in formats._jsonl_records(args.pairs):
-        try:
-            pairs.append(
-                PairedQueries(
-                    qid_a=record["qid_a"],
-                    qid_b=record["qid_b"],
-                    doc_a=record["doc_a"],
-                    doc_b=record["doc_b"],
-                )
-            )
-        except KeyError as exc:
-            raise formats.FormatError(
-                f"{args.pairs}:{line_no}: missing field {exc.args[0]!r}"
-            ) from exc
+    pairs = formats.read_pairs(args.pairs)
     runs = formats.read_run(args.scores)
 
     def scorer(qid: str, doc: str) -> float:
@@ -419,40 +374,19 @@ def cmd_pairwise(args) -> int:
     print(f"pairs: {len(pairs)}")
     print(f"pairwise accuracy: {accuracy:.4f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"pairs": len(pairs), "pairwise_accuracy": accuracy}, fh, indent=2)
-            fh.write("\n")
+        formats.write_json(args.out, {"pairs": len(pairs), "pairwise_accuracy": accuracy})
     return EXIT_OK
 
 
 def cmd_analyze_interference(args) -> int:
     if args.bins < 1:
         raise _UsageError("--bins must be a positive integer")
-    vocab = Vocabulary()
-    args.method = None
-    args.lambda_ = None
-    args.m = None
-    queries = _load_queries(args, vocab)
+    queries = _load_queries(args, Vocabulary())
     diffs = [q for q in queries if q.operator == OP_DIFFERENCE]
     dropped = len(queries) - len(diffs)
     if dropped:
         log.warning("ignoring %d non-difference queries", dropped)
-    metric_by_qid: dict[str, float] = {}
-    with open(args.per_query_metrics, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 2:
-                raise formats.FormatError(
-                    f"{args.per_query_metrics}:{line_no}: expected qid<TAB>value"
-                )
-            try:
-                metric_by_qid[parts[0]] = float(parts[-1])
-            except ValueError:
-                raise formats.FormatError(
-                    f"{args.per_query_metrics}:{line_no}: bad metric value"
-                ) from None
+    metric_by_qid = formats.read_per_query(args.per_query_metrics)
 
     def metric(qid: str) -> float:
         if qid not in metric_by_qid:
@@ -464,13 +398,7 @@ def cmd_analyze_interference(args) -> int:
     for b in bins:
         print(f"[{b.low:.4f}, {b.high:.4f}]{'':<6} {b.mean_metric:>12.4f} {b.count:>8}")
     if args.out:
-        payload = [
-            {"low": b.low, "high": b.high, "mean_metric": b.mean_metric, "count": b.count}
-            for b in bins
-        ]
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        formats.write_json(args.out, [dataclasses.asdict(b) for b in bins])
     return EXIT_OK
 
 

@@ -136,7 +136,7 @@ def interference_bins(
         raise ValueError("n_bins must be a positive integer")
     queries = list(queries)
     if not queries:
-        raise ValueError("no queries to bin")
+        raise UndefinedMetricError("no difference queries to bin")
     for q in queries:
         if q.operator != OP_DIFFERENCE:
             raise ValueError(f"query {q.qid!r} is not a difference query")

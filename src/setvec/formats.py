@@ -1,8 +1,9 @@
-"""File formats: vector/query/text JSONL, TREC qrels and runs, logit grids.
+"""File formats: every text file setvec reads or writes goes through this module.
 
-All files are UTF-8.  Term strings are treated as opaque here; any
-normalization belongs to the lexical layer.  Readers stream line by line and
-report the offending line number on malformed input.
+All text files are UTF-8.  ``_lines`` is the one reader: it decodes each line
+on its own, accepts LF and CRLF, skips blank lines and reports a bad line as
+``path:N:``.  ``_write`` is the one writer: it streams lines and removes its
+output if producing one fails.  Term strings are opaque here.
 
 Vector JSONL     {"id": "...", "vector": {"term": weight, ...}}
 Text JSONL       {"id": "...", "text": "..."}
@@ -12,12 +13,17 @@ Query JSONL      {"qid": "...", "operator": "...", "method": "...",
 Qrels            qid 0 docid grade
 Run              qid Q0 docid rank score tag      (rank 1-based, 6-decimal scores)
 Logit grid       TSV; first row = term strings, later rows = positions.
+Pairs JSONL      {"qid_a": "...", "qid_b": "...", "doc_a": "...", "doc_b": "..."}
+Per-query TSV    qid<TAB>value (or qid<TAB>metric<TAB>value, as eval writes it)
+Stopwords        one word per line
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 from typing import Iterable, Iterator, Mapping
@@ -34,30 +40,58 @@ from .compose import (
 )
 from .cpt import PseudoTermVector
 from .errors import FormatError
-from .evaluation import Qrels
+from .evaluation import PairedQueries, Qrels
 from .fusion import ScoredRun
 from .sparse import SparseVector, Vocabulary
 
 DEFAULT_RUN_TAG = "setvec"
+PAIR_FIELDS = ("qid_a", "qid_b", "doc_a", "doc_b")
 
 
-def _jsonl_records(path) -> Iterator[tuple[int, dict]]:
-    # Decoded line by line, so that bad UTF-8 is reported with its line.
+def _lines(path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for each non-blank line, without its line end."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8")
+                line = raw.decode("utf-8").rstrip("\r\n")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"{path}:{line_no}: not valid UTF-8 ({exc.reason})") from None
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise FormatError(f"{path}:{line_no}: expected a JSON object")
-            yield line_no, record
+            if line.strip():
+                yield line_no, line
+
+
+def _write(path, lines: Iterable[str]) -> None:
+    """Stream *lines* to *path* as UTF-8; if producing or writing one fails, remove the file."""
+    regular = False  # only a regular file is removed: never unlink /dev/null or a pipe
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            fh.writelines(lines)
+    except BaseException:
+        if regular:
+            os.remove(path)
+        raise
+
+
+def _jsonl_records(path) -> Iterator[tuple[int, dict]]:
+    for line_no, line in _lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise FormatError(f"{path}:{line_no}: expected a JSON object")
+        yield line_no, record
+
+
+def _unique_id(record: dict, key: str, seen: set[str], where: str) -> str:
+    rec_id = record.get(key)
+    if not isinstance(rec_id, str) or not rec_id:
+        raise FormatError(f"{where}: missing or invalid {key!r}")
+    if rec_id in seen:
+        raise FormatError(f"{where}: duplicate {key} {rec_id!r}")
+    seen.add(rec_id)
+    return rec_id
 
 
 def _vector_from_json(mapping, vocab: Vocabulary, where: str) -> SparseVector:
@@ -65,6 +99,8 @@ def _vector_from_json(mapping, vocab: Vocabulary, where: str) -> SparseVector:
         raise FormatError(f"{where}: 'vector' must be an object")
     pairs = []
     for term, weight in mapping.items():
+        if not term:
+            raise FormatError(f"{where}: empty term")
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise FormatError(f"{where}: weight for {term!r} is not a number")
         # An integer too large for a float is as unusable as inf.
@@ -79,12 +115,7 @@ def read_vectors(path, vocab: Vocabulary) -> Iterator[tuple[str, SparseVector]]:
     seen: set[str] = set()
     for line_no, record in _jsonl_records(path):
         where = f"{path}:{line_no}"
-        rec_id = record.get("id")
-        if not isinstance(rec_id, str) or not rec_id:
-            raise FormatError(f"{where}: missing or invalid 'id'")
-        if rec_id in seen:
-            raise FormatError(f"{where}: duplicate id {rec_id!r}")
-        seen.add(rec_id)
+        rec_id = _unique_id(record, "id", seen, where)
         if "vector" not in record:
             raise FormatError(f"{where}: missing 'vector'")
         yield rec_id, _vector_from_json(record["vector"], vocab, where)
@@ -96,10 +127,8 @@ def write_vectors(path, items: Iterable[tuple[str, SparseVector | PseudoTermVect
     Pseudo-term vectors serialize with ``termA∩termB`` keys (debug form; they
     cannot be read back as plain vectors).
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec_id, vec in items:
-            record = {"id": rec_id, "vector": vec.to_dict()}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = ({"id": rec_id, "vector": vec.to_dict()} for rec_id, vec in items)
+    _write(path, (json.dumps(record, ensure_ascii=False) + "\n" for record in records))
 
 
 def read_texts(path) -> Iterator[tuple[str, str]]:
@@ -107,16 +136,18 @@ def read_texts(path) -> Iterator[tuple[str, str]]:
     seen: set[str] = set()
     for line_no, record in _jsonl_records(path):
         where = f"{path}:{line_no}"
-        rec_id = record.get("id")
+        rec_id = _unique_id(record, "id", seen, where)
         text = record.get("text")
-        if not isinstance(rec_id, str) or not rec_id:
-            raise FormatError(f"{where}: missing or invalid 'id'")
-        if rec_id in seen:
-            raise FormatError(f"{where}: duplicate id {rec_id!r}")
-        seen.add(rec_id)
         if not isinstance(text, str):
             raise FormatError(f"{where}: missing or invalid 'text'")
         yield rec_id, text
+
+
+def is_query_file(path) -> bool:
+    """True when the first record of a JSONL file is a query record (has 'operator')."""
+    for _, record in _jsonl_records(path):
+        return "operator" in record
+    return False
 
 
 def read_queries(
@@ -136,12 +167,7 @@ def read_queries(
     seen: set[str] = set()
     for line_no, record in _jsonl_records(path):
         where = f"{path}:{line_no}"
-        qid = record.get("qid")
-        if not isinstance(qid, str) or not qid:
-            raise FormatError(f"{where}: missing or invalid 'qid'")
-        if qid in seen:
-            raise FormatError(f"{where}: duplicate qid {qid!r}")
-        seen.add(qid)
+        qid = _unique_id(record, "qid", seen, where)
         operator = record.get("operator")
         if not isinstance(operator, str):
             raise FormatError(f"{where}: missing 'operator'")
@@ -158,7 +184,7 @@ def read_queries(
             if ref is not None and inline is not None:
                 raise FormatError(f"{where}: give either '{name}_ref' or '{name}', not both")
             if ref is not None:
-                if ref not in vectors:
+                if not isinstance(ref, str) or ref not in vectors:
                     raise FormatError(f"{where}: unknown vector reference {ref!r}")
                 return vectors[ref]
             if inline is not None:
@@ -195,82 +221,76 @@ def read_qrels(path) -> Qrels:
     """TREC qrels; duplicate (qid, doc) keeps the last grade, with a warning."""
     qrels = Qrels()
     seen: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{line_no}: expected 'qid 0 docid grade'")
-            qid, _, doc, grade_str = parts
-            try:
-                grade = int(grade_str)
-            except ValueError:
-                raise FormatError(f"{path}:{line_no}: grade {grade_str!r} is not an integer") from None
-            if grade < 0:
-                raise FormatError(f"{path}:{line_no}: negative grade")
-            if (qid, doc) in seen:
-                warnings.warn(f"{path}:{line_no}: duplicate qrel ({qid}, {doc}); last wins")
-            seen.add((qid, doc))
-            qrels.set(qid, doc, grade)
+    for line_no, line in _lines(path):
+        parts = line.split()
+        if len(parts) != 4:
+            raise FormatError(f"{path}:{line_no}: expected 'qid 0 docid grade'")
+        qid, _, doc, grade_str = parts
+        try:
+            grade = int(grade_str)
+        except ValueError:
+            raise FormatError(f"{path}:{line_no}: grade {grade_str!r} is not an integer") from None
+        if grade < 0:
+            raise FormatError(f"{path}:{line_no}: negative grade")
+        if (qid, doc) in seen:
+            warnings.warn(f"{path}:{line_no}: duplicate qrel ({qid}, {doc}); last wins")
+        seen.add((qid, doc))
+        qrels.set(qid, doc, grade)
     return qrels
 
 
 def read_run(path) -> dict[str, ScoredRun]:
-    """TREC run file grouped by qid; ranks must increase within a query."""
+    """TREC run file grouped by qid; ranks must increase within a query, scores be finite."""
     runs: dict[str, ScoredRun] = {}
     last_rank: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise FormatError(
-                    f"{path}:{line_no}: expected 'qid Q0 docid rank score tag'"
-                )
-            qid, _, doc, rank_str, score_str, _tag = parts
-            try:
-                rank = int(rank_str)
-                score = float(score_str)
-            except ValueError:
-                raise FormatError(f"{path}:{line_no}: bad rank or score") from None
-            if rank <= last_rank.get(qid, 0):
-                raise FormatError(f"{path}:{line_no}: nonmonotonic rank for {qid!r}")
-            last_rank[qid] = rank
-            run = runs.setdefault(qid, ScoredRun(qid=qid))
-            if doc in run.scores:
-                raise FormatError(f"{path}:{line_no}: duplicate doc {doc!r} for {qid!r}")
-            run.scores[doc] = score
+    for line_no, line in _lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise FormatError(f"{path}:{line_no}: expected 'qid Q0 docid rank score tag'")
+        qid, _, doc, rank_str, score_str, _tag = parts
+        try:
+            rank = int(rank_str)
+            score = float(score_str)
+        except ValueError:
+            raise FormatError(f"{path}:{line_no}: bad rank or score") from None
+        if not math.isfinite(score):
+            raise FormatError(f"{path}:{line_no}: score {score_str!r} is not finite")
+        if rank <= last_rank.get(qid, 0):
+            raise FormatError(f"{path}:{line_no}: nonmonotonic rank for {qid!r}")
+        last_rank[qid] = rank
+        run = runs.setdefault(qid, ScoredRun(qid=qid))
+        if doc in run.scores:
+            raise FormatError(f"{path}:{line_no}: duplicate doc {doc!r} for {qid!r}")
+        run.scores[doc] = score
     return runs
 
 
 def write_search_results(path, results: Iterable[tuple[str, list]], tag: str = DEFAULT_RUN_TAG) -> None:
     """Emit (qid, ranked hits) pairs as a run, preserving the given ranking."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid, hits in results:
-            for rank, (doc, score) in enumerate(hits, start=1):
-                fh.write(f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n")
+    lines = (
+        f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n"
+        for qid, hits in results
+        for rank, (doc, score) in enumerate(hits, start=1)
+    )
+    _write(path, lines)
 
 
 def read_logits(path, vocab: Vocabulary) -> LogitMatrix:
     """Tab-separated grid: header row of term strings, then one row per position."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    lines = list(_lines(path))
     if len(lines) < 2:
         raise FormatError(f"{path}: need a header row and at least one position row")
-    terms = lines[0].split("\t")
+    (header_no, header), *body = lines
+    terms = header.split("\t")
     if any(not t for t in terms):
-        raise FormatError(f"{path}:1: empty term in header")
+        raise FormatError(f"{path}:{header_no}: empty term in header")
     if len(set(terms)) != len(terms):
-        raise FormatError(f"{path}:1: duplicate terms in header")
+        raise FormatError(f"{path}:{header_no}: duplicate terms in header")
     rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in body:
         cells = line.split("\t")
         if len(cells) != len(terms):
-            raise FormatError(
-                f"{path}:{line_no}: expected {len(terms)} columns, got {len(cells)}"
-            )
+            raise FormatError(f"{path}:{line_no}: expected {len(terms)} columns, got {len(cells)}")
         try:
             row = [float(c) for c in cells]
         except ValueError:
@@ -282,3 +302,51 @@ def read_logits(path, vocab: Vocabulary) -> LogitMatrix:
         return LogitMatrix.from_terms(np.asarray(rows, dtype=np.float64), terms, vocab)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def read_stopwords(path) -> set[str]:
+    """One stopword per line; surrounding whitespace is ignored."""
+    return {line.strip() for _, line in _lines(path)}
+
+
+def read_pairs(path) -> list[PairedQueries]:
+    """Pairs JSONL for pairwise accuracy; every field is a string."""
+    pairs = []
+    for line_no, record in _jsonl_records(path):
+        for name in PAIR_FIELDS:
+            if not isinstance(record.get(name), str):
+                raise FormatError(f"{path}:{line_no}: missing or non-string field {name!r}")
+        pairs.append(PairedQueries(*(record[name] for name in PAIR_FIELDS)))
+    return pairs
+
+
+def read_per_query(path) -> dict[str, float]:
+    """Per-query TSV: qid in the first column, value in the last; a repeated qid keeps its last value."""
+    values: dict[str, float] = {}
+    for line_no, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) < 2:
+            raise FormatError(f"{path}:{line_no}: expected qid<TAB>value")
+        try:
+            value = float(parts[-1])
+        except ValueError:
+            raise FormatError(f"{path}:{line_no}: bad metric value") from None
+        if not math.isfinite(value):
+            raise FormatError(f"{path}:{line_no}: metric value {parts[-1]!r} is not finite")
+        values[parts[0]] = value
+    return values
+
+
+def write_per_query(path, per_query: Mapping[str, Mapping[str, float]]) -> None:
+    """``qid<TAB>metric<TAB>value`` rows, one per query and metric, in the given order."""
+    lines = (
+        f"{qid}\t{label}\t{value:.6f}\n"
+        for qid, row in per_query.items()
+        for label, value in row.items()
+    )
+    _write(path, lines)
+
+
+def write_json(path, payload, sort_keys: bool = False) -> None:
+    """A JSON report: two-space indent and a final newline."""
+    _write(path, [json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n"])

@@ -343,12 +343,17 @@ class TestFuseEvalPairwise:
         )
         metrics = tmp_path / "m.tsv"
         write_lines(metrics, "q1\t0.8", "q2\t0.2")
+        report = tmp_path / "report.json"
         assert main([
             "analyze-interference", "--queries", str(queries),
-            "--per-query-metrics", str(metrics), "--bins", "2",
+            "--per-query-metrics", str(metrics), "--bins", "2", "--out", str(report),
         ]) == 0
         out = capsys.readouterr().out
         assert "0.8000" in out and "0.2000" in out
+        assert report.read_text() == (
+            '[\n  {\n    "low": 0.0,\n    "high": 0.0,\n    "mean_metric": 0.8,\n    "count": 1\n  },\n'
+            '  {\n    "low": 1.0,\n    "high": 1.0,\n    "mean_metric": 0.2,\n    "count": 1\n  }\n]\n'
+        )
 
 
 class TestExitCodes:
@@ -416,11 +421,99 @@ def _query(method, params):
     ("compose", _query("nrf", {"lambda": -1})),
     ("compose", _query("nrf", {"lambda": True})),
     ("compose", _query("nrf", {"lambda": "0.5"})),
+    ("index", '{"id": "d1", "vector": {"": 1.0}}'),
+    ("compose", '{"qid": "q1", "operator": "union", "method": "add", "a": {"x": 1.0}, "b": {"": 1.0}}'),
 ], ids=["vector-weight-overflow", "inline-weight-overflow", "m-0", "m-2.7", "m-true", "m-str",
-        "lambda-neg", "lambda-true", "lambda-str"])
+        "lambda-neg", "lambda-true", "lambda-str", "vector-empty-term", "inline-empty-term"])
 def test_malformed_value_is_located_data_error(tmp_path, capsys, command, line):
     path = tmp_path / "input.jsonl"
     write_lines(path, line)
     flag = "--vectors" if command == "index" else "--queries"
     assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"{path}:1: " in capsys.readouterr().err
+
+
+# Each row: the input under test, the valid inputs around it, and the command that reads it.
+def _bad_utf8_cases(tmp_path):
+    run = tmp_path / "run.trec"
+    write_lines(run, "q1 Q0 d1 1 1.000000 t")
+    qrels = tmp_path / "q.qrels"
+    write_lines(qrels, "q1 0 d1 1")
+    docs = tmp_path / "docs.jsonl"
+    write_lines(docs, json.dumps({"id": "d1", "text": "birds"}))
+    queries = tmp_path / "queries.jsonl"
+    write_lines(queries, json.dumps({"qid": "q1", "operator": "difference", "method": "subtract",
+                                     "a": {"x": 1.0}, "b": {"y": 1.0}}))
+    out = str(tmp_path / "out")
+    return {
+        "qrels": (b"q1 0 d1 1\n", lambda bad: ["eval", "--run", str(run), "--qrels", bad]),
+        "run": (b"q1 Q0 d1 1 1.0 t\n", lambda bad: ["eval", "--run", bad, "--qrels", str(qrels)]),
+        "logits": (b"a\tb\n1.0\t2.0\n", lambda bad: ["encode", "--logits", bad, "--out", out]),
+        "stopwords": (b"of\n", lambda bad: ["encode", "--tf", "--docs", str(docs), "--stopwords", bad,
+                                            "--out", out]),
+        "per-query": (b"q1\t0.5\n", lambda bad: ["analyze-interference", "--queries", str(queries),
+                                                 "--per-query-metrics", bad]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["qrels", "run", "logits", "stopwords", "per-query"])
+def test_bad_utf8_is_located_data_error(tmp_path, capsys, kind):
+    good_line, argv = _bad_utf8_cases(tmp_path)[kind]
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_bytes(good_line + b"\n" + b"caf\xe9\n")  # a blank line, then the bad one
+    bad_line_no = good_line.count(b"\n") + 2
+    assert main(argv(str(bad))) == 2
+    assert f"{bad}:{bad_line_no}: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_failed_encode_leaves_no_output(tmp_path, capsys):
+    # --tf streams: line 1's vector is produced before line 3 fails.
+    docs = tmp_path / "docs.jsonl"
+    docs.write_bytes(b'{"id": "d1", "text": "birds"}\n\n{"id": "d2", "text": "caf\xe9"}\n')
+    out = tmp_path / "tf.jsonl"
+    out.write_text("stale output of an earlier run\n")
+    assert main(["encode", "--tf", "--docs", str(docs), "--out", str(out)]) == 2
+    assert f"{docs}:3: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compose", "search"])
+def test_failed_query_is_named_and_leaves_no_output(tmp_path, capsys, indexed_corpus, command):
+    queries = tmp_path / "q.jsonl"
+    write_lines(
+        queries,
+        json.dumps({"qid": "ok", "operator": "atomic", "method": "atomic", "a": {"colombia": 1.0}}),
+        json.dumps({"qid": "zero-b", "operator": "difference", "method": "orthogonal",
+                    "a": {"colombia": 1.0}, "b": {}}),
+    )
+    out = tmp_path / "out"
+    argv = [command, "--queries", str(queries), "--out", str(out)]
+    if command == "search":
+        argv += ["--index", str(indexed_corpus), "--threads", "1"]
+    assert main(argv) == 2
+    assert f"error: {queries}: query 'zero-b': cannot project onto a zero vector" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record", [
+    {"qid_a": ["qa"], "qid_b": "qb", "doc_a": "da", "doc_b": "db"},
+    {"qid_a": "qa", "qid_b": "qb", "doc_a": 1, "doc_b": "db"},
+    {"qid_a": "qa", "qid_b": "qb", "doc_a": "da"},
+], ids=["list", "number", "missing"])
+def test_bad_pair_record_is_located_data_error(tmp_path, capsys, record):
+    pairs = tmp_path / "pairs.jsonl"
+    write_lines(pairs, json.dumps({"qid_a": "qa", "qid_b": "qb", "doc_a": "da", "doc_b": "db"}),
+                json.dumps(record))
+    scores = tmp_path / "scores.trec"
+    write_lines(scores, "qa Q0 da 1 2.0 t", "qa Q0 db 2 1.0 t", "qb Q0 db 1 2.0 t", "qb Q0 da 2 1.0 t")
+    assert main(["pairwise", "--pairs", str(pairs), "--scores", str(scores)]) == 2
+    assert f"{pairs}:2: " in capsys.readouterr().err
+
+
+def test_interference_without_difference_queries_is_data_error(tmp_path, capsys):
+    queries = tmp_path / "q.jsonl"
+    write_lines(queries, json.dumps({"qid": "q1", "operator": "atomic", "method": "atomic", "a": {"x": 1.0}}))
+    metrics = tmp_path / "m.tsv"
+    write_lines(metrics, "q1\t0.5")
+    assert main(["analyze-interference", "--queries", str(queries), "--per-query-metrics", str(metrics)]) == 2
+    assert "no difference queries" in capsys.readouterr().err

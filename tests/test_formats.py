@@ -13,6 +13,7 @@ from setvec import (
 )
 from setvec.formats import (
     read_logits,
+    read_per_query,
     read_qrels,
     read_queries,
     read_run,
@@ -215,6 +216,27 @@ class TestRuns:
         with pytest.raises(FormatError, match=":1"):
             read_run(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = tmp_path / "r.trec"
+        path.write_text(f"q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 {score} t\n")
+        with pytest.raises(FormatError, match=":2: score .* is not finite"):
+            read_run(path)
+
+
+class TestPerQuery:
+    def test_last_column_and_last_row_win(self, tmp_path):
+        path = tmp_path / "pq.tsv"
+        path.write_text("q1\tndcg@10\t0.250000\r\n\nq2\t0.5\nq1\t0.75\n")
+        assert read_per_query(path) == {"q1": 0.75, "q2": 0.5}
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "pq.tsv"
+        path.write_text(f"q1\t0.5\n\nq2\t{value}\n")
+        with pytest.raises(FormatError, match=":3: metric value .* is not finite"):
+            read_per_query(path)
+
 
 class TestLogits:
     def test_grid_parse_and_activate(self, tmp_path, vocab):
@@ -244,6 +266,21 @@ class TestLogits:
         path.write_text("a\tb\n")
         with pytest.raises(FormatError):
             read_logits(path, vocab)
+
+    def test_bad_cell_after_blank_lines_reports_its_line(self, tmp_path, vocab):
+        path = tmp_path / "grid.tsv"
+        path.write_text("a\tb\n\n1.0\t2.0\n\n1.0\tx\n")
+        with pytest.raises(FormatError, match=r"grid\.tsv:5: non-numeric cell"):
+            read_logits(path, vocab)
+
+    def test_crlf_grid_reads_like_lf(self, tmp_path):
+        lf = tmp_path / "lf.tsv"
+        lf.write_bytes(b"alpha\tbeta\n2.0\t-1.0\n0.5\t0.5\n")
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        want = splade_activate(read_logits(lf, Vocabulary())).to_dict()
+        assert splade_activate(read_logits(crlf, Vocabulary())).to_dict() == want
+        assert set(want) == {"alpha", "beta"}
 
     def test_duplicate_header_terms_rejected(self, tmp_path, vocab):
         path = tmp_path / "grid.tsv"
