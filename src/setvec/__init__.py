@@ -43,6 +43,7 @@ from .errors import (
     DuplicateDocError,
     FormatError,
     IndexFormatError,
+    NonFiniteError,
     SetvecError,
     UndefinedMetricError,
     UnknownTermError,
@@ -89,6 +90,7 @@ __all__ = [
     "InterferenceBin",
     "InvertedIndex",
     "LogitMatrix",
+    "NonFiniteError",
     "PairedQueries",
     "PseudoTermVector",
     "Qrels",

@@ -7,67 +7,68 @@ the inner product over matching pairs, which factorizes:
 
     sum_ij sqrt(a_i b_j) sqrt(d_i d_j) = (sum_i sqrt(a_i d_i)) (sum_j sqrt(b_j d_j))
 
-so the quadratic expansion never has to be materialized at retrieval time.
-A document scores above zero only when it overlaps *both* truncated sides.
-All weights must be nonnegative (sqrt domain); negative input raises rather
-than being clamped, since it signals a misconfigured encoder.
+so an expansion is stored as its two factors (the truncated sides, or the
+document twice) and its pairs are enumerated only on demand: retrieval reads
+the factors and never materializes a pair.  A document scores above zero only
+when it overlaps *both* truncated sides.  All weights must be nonnegative
+(sqrt domain); negative input raises rather than being clamped, since it
+signals a misconfigured encoder.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .errors import CptDomainError, VocabularyMismatchError
-from .sparse import SparseVector, Vocabulary, top_m
+from .errors import CptDomainError, NonFiniteError, VocabularyMismatchError
+from .sparse import SparseVector, top_m
 
 PAIR_SEPARATOR = "∩"  # the set-intersection glyph used in debug dumps
 
 
 class PseudoTermVector:
-    """Sparse vector over ordered term pairs, sorted lexicographically by pair."""
+    """Pairs ``(i, j)`` weighted ``sqrt(x_i * y_j)``, stored as the factors *x* and *y*.
 
-    __slots__ = ("_entries", "vocab")
+    Pairs are enumerated on demand, lexicographically by pair.
+    """
 
-    def __init__(self, entries: Iterable[tuple[tuple[int, int], float]], vocab: Vocabulary):
-        items = sorted(entries)
-        seen: dict[tuple[int, int], float] = {}
-        for pair, weight in items:
-            if pair in seen:
-                raise ValueError(f"duplicate pseudo-term pair {pair}")
-            if not weight > 0.0:
-                raise ValueError("pseudo-term weights must be strictly positive")
-            seen[(int(pair[0]), int(pair[1]))] = float(weight)
-        self._entries = seen
-        self.vocab = vocab
+    __slots__ = ("x", "y", "vocab")
+
+    def __init__(self, x: SparseVector, y: SparseVector):
+        if x.vocab is not y.vocab:
+            raise VocabularyMismatchError("pseudo-term factors use different vocabularies")
+        _require_nonnegative(x, "pseudo-term factor")
+        _require_nonnegative(y, "pseudo-term factor")
+        # No pair weight exceeds sqrt(max(x) * max(y)), so one product bounds them all.
+        if x.nnz and y.nnz and not math.isfinite(float(x.weights.max()) * float(y.weights.max())):
+            raise NonFiniteError("a pseudo-term weight overflows to inf")
+        self.x = x
+        self.y = y
+        self.vocab = x.vocab
 
     @property
     def nnz(self) -> int:
-        return len(self._entries)
+        return self.x.nnz * self.y.nnz
 
     def weight(self, i: int, j: int) -> float:
-        return self._entries.get((i, j), 0.0)
+        return math.sqrt(self.x.get(i) * self.y.get(j))
 
     def entries(self) -> Iterator[tuple[tuple[int, int], float]]:
-        yield from self._entries.items()
-
-    def pair_ids(self) -> set[tuple[int, int]]:
-        return set(self._entries)
+        for i, wi in self.x.entries():
+            for j, wj in self.y.entries():
+                yield (i, j), math.sqrt(wi * wj)
 
     def side_ids(self) -> tuple[list[int], list[int]]:
-        """Distinct first-side and second-side term ids, ascending."""
-        return (
-            sorted({i for i, _ in self._entries}),
-            sorted({j for _, j in self._entries}),
-        )
+        """The term ids of the first and of the second factor, ascending."""
+        return self.x.ids.tolist(), self.y.ids.tolist()
 
     def to_dict(self) -> dict[str, float]:
         """Debug rendering with ``termA∩termB`` keys."""
         return {
             f"{self.vocab.term(i)}{PAIR_SEPARATOR}{self.vocab.term(j)}": w
-            for (i, j), w in self._entries.items()
+            for (i, j), w in self.entries()
         }
 
     def __len__(self) -> int:
@@ -76,7 +77,7 @@ class PseudoTermVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PseudoTermVector):
             return NotImplemented
-        return self.vocab is other.vocab and self._entries == other._entries
+        return self.x == other.x and self.y == other.y
 
     def __repr__(self) -> str:
         head = ", ".join(f"{k}:{w:g}" for k, w in list(self.to_dict().items())[:4])
@@ -95,43 +96,14 @@ def expand_query(a: SparseVector, b: SparseVector, m: int = 5) -> PseudoTermVect
     Each atomic side is truncated to its top-*m* terms first, bounding the
     expansion at ``m**2`` pairs.
     """
-    if a.vocab is not b.vocab:
-        raise VocabularyMismatchError("query sides use different vocabularies")
     _require_nonnegative(a, "query side A")
     _require_nonnegative(b, "query side B")
-    a_top = top_m(a, m)
-    b_top = top_m(b, m)
-    entries = [
-        ((int(i), int(j)), math.sqrt(float(wi) * float(wj)))
-        for i, wi in zip(a_top.ids, a_top.weights)
-        for j, wj in zip(b_top.ids, b_top.weights)
-    ]
-    return PseudoTermVector(entries, a.vocab)
+    return PseudoTermVector(top_m(a, m), top_m(b, m))
 
 
-def expand_doc(
-    d: SparseVector, restrict_to: Iterable[tuple[int, int]] | None = None
-) -> PseudoTermVector:
-    """Pairs over the document's own support with weight ``sqrt(d_i d_j)``.
-
-    With *restrict_to*, only the named pairs are materialized (the on-the-fly
-    path used when rescoring candidates against a known query expansion).
-    """
-    _require_nonnegative(d, "document")
-    if restrict_to is None:
-        entries = [
-            ((int(i), int(j)), math.sqrt(float(wi) * float(wj)))
-            for i, wi in zip(d.ids, d.weights)
-            for j, wj in zip(d.ids, d.weights)
-        ]
-        return PseudoTermVector(entries, d.vocab)
-    entries = []
-    for i, j in set(restrict_to):
-        wi = d.get(int(i))
-        wj = d.get(int(j))
-        if wi != 0.0 and wj != 0.0:
-            entries.append(((int(i), int(j)), math.sqrt(wi * wj)))
-    return PseudoTermVector(entries, d.vocab)
+def expand_doc(d: SparseVector) -> PseudoTermVector:
+    """Pairs over the document's own support with weight ``sqrt(d_i d_j)``."""
+    return PseudoTermVector(d, d)
 
 
 def cpt_score(q: PseudoTermVector, d_exp: PseudoTermVector) -> float:
@@ -139,7 +111,7 @@ def cpt_score(q: PseudoTermVector, d_exp: PseudoTermVector) -> float:
     if q.vocab is not d_exp.vocab:
         raise VocabularyMismatchError("pseudo-term operands use different vocabularies")
     total = 0.0
-    for pair, qw in sorted(q.entries()):
+    for pair, qw in q.entries():
         dw = d_exp.weight(*pair)
         if dw != 0.0:
             total += qw * dw

@@ -25,6 +25,10 @@ class CptDomainError(SetvecError):
     """Negative weights fed into the pseudo-term expansion (sqrt domain)."""
 
 
+class NonFiniteError(SetvecError):
+    """A composed weight or a retrieval score overflows to inf or nan."""
+
+
 class DuplicateDocError(SetvecError):
     """The same document name was ingested twice while building an index."""
 

@@ -155,8 +155,8 @@ def read_queries(
     vectors: Mapping[str, SparseVector],
     vocab: Vocabulary,
     default_method: str | None = None,
-    default_lambda: float | None = None,
-    default_m: int | None = None,
+    default_lambda: float = DEFAULT_LAMBDA,
+    default_m: int = DEFAULT_M,
 ) -> list[CompositionalQuery]:
     """Parse query records, resolving a_ref/b_ref against *vectors*.
 
@@ -198,10 +198,8 @@ def read_queries(
         raw_params = record.get("params", {})
         if not isinstance(raw_params, dict):
             raise FormatError(f"{where}: 'params' must be an object")
-        lambda_ = raw_params.get(
-            "lambda", default_lambda if default_lambda is not None else DEFAULT_LAMBDA
-        )
-        m = raw_params.get("m", default_m if default_m is not None else DEFAULT_M)
+        lambda_ = raw_params.get("lambda", default_lambda)
+        m = raw_params.get("m", default_m)
         try:
             query = CompositionalQuery(
                 qid=qid,

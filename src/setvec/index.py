@@ -21,10 +21,12 @@ from typing import Iterable
 
 import numpy as np
 
+from .cpt import PseudoTermVector, _require_nonnegative
 from .errors import (
     CptDomainError,
     DuplicateDocError,
     IndexFormatError,
+    NonFiniteError,
     VocabularyMismatchError,
 )
 from .sparse import SparseVector, Vocabulary, maxpool
@@ -117,10 +119,22 @@ def build(
     return InvertedIndex(vocab, doc_names, offsets, doc_ids, weights)
 
 
-def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (doc ids, scores); internal, shared by search and search_cpt."""
+def _rank(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one ranking rule: descending score, ties by ascending doc id, first *k*."""
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError("k must be a positive integer")
+    if not np.isfinite(scores).all():
+        raise NonFiniteError("a document score overflows to inf or nan")
+    order = np.lexsort((doc_ids, -scores))[:k]
+    return doc_ids[order], scores[order]
+
+
+def _named(idx: InvertedIndex, doc_ids: np.ndarray, scores: np.ndarray) -> SearchResult:
+    return [(idx.doc_names[d], s) for d, s in zip(doc_ids.tolist(), scores.tolist())]
+
+
+def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k (doc ids, scores); internal, shared by search and search_cpt."""
     if q.vocab is not idx.vocab:
         raise VocabularyMismatchError("query vocabulary does not match the index")
     n = idx.doc_count
@@ -134,22 +148,17 @@ def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray
         scores[doc_ids] += qw * weights
         touched[doc_ids] = True
     candidates = np.nonzero(touched)[0]
-    if candidates.size == 0:
-        return candidates, np.empty(0, dtype=np.float64)
-    order = np.lexsort((candidates, -scores[candidates]))[:k]
-    top = candidates[order]
-    return top, scores[top]
+    return _rank(candidates, scores[candidates], k)
 
 
 def search(idx: InvertedIndex, q: SparseVector, k: int) -> SearchResult:
     """Exact top-k by dot product; touched zero/negative scores are kept."""
-    doc_ids, scores = _search_ids(idx, q, k)
-    return [(idx.doc_names[d], float(s)) for d, s in zip(doc_ids, scores)]
+    return _named(idx, *_search_ids(idx, q, k))
 
 
 def search_cpt(
     idx: InvertedIndex,
-    q_cpt,
+    q_cpt: PseudoTermVector,
     a: SparseVector,
     b: SparseVector,
     k: int,
@@ -159,44 +168,32 @@ def search_cpt(
 
     Stage 1 pulls *candidate_pool* docs with ``maxpool(a, b)`` over the
     standard index; stage 2 rescores them with the factorized pseudo-term
-    score, reading only the posting lists of the expansion's own terms (the
+    score, reading only the posting lists of the expansion's two factors (the
     document side is never materialized).  With a pool at least the corpus
     size this is exhaustive.
     """
     if not isinstance(candidate_pool, (int, np.integer)) or candidate_pool < 1:
         raise ValueError("candidate_pool must be a positive integer")
-    if q_cpt.nnz == 0 or a.nnz == 0 or b.nnz == 0:
-        return []
-    cand_ids, _ = _search_ids(idx, maxpool(a, b), candidate_pool)
-    if cand_ids.size == 0:
-        return []
-    a_ids, b_ids = q_cpt.side_ids()
-    sqrt_a = _sqrt_factor(idx, a, a_ids)
-    sqrt_b = _sqrt_factor(idx, b, b_ids)
-    scores = sqrt_a[cand_ids] * sqrt_b[cand_ids]
-    order = np.lexsort((cand_ids, -scores))[:k]
-    return [(idx.doc_names[int(cand_ids[i])], float(scores[i])) for i in order]
+    _require_nonnegative(a, "query side A")
+    _require_nonnegative(b, "query side B")
+    cand_ids, scores = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    if q_cpt.nnz:
+        cand_ids, _ = _search_ids(idx, maxpool(a, b), candidate_pool)
+        scores = _sqrt_factor(idx, q_cpt.x)[cand_ids] * _sqrt_factor(idx, q_cpt.y)[cand_ids]
+    return _named(idx, *_rank(cand_ids, scores, k))
 
 
-def _sqrt_factor(idx: InvertedIndex, side: SparseVector, side_ids: list[int]) -> np.ndarray:
-    """Per-doc ``sum_i sqrt(w_i * d_i)`` over one side's expansion terms."""
+def _sqrt_factor(idx: InvertedIndex, side: SparseVector) -> np.ndarray:
+    """Per-doc ``sum_i sqrt(w_i * d_i)`` over one factor of the expansion."""
     acc = np.zeros(idx.doc_count, dtype=np.float64)
-    for tid in side_ids:
-        qw = side.get(tid)
-        if qw < 0.0:
-            raise CptDomainError(
-                f"query term {idx.vocab.term(int(tid))!r} has a negative weight; "
-                "pseudo-term scoring needs w >= 0"
-            )
-        if qw == 0.0:
-            continue
+    for tid, qw in zip(side.ids.tolist(), side.weights.tolist()):
         posting = idx.postings(tid)
         if posting is None:
             continue
         doc_ids, weights = posting
         if float(weights.min()) < 0.0:
             raise CptDomainError(
-                f"term {idx.vocab.term(int(tid))!r} has negative document weights; "
+                f"term {idx.vocab.term(tid)!r} has negative document weights; "
                 "pseudo-term scoring needs a nonnegative corpus"
             )
         acc[doc_ids] += np.sqrt(qw * weights)

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnknownTermError, VocabularyMismatchError, ZeroNormError
+from .errors import NonFiniteError, UnknownTermError, VocabularyMismatchError, ZeroNormError
 
 # Magnitudes below this are dropped during canonicalization so that results
 # of float arithmetic that *should* cancel to zero actually disappear.
@@ -229,6 +229,8 @@ def _aligned(a: SparseVector, b: SparseVector):
 
 def _from_sorted(ids: np.ndarray, weights: np.ndarray, vocab: Vocabulary) -> SparseVector:
     """Canonicalize arrays that are already sorted and duplicate-free."""
+    if not np.isfinite(weights).all():
+        raise NonFiniteError("a composed weight overflows to inf or nan")
     keep = np.abs(weights) >= NEAR_ZERO
     if not keep.all():
         ids = ids[keep]

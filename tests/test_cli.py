@@ -73,6 +73,24 @@ class TestCompose:
         record = json.loads(out.read_text())
         assert all("∩" in key for key in record["vector"])
 
+    def test_cpt_dump_bytes_pinned(self, tmp_path):
+        # Term ids follow first occurrence (colombia 0, birds 1, andes 2, venezuela 3);
+        # m=2 drops andes, and pairs come in id order, not key order.
+        queries = tmp_path / "iq.jsonl"
+        write_lines(
+            queries,
+            json.dumps({"qid": "i1", "operator": "intersection", "method": "cpt", "params": {"m": 2},
+                        "a": {"colombia": 2.0, "birds": 3.0, "andes": 0.5},
+                        "b": {"venezuela": 5.0, "birds": 1.0}}),
+        )
+        out = tmp_path / "composed.jsonl"
+        assert main(["compose", "--queries", str(queries), "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            '{"id": "i1", "vector": {"colombia∩birds": 1.4142135623730951, '
+            '"colombia∩venezuela": 3.1622776601683795, "birds∩birds": 1.7320508075688772, '
+            '"birds∩venezuela": 3.872983346207417}}\n'
+        ).encode("utf-8")
+
 
 @pytest.fixture
 def indexed_corpus(tmp_path):
@@ -492,6 +510,37 @@ def test_failed_query_is_named_and_leaves_no_output(tmp_path, capsys, indexed_co
         argv += ["--index", str(indexed_corpus), "--threads", "1"]
     assert main(argv) == 2
     assert f"error: {queries}: query 'zero-b': cannot project onto a zero vector" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_OVERFLOWS = {
+    "nrf": {"operator": "difference", "method": "nrf", "a": {"x": 1.0}, "b": {"y": 10.0},
+            "params": {"lambda": 1e308}},
+    "add": {"operator": "union", "method": "add", "a": {"y": 1e308}, "b": {"y": 1e308}},
+    "atomic": {"operator": "atomic", "method": "atomic", "a": {"x": 1e200}},
+    "cpt": {"operator": "intersection", "method": "cpt", "a": {"y": 1e308}, "b": {"z": 1e308}},
+}
+
+
+@pytest.mark.parametrize("command,qid", [
+    ("compose", "nrf"), ("compose", "add"), ("compose", "cpt"),
+    ("search", "nrf"), ("search", "add"), ("search", "atomic"), ("search", "cpt"),
+])
+def test_overflow_is_named_data_error_without_output(tmp_path, capsys, command, qid):
+    """A weight or a score that overflows to inf/nan fails the query instead of being written."""
+    queries = tmp_path / "q.jsonl"
+    write_lines(queries, json.dumps({"qid": qid, **_OVERFLOWS[qid]}))
+    out = tmp_path / "out"
+    argv = [command, "--queries", str(queries), "--out", str(out)]
+    if command == "search":
+        docs = tmp_path / "docs.jsonl"
+        write_lines(docs, json.dumps({"id": "d1", "vector": {"x": 1e200, "y": 1.0}}),
+                    json.dumps({"id": "d2", "vector": {"y": 2.0, "z": 1.0}}))
+        index = tmp_path / "corpus.svix"
+        assert main(["index", "--vectors", str(docs), "--out", str(index)]) == 0
+        argv += ["--index", str(index), "--threads", "1"]
+    assert main(argv) == 2
+    assert f"error: {queries}: query '{qid}': " in capsys.readouterr().err
     assert not out.exists()
 
 

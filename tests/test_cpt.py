@@ -5,9 +5,11 @@ import pytest
 
 from setvec import (
     CptDomainError,
+    NonFiniteError,
     PseudoTermVector,
     SparseVector,
     Vocabulary,
+    VocabularyMismatchError,
     cpt_score,
     cpt_score_factorized,
     expand_doc,
@@ -85,16 +87,6 @@ class TestExpandDoc:
             out = expand_doc(d)
             for (i, j), w in out.entries():
                 assert out.weight(j, i) == w
-
-    def test_restrict_to_empty(self, vocab):
-        d = SparseVector.from_pairs([("a", 1.0)], vocab)
-        assert expand_doc(d, restrict_to=set()).nnz == 0
-
-    def test_restrict_to_materializes_only_named_pairs(self, vocab):
-        d = SparseVector.from_pairs([("a", 4.0), ("b", 1.0)], vocab)
-        ia, ib = vocab.id_of("a"), vocab.id_of("b")
-        out = expand_doc(d, restrict_to={(ia, ib), (ia, 7)})
-        assert out.to_dict() == {"a∩b": 2.0}
 
     def test_rejects_negative_weights(self, vocab):
         d = SparseVector.from_pairs([("a", -0.5)], vocab)
@@ -175,20 +167,31 @@ class TestScores:
 
 
 class TestPseudoTermVector:
-    def test_entries_sorted_lexicographically(self, vocab):
-        for _ in range(3):
-            ptv = PseudoTermVector([((2, 1), 1.0), ((0, 5), 2.0), ((2, 0), 3.0)],
-                                   Vocabulary(f"t{i}" for i in range(6)))
-            assert [pair for pair, _ in ptv.entries()] == [(0, 5), (2, 0), (2, 1)]
+    def test_entries_sorted_lexicographically(self):
+        v = Vocabulary(f"t{i}" for i in range(6))
+        x = SparseVector.from_pairs([("t2", 1.0), ("t0", 4.0)], v)
+        y = SparseVector.from_pairs([("t5", 1.0), ("t1", 9.0)], v)
+        ptv = PseudoTermVector(x, y)
+        assert list(ptv.entries()) == [
+            ((0, 1), 6.0), ((0, 5), 2.0), ((2, 1), 3.0), ((2, 5), 1.0),
+        ]
+        assert ptv.nnz == 4
+        assert ptv.weight(0, 5) == 2.0 and ptv.weight(5, 0) == 0.0
 
-    def test_rejects_duplicates_and_nonpositive(self, vocab):
+    def test_rejects_negative_and_overflowing_factors(self):
         v = Vocabulary(["a", "b"])
-        with pytest.raises(ValueError):
-            PseudoTermVector([((0, 1), 1.0), ((0, 1), 2.0)], v)
-        with pytest.raises(ValueError):
-            PseudoTermVector([((0, 1), 0.0)], v)
+        pos = SparseVector.from_pairs([("a", 1.0)], v)
+        with pytest.raises(CptDomainError):
+            PseudoTermVector(pos, SparseVector.from_pairs([("b", -1.0)], v))
+        with pytest.raises(VocabularyMismatchError):
+            PseudoTermVector(pos, SparseVector.from_pairs([("b", 1.0)], Vocabulary(["b"])))
+        huge = SparseVector.from_pairs([("a", 1e308), ("b", 1.0)], v)
+        with pytest.raises(NonFiniteError):
+            PseudoTermVector(huge, huge)
 
-    def test_debug_keys_use_intersection_glyph(self, vocab):
+    def test_debug_keys_use_intersection_glyph(self):
         v = Vocabulary(["edu", "intel"])
-        ptv = PseudoTermVector([((0, 1), 1.5)], v)
+        ptv = PseudoTermVector(
+            SparseVector.from_pairs([("edu", 2.25)], v), SparseVector.from_pairs([("intel", 1.0)], v)
+        )
         assert ptv.to_dict() == {"edu∩intel": 1.5}

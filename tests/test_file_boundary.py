@@ -1,8 +1,9 @@
-"""The decision of how a file is opened lives in one place per kind of file.
+"""Each decision lives in one place: how a file is opened, and how hits are ranked.
 
 Text files are opened only by ``formats._lines`` (read) and ``formats._write``
 (write); the binary index only by ``index.save`` and ``index.load``.  The CLI
-orchestrates: it parses no file itself.
+orchestrates: it parses no file itself.  Hits are ordered only by
+``index._rank``.
 """
 
 import ast
@@ -53,3 +54,14 @@ def test_cli_parses_no_file():
         and node.attr.startswith("_")
     ]
     assert private == []
+
+
+def test_index_ranks_in_one_place():
+    """``search`` and both CPT stages order their hits through ``index._rank`` alone."""
+    callers = [
+        getattr(top, "name", "<module>")
+        for top in _tree("index").body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "lexsort"
+    ]
+    assert callers == ["_rank"]

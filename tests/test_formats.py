@@ -70,7 +70,9 @@ class TestVectors:
 
     def test_pseudo_term_dump_uses_pair_keys(self, tmp_path):
         vocab = Vocabulary(["edu", "intel"])
-        ptv = PseudoTermVector([((0, 1), 1.5)], vocab)
+        ptv = PseudoTermVector(
+            SparseVector.from_pairs([("edu", 2.25)], vocab), SparseVector.from_pairs([("intel", 1.0)], vocab)
+        )
         path = tmp_path / "cpt.jsonl"
         write_vectors(path, [("q", ptv)])
         record = json.loads(path.read_text())

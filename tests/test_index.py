@@ -111,8 +111,11 @@ class TestSearch:
     def test_invalid_k(self, small_corpus):
         idx, vocab = small_corpus
         q = SparseVector.from_pairs([("colombia", 1.0)], vocab)
-        with pytest.raises(ValueError):
-            search(idx, q, 0)
+        for k in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="^k must be a positive integer"):
+                search(idx, q, k)
+            with pytest.raises(ValueError, match="^k must be a positive integer"):
+                search_cpt(idx, expand_query(q, q), q, q, k, candidate_pool=3)
 
     def test_oracle_equivalence_small(self):
         rng = np.random.default_rng(97)
