@@ -4,7 +4,9 @@ Scoring is term-at-a-time accumulation with a full accumulator table and no
 pruning: upper-bound tricks are unsound once query or document weights can be
 negative, and exactness is the contract here.  A document is returned iff at
 least one query term touches it, even when its accumulated score is zero or
-negative; ties break by ascending internal doc id (ingestion order).
+negative; ties break by ascending internal doc id (ingestion order).  Only
+the candidates scoring at least the k-th best score (found by one partition)
+are sorted, which gives the same hits as sorting every touched document.
 
 Postings live in one columnar (CSR) layout shared by every layer: term ``t``
 owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending) and the matching
@@ -120,11 +122,19 @@ def build(
 
 
 def _rank(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one ranking rule: descending score, ties by ascending doc id, first *k*."""
+    """The one ranking rule: descending score, ties by ascending doc id, first *k*.
+
+    A partition first keeps every score tied with or above the k-th best, so
+    only those survivors are sorted; the output is identical to a full sort.
+    """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError("k must be a positive integer")
     if not np.isfinite(scores).all():
         raise NonFiniteError("a document score overflows to inf or nan")
+    if scores.size > k:
+        kth = np.partition(scores, -k)[-k]
+        keep = np.flatnonzero(scores >= kth)
+        doc_ids, scores = doc_ids[keep], scores[keep]
     order = np.lexsort((doc_ids, -scores))[:k]
     return doc_ids[order], scores[order]
 
@@ -140,13 +150,15 @@ def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray
     n = idx.doc_count
     scores = np.zeros(n, dtype=np.float64)
     touched = np.zeros(n, dtype=bool)
-    for tid, qw in zip(q.ids.tolist(), q.weights.tolist()):
-        posting = idx.postings(tid)
-        if posting is None:
-            continue
-        doc_ids, weights = posting
-        scores[doc_ids] += qw * weights
-        touched[doc_ids] = True
+    # An overflow is reported by _rank's finite check, not by a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tid, qw in zip(q.ids.tolist(), q.weights.tolist()):
+            posting = idx.postings(tid)
+            if posting is None:
+                continue
+            doc_ids, weights = posting
+            scores[doc_ids] += qw * weights
+            touched[doc_ids] = True
     candidates = np.nonzero(touched)[0]
     return _rank(candidates, scores[candidates], k)
 
@@ -179,7 +191,8 @@ def search_cpt(
     cand_ids, scores = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     if q_cpt.nnz:
         cand_ids, _ = _search_ids(idx, maxpool(a, b), candidate_pool)
-        scores = _sqrt_factor(idx, q_cpt.x)[cand_ids] * _sqrt_factor(idx, q_cpt.y)[cand_ids]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = _sqrt_factor(idx, q_cpt.x)[cand_ids] * _sqrt_factor(idx, q_cpt.y)[cand_ids]
     return _named(idx, *_rank(cand_ids, scores, k))
 
 

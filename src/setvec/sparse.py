@@ -103,8 +103,6 @@ class SparseVector:
         weights = np.asarray(weights, dtype=np.float64)
         if ids.shape != weights.shape or ids.ndim != 1:
             raise ValueError("ids and weights must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
         ids, weights = _canonicalize(ids, weights)
         if ids.size and int(ids[-1]) >= len(vocab):
             raise ValueError(
@@ -194,22 +192,18 @@ class SparseVector:
 
 
 def _canonicalize(ids: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by id, sum duplicate ids, drop near-zero weights."""
-    if ids.size == 0:
-        return ids.astype(np.uint32), weights.astype(np.float64)
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    weights = weights[order]
-    unique_ids, inverse = np.unique(ids, return_inverse=True)
-    if unique_ids.size != ids.size:
-        summed = np.zeros(unique_ids.size, dtype=np.float64)
-        np.add.at(summed, inverse, weights)
-        ids, weights = unique_ids, summed
-    keep = np.abs(weights) >= NEAR_ZERO
-    if not keep.all():
-        ids = ids[keep]
-        weights = weights[keep]
-    return np.ascontiguousarray(ids, dtype=np.uint32), np.ascontiguousarray(weights)
+    """Sort by id and sum duplicate ids, then check and prune as :func:`_prune`."""
+    if ids.size:
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        weights = weights[order]
+        unique_ids, inverse = np.unique(ids, return_inverse=True)
+        if unique_ids.size != ids.size:
+            summed = np.zeros(unique_ids.size, dtype=np.float64)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add.at(summed, inverse, weights)
+            ids, weights = unique_ids, summed
+    return _prune(ids, weights)
 
 
 def _require_same_vocab(a: SparseVector, b: SparseVector) -> None:
@@ -227,17 +221,20 @@ def _aligned(a: SparseVector, b: SparseVector):
     return union.astype(np.uint32), wa, wb
 
 
-def _from_sorted(ids: np.ndarray, weights: np.ndarray, vocab: Vocabulary) -> SparseVector:
-    """Canonicalize arrays that are already sorted and duplicate-free."""
+def _prune(ids: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reject non-finite weights and drop near-zero ones; *ids* are sorted and unique."""
     if not np.isfinite(weights).all():
-        raise NonFiniteError("a composed weight overflows to inf or nan")
+        raise NonFiniteError("a weight is inf or nan (non-finite input or an overflow)")
     keep = np.abs(weights) >= NEAR_ZERO
     if not keep.all():
         ids = ids[keep]
         weights = weights[keep]
-    return SparseVector._trusted(
-        np.ascontiguousarray(ids, dtype=np.uint32), np.ascontiguousarray(weights), vocab
-    )
+    return np.ascontiguousarray(ids, dtype=np.uint32), np.ascontiguousarray(weights)
+
+
+def _from_sorted(ids: np.ndarray, weights: np.ndarray, vocab: Vocabulary) -> SparseVector:
+    """Canonicalize arrays that are already sorted and duplicate-free."""
+    return SparseVector._trusted(*_prune(ids, weights), vocab)
 
 
 def dot(a: SparseVector, b: SparseVector) -> float:
@@ -264,19 +261,25 @@ def norm(a: SparseVector) -> float:
 def add(a: SparseVector, b: SparseVector) -> SparseVector:
     _require_same_vocab(a, b)
     ids, wa, wb = _aligned(a, b)
-    return _from_sorted(ids, wa + wb, a.vocab)
+    with np.errstate(over="ignore", invalid="ignore"):
+        summed = wa + wb
+    return _from_sorted(ids, summed, a.vocab)
 
 
 def sub(a: SparseVector, b: SparseVector) -> SparseVector:
     _require_same_vocab(a, b)
     ids, wa, wb = _aligned(a, b)
-    return _from_sorted(ids, wa - wb, a.vocab)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = wa - wb
+    return _from_sorted(ids, diff, a.vocab)
 
 
 def scale(a: SparseVector, factor: float) -> SparseVector:
     if not math.isfinite(factor):
         raise ValueError("scale factor must be finite")
-    return _from_sorted(a.ids.copy(), a.weights * float(factor), a.vocab)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = a.weights * float(factor)
+    return _from_sorted(a.ids.copy(), scaled, a.vocab)
 
 
 def maxpool(a: SparseVector, b: SparseVector) -> SparseVector:

@@ -522,6 +522,7 @@ _OVERFLOWS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command,qid", [
     ("compose", "nrf"), ("compose", "add"), ("compose", "cpt"),
     ("search", "nrf"), ("search", "add"), ("search", "atomic"), ("search", "cpt"),

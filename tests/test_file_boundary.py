@@ -57,11 +57,11 @@ def test_cli_parses_no_file():
 
 
 def test_index_ranks_in_one_place():
-    """``search`` and both CPT stages order their hits through ``index._rank`` alone."""
+    """``search`` and both CPT stages select and order their hits through ``index._rank`` alone."""
     callers = [
-        getattr(top, "name", "<module>")
+        (node.attr, getattr(top, "name", "<module>"))
         for top in _tree("index").body
         for node in ast.walk(top)
-        if isinstance(node, ast.Attribute) and node.attr == "lexsort"
+        if isinstance(node, ast.Attribute) and node.attr in ("lexsort", "partition")
     ]
-    assert callers == ["_rank"]
+    assert sorted(callers) == [("lexsort", "_rank"), ("partition", "_rank")]

@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setvec import (
@@ -22,6 +22,7 @@ from setvec import (
     top_m,
 )
 from setvec.cli import main
+from setvec.index import _rank
 
 from conftest import random_lattice_vector, random_vector
 
@@ -463,3 +464,40 @@ class TestIndexProperties:
         except IndexFormatError:
             return
         check_index(idx)
+
+
+# Multiples of 1/16 in [-1/2, 1/2] plus both signed zeros: few values, so ties are dense.
+tied_scores = st.sampled_from([k / 16.0 for k in range(-8, 9)] + [-0.0])
+
+
+@st.composite
+def ranking_inputs(draw):
+    """(doc ids, scores, k): unique ids (ascending, or in any order as CPT stage 2 passes them)."""
+    ids = sorted(draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=40, unique=True)))
+    if draw(st.booleans()):
+        ids = draw(st.permutations(ids))
+    scores = np.array(draw(st.lists(tied_scores, min_size=len(ids), max_size=len(ids))))
+    n = scores.size
+    desc = np.sort(scores)[::-1]
+    # k = i cuts between ranks i and i + 1; inside a run of ties when they score the same.
+    inside_ties = [i for i in range(1, n) if desc[i - 1] == desc[i]]
+    ks = [1, n - 1, n, n + 1] + inside_ties
+    k = draw(st.sampled_from([k for k in ks if k >= 1]))
+    return np.array(ids, dtype=np.int64), scores, k
+
+
+class TestRank:
+    """``_rank`` preselects by partition; it must equal a full lexsort bit for bit."""
+
+    _TIED = (np.array([4, 1, 3, 0, 2], dtype=np.int64), np.array([2.0, 2.0, 0.0, 2.0, -0.0]))
+
+    @settings(max_examples=300, deadline=None)
+    @example((*_TIED, 2))  # the cut falls inside the run of 2.0s
+    @example((*_TIED, 4))  # the cut falls between -0.0 and 0.0
+    @given(ranking_inputs())
+    def test_matches_full_lexsort(self, inputs):
+        ids, scores, k = inputs
+        order = np.lexsort((ids, -scores))[:k]
+        got_ids, got_scores = _rank(ids, scores, k)
+        assert got_ids.tolist() == ids[order].tolist()
+        assert got_scores.view(np.int64).tolist() == scores[order].view(np.int64).tolist()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from setvec import (
+    NonFiniteError,
     SparseVector,
     UnknownTermError,
     Vocabulary,
@@ -62,6 +63,11 @@ class TestConstruction:
     def test_duplicate_terms_merge_by_sum(self, vocab):
         vec = SparseVector.from_pairs([("a", 1.0), ("a", 2.0)], vocab)
         assert vec.to_dict() == {"a": 3.0}
+
+    def test_duplicate_sum_overflow_rejected(self, vocab):
+        with pytest.raises(NonFiniteError):
+            SparseVector.from_pairs([("a", 1e308), ("a", 1e308)], vocab)
+        assert SparseVector.from_pairs([("a", 1e308), ("a", -1e308)], vocab).nnz == 0
 
     def test_canonical_ids_strictly_increasing(self, vocab):
         rng = np.random.default_rng(7)
