@@ -218,8 +218,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_index(args) -> int:
-    vocab = Vocabulary()
-    idx = build(formats.read_vectors(args.vectors, vocab), vocab)
+    idx = build(formats.read_vectors(args.vectors, Vocabulary()))
     save(idx, args.out)
     log.info("indexed %d docs, %d posted terms", idx.doc_count, idx.term_count)
     return EXIT_OK

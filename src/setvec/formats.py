@@ -3,7 +3,12 @@
 All text files are UTF-8.  ``_lines`` is the one reader: it decodes each line
 on its own, accepts LF and CRLF, skips blank lines and reports a bad line as
 ``path:N:``.  ``_write`` is the one writer: it streams lines and removes its
-output if producing one fails.  Term strings are opaque here.
+output if producing one fails.  Term strings are opaque here.  A JSON string
+may not escape a lone UTF-16 surrogate, which no UTF-8 output could hold.
+
+``read_vectors`` reads the whole file into one :class:`VectorBatch`, so its
+memory grows with the number of (term, weight) entries; ``write_vectors``
+streams a batch out in blocks of rows.
 
 Vector JSONL     {"id": "...", "vector": {"term": weight, ...}}
 Text JSONL       {"id": "...", "text": "..."}
@@ -26,6 +31,7 @@ import os
 import stat
 import sys
 import warnings
+from array import array
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -42,10 +48,11 @@ from .cpt import PseudoTermVector
 from .errors import FormatError
 from .evaluation import PairedQueries, Qrels
 from .fusion import ScoredRun
-from .sparse import SparseVector, Vocabulary
+from .sparse import SparseVector, VectorBatch, Vocabulary
 
 DEFAULT_RUN_TAG = "setvec"
 PAIR_FIELDS = ("qid_a", "qid_b", "doc_a", "doc_b")
+WRITE_BLOCK_ROWS = 256  # vector records joined into one string per write
 
 
 def _lines(path) -> Iterator[tuple[int, str]]:
@@ -79,9 +86,22 @@ def _jsonl_records(path) -> Iterator[tuple[int, dict]]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+        except RecursionError:
+            raise FormatError(f"{path}:{line_no}: invalid JSON (nested too deeply)") from None
         if not isinstance(record, dict):
             raise FormatError(f"{path}:{line_no}: expected a JSON object")
+        # json.loads accepts an escaped lone surrogate, which no UTF-8 output can hold.
+        if ("\\ud" in line or "\\uD" in line) and _has_lone_surrogate(record):
+            raise FormatError(f"{path}:{line_no}: a string escapes a lone UTF-16 surrogate")
         yield line_no, record
+
+
+def _has_lone_surrogate(record: dict) -> bool:
+    try:
+        json.dumps(record, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def _unique_id(record: dict, key: str, seen: set[str], where: str) -> str:
@@ -94,10 +114,8 @@ def _unique_id(record: dict, key: str, seen: set[str], where: str) -> str:
     return rec_id
 
 
-def _vector_from_json(mapping, vocab: Vocabulary, where: str) -> SparseVector:
-    if not isinstance(mapping, dict):
-        raise FormatError(f"{where}: 'vector' must be an object")
-    pairs = []
+def _check_pairs(mapping: dict, where: str) -> None:
+    """Raise the located error for the first unusable ``(term, weight)`` pair, if any."""
     for term, weight in mapping.items():
         if not term:
             raise FormatError(f"{where}: empty term")
@@ -106,29 +124,124 @@ def _vector_from_json(mapping, vocab: Vocabulary, where: str) -> SparseVector:
         # An integer too large for a float is as unusable as inf.
         if not -sys.float_info.max <= weight <= sys.float_info.max:
             raise FormatError(f"{where}: weight for {term!r} is not finite")
-        pairs.append((term, float(weight)))
-    return SparseVector.from_pairs(pairs, vocab)
 
 
-def read_vectors(path, vocab: Vocabulary) -> Iterator[tuple[str, SparseVector]]:
-    """Stream (id, vector) records; duplicate ids are rejected."""
+def _screened(mapping, where: str) -> dict:
+    """*mapping*, once it is known to be an object of usable ``(term, weight)`` pairs.
+
+    Bulk screens pass a mapping of float weights with a finite sum (NaN and
+    inf poison a sum) and no empty term.  Only when one trips does the
+    per-pair check run: it raises the located error, or passes integer
+    weights and finite weights whose sum overflows.
+    """
+    if not isinstance(mapping, dict):
+        raise FormatError(f"{where}: 'vector' must be an object")
+    values = mapping.values()
+    if "" in mapping or set(map(type, values)) - {float} or not math.isfinite(sum(values, 0.0)):
+        _check_pairs(mapping, where)
+    return mapping
+
+
+def _vector_from_json(mapping, vocab: Vocabulary, where: str) -> SparseVector:
+    mapping = _screened(mapping, where)
+    return SparseVector(vocab.add_all(mapping), list(mapping.values()), vocab)
+
+
+def read_vectors(path, vocab: Vocabulary) -> VectorBatch:
+    """Read every (id, vector) record into one batch; duplicate ids are rejected."""
     seen: set[str] = set()
+    names: list[str] = []
+    term_ids, weights, lengths = array("I"), array("d"), array("I")
     for line_no, record in _jsonl_records(path):
         where = f"{path}:{line_no}"
-        rec_id = _unique_id(record, "id", seen, where)
+        names.append(_unique_id(record, "id", seen, where))
         if "vector" not in record:
             raise FormatError(f"{where}: missing 'vector'")
-        yield rec_id, _vector_from_json(record["vector"], vocab, where)
+        mapping = _screened(record["vector"], where)
+        term_ids.extend(vocab.add_all(mapping))
+        weights.extend(mapping.values())
+        lengths.append(len(mapping))
+    return VectorBatch(
+        names, lengths, np.frombuffer(term_ids, dtype=np.uint32), np.frombuffer(weights), vocab
+    )
 
 
-def write_vectors(path, items: Iterable[tuple[str, SparseVector | PseudoTermVector]]) -> None:
+def _json_key(term: str) -> str:
+    return json.dumps(term, ensure_ascii=False) + ": "
+
+
+def _json_value(weight: float) -> str:
+    return repr(weight) + ", "
+
+
+class _WeightTexts(dict):
+    """``weight -> repr(weight) + ", "``, computed once per distinct weight."""
+
+    def __missing__(self, weight: float) -> str:
+        text = _json_value(weight)
+        if weight:  # 0.0 and -0.0 share a key but not a repr
+            self[weight] = text
+        return text
+
+
+def _records(names: list[str], bounds: list[int], keys: Iterable[str], values: Iterable[str]) -> str:
+    """Vector records as ``json.dumps(record, ensure_ascii=False)`` writes them.
+
+    Record ``i`` holds entries ``bounds[i] - bounds[0]`` up to
+    ``bounds[i + 1] - bounds[0]`` of *keys* (``'"term": '``) and *values*
+    (``'weight, '``).  All pieces are joined once, so only the first and the
+    last piece of a record are touched one by one.
+    """
+    base = bounds[0]
+    pieces: list = [None] * (2 * (bounds[-1] - base))
+    pieces[0::2] = keys
+    pieces[1::2] = values
+    lead = ""  # records without entries that come before every entry
+    for name, start, end in zip(names, bounds, bounds[1:]):
+        head = '{"id": ' + json.dumps(name, ensure_ascii=False) + ', "vector": {'
+        first, last = 2 * (start - base), 2 * (end - base) - 1
+        if last < first:
+            if first:
+                pieces[first - 1] += head + "}}\n"
+            else:
+                lead += head + "}}\n"
+        else:
+            pieces[first] = head + pieces[first]
+            pieces[last] = pieces[last][:-2] + "}}\n"
+    return lead + "".join(pieces)
+
+
+def _batch_lines(batch: VectorBatch) -> Iterator[str]:
+    """The records of *batch* in blocks of rows; each term is escaped once."""
+    keys = [_json_key(term) for term in batch.vocab.terms]
+    values = _WeightTexts()
+    bounds = batch.offsets.tolist()
+    for lo in range(0, len(batch), WRITE_BLOCK_ROWS):
+        hi = min(lo + WRITE_BLOCK_ROWS, len(batch))
+        rows = slice(bounds[lo], bounds[hi])
+        yield _records(
+            batch.names[lo:hi],
+            bounds[lo : hi + 1],
+            map(keys.__getitem__, batch.ids[rows].tolist()),
+            map(values.__getitem__, batch.weights[rows].tolist()),
+        )
+
+
+def _item_lines(items: Iterable[tuple[str, SparseVector | PseudoTermVector]]) -> Iterator[str]:
+    for rec_id, vec in items:
+        row = vec.to_dict()
+        yield _records([rec_id], [0, len(row)], map(_json_key, row), map(_json_value, row.values()))
+
+
+def write_vectors(
+    path, items: VectorBatch | Iterable[tuple[str, SparseVector | PseudoTermVector]]
+) -> None:
     """Inverse of :func:`read_vectors`; weights round-trip exactly.
 
     Pseudo-term vectors serialize with ``termA∩termB`` keys (debug form; they
     cannot be read back as plain vectors).
     """
-    records = ({"id": rec_id, "vector": vec.to_dict()} for rec_id, vec in items)
-    _write(path, (json.dumps(record, ensure_ascii=False) + "\n" for record in records))
+    _write(path, _batch_lines(items) if isinstance(items, VectorBatch) else _item_lines(items))
 
 
 def read_texts(path) -> Iterator[tuple[str, str]]:

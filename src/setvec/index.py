@@ -31,7 +31,7 @@ from .errors import (
     NonFiniteError,
     VocabularyMismatchError,
 )
-from .sparse import SparseVector, Vocabulary, maxpool
+from .sparse import SparseVector, VectorBatch, Vocabulary, maxpool
 
 MAGIC = b"SVIX"
 FORMAT_VERSION = 2
@@ -86,39 +86,31 @@ class InvertedIndex:
 
 
 def build(
-    docs: Iterable[tuple[str, SparseVector]], vocab: Vocabulary | None = None
+    docs: VectorBatch | Iterable[tuple[str, SparseVector]], vocab: Vocabulary | None = None
 ) -> InvertedIndex:
-    """Ingest (doc name, vector) pairs; names must be unique.
+    """Index a batch, or (doc name, vector) pairs stacked into one; names must be unique.
 
-    *vocab* may be given explicitly (required for an empty stream); otherwise
-    it is taken from the first vector, and every vector must share it.
+    *vocab* may be given explicitly (required for an empty stream of pairs);
+    otherwise it is taken from the batch or the first vector, and every
+    vector must share it.
     """
-    doc_names: list[str] = []
+    batch = docs if isinstance(docs, VectorBatch) else VectorBatch.stack(docs, vocab)
+    vocab = batch.vocab if vocab is None else vocab
+    if batch.vocab is not vocab:
+        raise VocabularyMismatchError("the document batch uses a different vocabulary")
+    names = batch.names
     seen: set[str] = set()
-    term_cols = [np.empty(0, dtype=np.uint32)]
-    weight_cols = [np.empty(0, dtype=np.float64)]
-    for name, vec in docs:
-        if vocab is None:
-            vocab = vec.vocab
-        elif vec.vocab is not vocab:
-            raise VocabularyMismatchError(f"document {name!r} uses a different vocabulary")
+    for name in names:
         if name in seen:
             raise DuplicateDocError(f"duplicate document name {name!r}")
         seen.add(name)
-        doc_names.append(name)
-        term_cols.append(vec.ids)
-        weight_cols.append(vec.weights)
-    if vocab is None:
-        vocab = Vocabulary()
-    lengths = [col.size for col in term_cols[1:]]
-    term_ids = np.concatenate(term_cols)
     # A stable sort keeps each list's doc ids in ingestion (ascending) order.
-    order = np.argsort(term_ids, kind="stable")
-    doc_ids = np.repeat(np.arange(len(doc_names), dtype=np.uint32), lengths)[order]
-    weights = np.concatenate(weight_cols)[order]
+    order = np.argsort(batch.ids, kind="stable")
+    doc_ids = np.repeat(np.arange(len(names), dtype=np.uint32), np.diff(batch.offsets))[order]
+    weights = batch.weights[order]
     offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(term_ids, minlength=len(vocab)), out=offsets[1:])
-    return InvertedIndex(vocab, doc_names, offsets, doc_ids, weights)
+    np.cumsum(np.bincount(batch.ids, minlength=len(vocab)), out=offsets[1:])
+    return InvertedIndex(vocab, names, offsets, doc_ids, weights)
 
 
 def _rank(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,11 +11,11 @@ import math
 import re
 from array import array
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .sparse import SparseVector, Vocabulary
+from .sparse import SparseVector, VectorBatch, Vocabulary
 
 # Runs of word characters, minus the underscore; splits on any Unicode
 # whitespace or punctuation.
@@ -43,17 +43,19 @@ def encode_bm25(
     vocab: Vocabulary,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
-) -> Iterator[tuple[str, SparseVector]]:
+) -> VectorBatch:
     """Okapi BM25 impact vectors for a tokenized corpus of ``(id, tokens)`` pairs.
 
     weight(t) = idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl/avgdl)),
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))   (Lucene's nonnegative idf)
 
-    Reads *docs* once, in full, before returning; the returned iterator
-    then builds the vectors one at a time.  Unseen tokens are added to
-    *vocab* in first-occurrence order, so term ids do not depend on the
-    interpreter's hash seed.  Only flat count columns are kept, never the
-    tokens.  The parameters are checked before *docs* is read.
+    Reads *docs* once, in full, and returns every vector in one
+    :class:`VectorBatch`, built without a per-document vector object.
+    Unseen tokens are added to *vocab* in first-occurrence order, so term ids
+    do not depend on the interpreter's hash seed.  Only flat count columns
+    are kept, never the tokens; each document's distinct ids are sorted as
+    they are counted, so the rows arrive canonical.  The parameters are
+    checked before *docs* is read.
     """
     if not (math.isfinite(k1) and k1 >= 0.0):
         raise ValueError("k1 must be a finite number >= 0")
@@ -62,16 +64,17 @@ def encode_bm25(
     names: list[str] = []
     term_ids, tfs, doc_lens, nnzs = array("I"), array("I"), array("I"), array("I")
     for name, tokens in docs:
-        counts = Counter(tokens)
+        counts = Counter(vocab.add_all(tokens))
+        row = sorted(counts)
         names.append(name)
-        term_ids.extend(map(vocab.add, counts))
-        tfs.extend(counts.values())
+        term_ids.extend(row)
+        tfs.extend(map(counts.__getitem__, row))
         doc_lens.append(len(tokens))
-        nnzs.append(len(counts))
+        nnzs.append(len(row))
 
     n = len(names)
-    tids = np.asarray(term_ids, dtype=np.uint32)
-    tf = np.asarray(tfs, dtype=np.uint32)
+    tids = np.frombuffer(term_ids, dtype=np.uint32)
+    tf = np.frombuffer(tfs, dtype=np.uint32)
     total = sum(doc_lens)
     avgdl = total / n if total else 1.0  # every doc is empty: nothing to weight
     dl = np.asarray(doc_lens, dtype=np.float64)
@@ -80,9 +83,4 @@ def encode_bm25(
     idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df])
     norm = k1 * (1.0 - b + b * dl / avgdl)
     weights = idf[tids] * tf * (k1 + 1.0) / (tf + np.repeat(norm, nnzs))
-    ends = np.cumsum(nnzs, dtype=np.int64).tolist()
-    starts = [0] + ends[:-1]
-    return (
-        (name, SparseVector(tids[s:e], weights[s:e], vocab))
-        for name, s, e in zip(names, starts, ends)
-    )
+    return VectorBatch(names, nnzs, tids, weights, vocab)

@@ -4,7 +4,9 @@ A :class:`SparseVector` stores sorted ``(term-id, weight)`` pairs over a
 shared :class:`Vocabulary`.  Weights may be negative; missing entries are
 semantically zero everywhere.  All operations are pure and return vectors in
 canonical form: strictly increasing term ids, no stored weight with magnitude
-below :data:`NEAR_ZERO`.
+below :data:`NEAR_ZERO`.  A :class:`VectorBatch` holds many canonical
+vectors as CSR columns; the ingest path (BM25 encoding, vector files, index
+build) carries documents that way instead of one object per document.
 
 The dot product accumulates shared entries sequentially in ascending term-id
 order.  The inverted index accumulates its scores term by term in the same
@@ -25,29 +27,35 @@ from .errors import NonFiniteError, UnknownTermError, VocabularyMismatchError, Z
 NEAR_ZERO = 1e-12
 
 
+class _TermIds(dict):
+    """``term -> id``; looking up a missing term appends it to the vocabulary."""
+
+    __slots__ = ("vocab",)
+
+    def __missing__(self, term):
+        return self.vocab._append(term)
+
+
 class Vocabulary:
     """Bidirectional mapping between term strings and dense integer ids.
 
     A fresh vocabulary is in extend-on-miss mode: looking up an unknown term
-    through :meth:`add` appends it.  After :meth:`freeze`, unknown terms raise
-    :class:`UnknownTermError` and the vocabulary is safely shareable across
-    threads.
+    through :meth:`add` or :meth:`add_all` appends it.  After :meth:`freeze`,
+    unknown terms raise :class:`UnknownTermError` and the vocabulary is safely
+    shareable across threads.
     """
 
     __slots__ = ("_terms", "_ids", "_frozen")
 
     def __init__(self, terms: Iterable[str] = ()):
         self._terms: list[str] = []
-        self._ids: dict[str, int] = {}
+        self._ids = _TermIds()
+        self._ids.vocab = self
         self._frozen = False
         for term in terms:
             self.add(term)
 
-    def add(self, term: str) -> int:
-        """Return the id of *term*, appending it if unseen (and not frozen)."""
-        existing = self._ids.get(term)
-        if existing is not None:
-            return existing
+    def _append(self, term) -> int:
         if self._frozen:
             raise UnknownTermError(f"term {term!r} not in frozen vocabulary")
         if not isinstance(term, str) or not term:
@@ -57,12 +65,23 @@ class Vocabulary:
         self._ids[term] = term_id
         return term_id
 
+    def add(self, term: str) -> int:
+        """Return the id of *term*, appending it if unseen (and not frozen)."""
+        return self._ids[term]
+
+    def add_all(self, terms: Iterable[str]) -> list[int]:
+        """The ids of *terms* in order, appending unseen ones as :meth:`add` does.
+
+        Every known term costs one dict lookup that stays in C.
+        """
+        return list(map(self._ids.__getitem__, terms))
+
     def id_of(self, term: str) -> int:
         """Return the id of a known term; raise :class:`UnknownTermError` otherwise."""
-        try:
-            return self._ids[term]
-        except KeyError:
-            raise UnknownTermError(f"unknown term {term!r}") from None
+        term_id = self._ids.get(term)
+        if term_id is None:
+            raise UnknownTermError(f"unknown term {term!r}")
+        return term_id
 
     def get(self, term: str) -> int | None:
         return self._ids.get(term)
@@ -189,6 +208,105 @@ class SparseVector:
         head = ", ".join(f"{t}:{w:g}" for t, w in list(self.to_dict().items())[:6])
         tail = ", ..." if self.nnz > 6 else ""
         return f"SparseVector({head}{tail})"
+
+
+class VectorBatch:
+    """Many vectors over one vocabulary in one CSR layout.
+
+    Row ``i`` is named ``names[i]`` and holds ``ids[offsets[i]:offsets[i + 1]]``
+    with the matching slice of ``weights``: the layout of the inverted index's
+    columns, with a row per document instead of per term.  Every row is
+    canonical, as a :class:`SparseVector` is.  Iterating yields
+    ``(name, SparseVector)`` pairs whose arrays are views of the columns.
+    """
+
+    __slots__ = ("names", "offsets", "ids", "weights", "vocab")
+
+    def __init__(self, names: list[str], lengths, ids, weights, vocab: Vocabulary):
+        """Rows are *lengths* consecutive entries of *ids*/*weights*; a row's ids
+        must be distinct.  Rows are sorted by id and pruned as :func:`_prune`
+        does.  The batch keeps the arrays it can use as given and makes them
+        read-only."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.uint32)
+        weights = np.asarray(weights, dtype=np.float64)
+        if ids.shape != weights.shape or ids.ndim != 1 or lengths.shape != (len(names),):
+            raise ValueError("ids and weights must be 1-d arrays of equal length, with one length per name")
+        if lengths.min(initial=0) < 0 or int(lengths.sum()) != ids.size:
+            raise ValueError("row lengths must be nonnegative and cover every entry")
+        if ids.size and int(ids.max()) >= len(vocab):
+            raise ValueError(f"term id {int(ids.max())} out of range for vocabulary of size {len(vocab)}")
+        offsets = np.zeros(len(names) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        offsets, ids, weights = _canonical_rows(offsets, ids, weights)
+        for column in (offsets, ids, weights):
+            column.setflags(write=False)
+        self.names = names
+        self.offsets = offsets
+        self.ids = ids
+        self.weights = weights
+        self.vocab = vocab
+
+    @classmethod
+    def stack(
+        cls, rows: Iterable[tuple[str, SparseVector]], vocab: Vocabulary | None = None
+    ) -> "VectorBatch":
+        """Stack ``(name, vector)`` rows; every vector must use *vocab*, by
+        default the first row's (an empty batch without one gets a fresh one)."""
+        names: list[str] = []
+        id_cols = [np.empty(0, dtype=np.uint32)]
+        weight_cols = [np.empty(0, dtype=np.float64)]
+        for name, vec in rows:
+            if vocab is None:
+                vocab = vec.vocab
+            elif vec.vocab is not vocab:
+                raise VocabularyMismatchError(f"vector {name!r} uses a different vocabulary")
+            names.append(name)
+            id_cols.append(vec.ids)
+            weight_cols.append(vec.weights)
+        lengths = [col.size for col in id_cols[1:]]
+        return cls(
+            names,
+            lengths,
+            np.concatenate(id_cols),
+            np.concatenate(weight_cols),
+            Vocabulary() if vocab is None else vocab,
+        )
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __iter__(self) -> Iterator[tuple[str, SparseVector]]:
+        bounds = self.offsets.tolist()
+        for name, start, end in zip(self.names, bounds, bounds[1:]):
+            yield name, SparseVector._trusted(self.ids[start:end], self.weights[start:end], self.vocab)
+
+
+def _canonical_rows(offsets: np.ndarray, ids: np.ndarray, weights: np.ndarray):
+    """Sort the rows whose ids are out of order, then check and prune as :func:`_prune`.
+
+    Returns ``(offsets, ids, weights)``, copied where a row changes; the inputs
+    are never modified.
+    """
+    unordered = ids[1:] <= ids[:-1]
+    starts = offsets[1:-1]
+    unordered[starts[(starts > 0) & (starts < ids.size)] - 1] = False
+    if unordered.any():
+        ids, weights = ids.copy(), weights.copy()
+        rows = np.unique(np.searchsorted(offsets, np.flatnonzero(unordered), side="right") - 1)
+        for start, end in zip(offsets[rows].tolist(), offsets[rows + 1].tolist()):
+            order = np.argsort(ids[start:end], kind="stable")
+            ids[start:end] = ids[start:end][order]
+            weights[start:end] = weights[start:end][order]
+            if (ids[start + 1 : end] == ids[start : end - 1]).any():
+                raise ValueError("a row holds the same term id twice")
+    if not np.isfinite(weights).all():
+        raise NonFiniteError("a weight is inf or nan (non-finite input or an overflow)")
+    keep = np.abs(weights) >= NEAR_ZERO
+    if not keep.all():
+        offsets = np.concatenate(([0], np.cumsum(keep)))[offsets]
+        ids, weights = ids[keep], weights[keep]
+    return offsets, ids, weights
 
 
 def _canonicalize(ids: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

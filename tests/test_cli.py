@@ -567,3 +567,54 @@ def test_interference_without_difference_queries_is_data_error(tmp_path, capsys)
     write_lines(metrics, "q1\t0.5")
     assert main(["analyze-interference", "--queries", str(queries), "--per-query-metrics", str(metrics)]) == 2
     assert "no difference queries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("encode", r'{"id": "d\ud800", "text": "birds"}'),
+    ("encode", r'{"id": "d2", "text": "birds \udfff of colombia"}'),
+    ("index", r'{"id": "d\uDBFF", "vector": {"x": 1.0}}'),
+    ("index", r'{"id": "d2", "vector": {"x\ud800": 1.0}}'),
+    ("compose", r'{"qid": "q\ud800", "operator": "atomic", "method": "atomic", "a": {"x": 1.0}}'),
+    ("compose", r'{"qid": "q2", "operator": "atomic", "method": "atomic", "a": {"\udc00": 1.0}}'),
+], ids=["encode-id", "encode-text", "index-id", "index-term", "compose-qid", "compose-term"])
+def test_lone_surrogate_escape_is_located_data_error(tmp_path, capsys, command, line):
+    path = tmp_path / "input.jsonl"
+    good = {
+        "encode": '{"id": "d1", "text": "birds"}',
+        "index": '{"id": "d1", "vector": {"x": 1.0}}',
+        "compose": '{"qid": "q1", "operator": "atomic", "method": "atomic", "a": {"x": 1.0}}',
+    }[command]
+    write_lines(path, good, line)
+    out = tmp_path / "out"
+    argv = {
+        "encode": ["encode", "--bm25", "--docs", str(path)],
+        "index": ["index", "--vectors", str(path)],
+        "compose": ["compose", "--queries", str(path)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{path}:2: a string escapes a lone UTF-16 surrogate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deeply_nested_json_is_located_data_error(tmp_path, capsys):
+    vectors = tmp_path / "v.jsonl"
+    write_lines(vectors, '{"id": "d1", "vector": {}}', "[" * 100_000)
+    out = tmp_path / "i.svix"
+    assert main(["index", "--vectors", str(vectors), "--out", str(out)]) == 2
+    assert f"{vectors}:2: invalid JSON (nested too deeply)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_escaped_surrogate_pair_reads_as_one_character(tmp_path):
+    vectors = tmp_path / "v.jsonl"
+    write_lines(vectors, r'{"id": "d\ud83d\ude00", "vector": {"\ud83d\ude00": 1.5}}')
+    out = tmp_path / "copy.jsonl"
+    index = tmp_path / "i.svix"
+    assert main(["index", "--vectors", str(vectors), "--out", str(index)]) == 0
+    idx = setvec.load(index)
+    assert idx.doc_names == ["d\U0001F600"]
+    assert idx.vocab.terms == ("\U0001F600",)
+    queries = tmp_path / "q.jsonl"
+    write_lines(queries, r'{"qid": "q\uD83D\uDE00", "operator": "atomic", "method": "atomic", "a": {"\ud83d\ude00": 2.0}}')
+    assert main(["compose", "--queries", str(queries), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == '{"id": "q\U0001F600", "vector": {"\U0001F600": 2.0}}\n'

@@ -1,9 +1,11 @@
 """Property: no malformed input file makes the CLI report an internal error.
 
 Each input kind has a valid file and a command that reads it beside other
-valid inputs.  Hypothesis replaces the file with random bytes or with a few
-byte mutations of the valid one.  The command must succeed or fail with a data
-error (exit 2, never 3), and a failed command must leave no output file.
+valid inputs.  Hypothesis replaces the file with random bytes, with a few
+byte mutations of the valid one, or (for the JSON kinds) with the valid one
+after JSON string escapes are spliced into its keys and string values.  The
+command must succeed or fail with a data error (exit 2, never 3), and a
+failed command must leave no output file.
 """
 
 import json
@@ -125,6 +127,46 @@ def test_mutated_input_never_exits_3(base, kind, data):
 @given(content=st.binary(max_size=120))
 def test_random_bytes_never_exit_3(base, kind, content):
     _check(kind, content, base)
+
+
+# Decoded characters that json.dumps writes back as escapes: lone surrogates,
+# NUL, a backslash, a quote and an emoji (an escaped surrogate pair).
+ESCAPED = ("\ud800", "\udfff", "\x00", "\\", '"', "\U0001F600")
+JSON_KINDS = sorted(kind for kind, valid in VALID.items() if valid.startswith(b"{"))
+
+
+def _string_slots(node):
+    """(object, key, is_key) for every key and every string value below *node*."""
+    for key, value in node.items():
+        yield node, key, True
+        if isinstance(value, str):
+            yield node, key, False
+        elif isinstance(value, dict):
+            yield from _string_slots(value)
+
+
+@st.composite
+def escaped(draw, valid: bytes) -> bytes:
+    records = [json.loads(line) for line in valid.decode("utf-8").splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        node, key, is_key = draw(st.sampled_from([s for r in records for s in _string_slots(r)]))
+        old = key if is_key else node[key]
+        pos = draw(st.integers(0, len(old)))
+        new = old[:pos] + draw(st.sampled_from(ESCAPED)) + old[pos:]
+        if is_key:
+            items = list(node.items())
+            node.clear()
+            node.update((new if k == key else k, v) for k, v in items)
+        else:
+            node[key] = new
+    return "".join(json.dumps(r) + "\n" for r in records).encode("ascii")
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS)
+@FUZZ
+@given(data=st.data())
+def test_escaped_strings_never_exit_3(base, kind, data):
+    _check(kind, data.draw(escaped(VALID[kind])), base)
 
 
 @pytest.mark.parametrize("kind", sorted(VALID))

@@ -3,10 +3,12 @@
 Text files are opened only by ``formats._lines`` (read) and ``formats._write``
 (write); the binary index only by ``index.save`` and ``index.load``.  The CLI
 orchestrates: it parses no file itself.  Hits are ordered only by
-``index._rank``.
+``index._rank``.  And setvec imports nothing beyond the standard library and
+numpy, its one declared dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import setvec
@@ -65,3 +67,19 @@ def test_index_ranks_in_one_place():
         if isinstance(node, ast.Attribute) and node.attr in ("lexsort", "partition")
     ]
     assert sorted(callers) == [("lexsort", "_rank"), ("partition", "_rank")]
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    """A module outside the standard library, numpy and setvec itself would be an undeclared dependency."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path.stem)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.stem, name) for name in names if name.split(".")[0] not in allowed]
+    assert foreign == []
