@@ -53,9 +53,11 @@ class Vocabulary:
         self._ids.vocab = self
         self._frozen = False
         for term in terms:
-            self.add(term)
+            if term not in self._ids:
+                self._append(term)
 
     def _append(self, term) -> int:
+        """Give an unseen *term* the next id; ``_ids`` calls this on a miss."""
         if self._frozen:
             raise UnknownTermError(f"term {term!r} not in frozen vocabulary")
         if not isinstance(term, str) or not term:
@@ -67,7 +69,8 @@ class Vocabulary:
 
     def add(self, term: str) -> int:
         """Return the id of *term*, appending it if unseen (and not frozen)."""
-        return self._ids[term]
+        term_id = self._ids.get(term)
+        return self._append(term) if term_id is None else term_id
 
     def add_all(self, terms: Iterable[str]) -> list[int]:
         """The ids of *terms* in order, appending unseen ones as :meth:`add` does.
