@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseVector, Vocabulary, _from_sorted
+from .sparse import SparseVector, Vocabulary, _from_sorted, _not_increasing, _require_in_vocab
 
 NEG_CORRECTED = "corrected"
 NEG_LITERAL = "literal"
@@ -53,10 +53,9 @@ class LogitMatrix:
             raise ValueError("logit values must be finite")
         if term_ids.ndim != 1 or term_ids.size != values.shape[1]:
             raise ValueError("one term id per column is required")
-        if term_ids.size and (np.diff(term_ids.astype(np.int64)) <= 0).any():
+        if _not_increasing(term_ids).any():
             raise ValueError("column term ids must be strictly increasing")
-        if term_ids.size and int(term_ids[-1]) >= len(vocab):
-            raise ValueError("column term id out of vocabulary range")
+        _require_in_vocab(term_ids, vocab)
         self.values = values
         self.term_ids = term_ids
         self.vocab = vocab

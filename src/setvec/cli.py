@@ -16,6 +16,7 @@ import dataclasses
 import logging
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 from . import formats
@@ -35,7 +36,7 @@ from .evaluation import interference_bins, ndcg_at_k, pairwise_accuracy, recall_
 from .fusion import FUSE_OPS, fuse
 from .index import build, load, save, search, search_cpt
 from .lexical import DEFAULT_B, DEFAULT_K1, encode_bm25, encode_tf, tokenize
-from .sparse import Vocabulary
+from .sparse import Vocabulary, cosine
 
 log = logging.getLogger("setvec")
 
@@ -56,6 +57,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+def _run_tag(value: str) -> str:
+    if not formats.is_run_field(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is empty or holds whitespace")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=1000,
         help="stage-1 pool size for cpt queries (default: %(default)s)",
     )
-    p.add_argument("--tag", default=formats.DEFAULT_RUN_TAG, help="run tag (default: %(default)s)")
+    p.add_argument(
+        "--tag", type=_run_tag, default=formats.DEFAULT_RUN_TAG,
+        help="run tag, one field without whitespace (default: %(default)s)",
+    )
     p.add_argument("--out", required=True, help="output TREC run file")
     p.add_argument(
         "--threads",
@@ -141,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-b", required=True)
     p.add_argument("--op", required=True, choices=FUSE_OPS)
     p.add_argument("--scaled", action="store_true", help="min-max scale each run to [0,1] first")
-    p.add_argument("--tag", default=formats.DEFAULT_RUN_TAG)
+    p.add_argument("--tag", type=_run_tag, default=formats.DEFAULT_RUN_TAG)
     p.add_argument("--out", required=True, help="output TREC run file")
     p.set_defaults(func=cmd_fuse)
 
@@ -188,10 +198,14 @@ def cmd_encode(args) -> int:
             )
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-        records = []
-        for grid_path in args.logits:
-            rec_id = os.path.splitext(os.path.basename(grid_path))[0]
-            records.append((rec_id, activate(formats.read_logits(grid_path, vocab), cfg)))
+        rec_ids = [os.path.splitext(os.path.basename(grid_path))[0] for grid_path in args.logits]
+        for rec_id, count in Counter(rec_ids).items():
+            if count > 1:
+                raise _UsageError(f"--logits files share the stem {rec_id!r}, which names one record")
+        records = [
+            (rec_id, activate(formats.read_logits(grid_path, vocab), cfg))
+            for rec_id, grid_path in zip(rec_ids, args.logits)
+        ]
         formats.write_vectors(args.out, records)
         return EXIT_OK
 
@@ -392,6 +406,10 @@ def cmd_analyze_interference(args) -> int:
             raise UndefinedMetricError(f"no per-query metric for {qid!r}")
         return metric_by_qid[qid]
 
+    # A zero-norm side is a data error in the queries file; name the file and qid.
+    measurable = _naming_errors(args.queries, lambda q: cosine(q.a, q.b))
+    for q in diffs:
+        measurable(q)
     bins = interference_bins(diffs, metric, n_bins=args.bins)
     print(f"{'similarity range':<24} {'mean metric':>12} {'queries':>8}")
     for b in bins:

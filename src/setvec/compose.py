@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .cpt import PseudoTermVector, expand_query
-from .sparse import SparseVector, add, mask_remove, maxpool, project, scale, sub
+from .sparse import SparseVector, _positive_int, add, mask_remove, maxpool, project, scale, sub
 
 OP_DIFFERENCE = "difference"
 OP_UNION = "union"
@@ -37,9 +37,7 @@ class CompositionParams:
     m: int = DEFAULT_M
 
     def __post_init__(self):
-        # bool is an int subclass: without the first test, True would pass as m = 1.
-        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
+        object.__setattr__(self, "m", _positive_int(self.m, "m"))
         lam = self.lambda_
         if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0 <= lam <= sys.float_info.max:
             raise ValueError(f"lambda must be a finite number >= 0, got {lam!r}")

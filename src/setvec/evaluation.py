@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .compose import OP_DIFFERENCE, CompositionalQuery
-from .errors import UndefinedMetricError
-from .sparse import cosine
+from .errors import UndefinedMetricError, ZeroNormError
+from .sparse import _positive_int, cosine
 
 DEFAULT_BINS = 4
 
@@ -58,8 +58,7 @@ def _positive_grades(qrels: Qrels, qid: str) -> dict[str, int]:
 
 def ndcg_at_k(ranking: Sequence[str], qrels: Qrels, qid: str, k: int) -> float:
     """Normalized DCG over the top *k* of *ranking*."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    k = _positive_int(k, "k")
     judged = _positive_grades(qrels, qid)
     dcg = 0.0
     for rank, doc in enumerate(ranking[:k], start=1):
@@ -73,8 +72,7 @@ def ndcg_at_k(ranking: Sequence[str], qrels: Qrels, qid: str, k: int) -> float:
 
 def recall_at_k(ranking: Sequence[str], qrels: Qrels, qid: str, k: int) -> float:
     """Fraction of relevant documents found in the top *k*."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    k = _positive_int(k, "k")
     _positive_grades(qrels, qid)
     relevant = qrels.relevant(qid)
     hits = sum(1 for doc in ranking[:k] if doc in relevant)
@@ -121,6 +119,13 @@ class InterferenceBin:
     count: int
 
 
+def _similarity(q: CompositionalQuery) -> float:
+    try:
+        return cosine(q.a, q.b)
+    except ZeroNormError as exc:
+        raise ZeroNormError(f"query {q.qid!r}: {exc}") from exc
+
+
 def interference_bins(
     queries: Iterable[CompositionalQuery],
     per_query_metric: Callable[[str], float],
@@ -132,8 +137,7 @@ def interference_bins(
     than bins the bin count shrinks (with a warning), and adjacent bins whose
     similarity ranges coincide are merged.
     """
-    if n_bins < 1:
-        raise ValueError("n_bins must be a positive integer")
+    n_bins = _positive_int(n_bins, "n_bins")
     queries = list(queries)
     if not queries:
         raise UndefinedMetricError("no difference queries to bin")
@@ -141,7 +145,7 @@ def interference_bins(
         if q.operator != OP_DIFFERENCE:
             raise ValueError(f"query {q.qid!r} is not a difference query")
     rows = sorted(
-        ((cosine(q.a, q.b), q.qid, per_query_metric(q.qid)) for q in queries),
+        ((_similarity(q), q.qid, per_query_metric(q.qid)) for q in queries),
         key=lambda row: (row[0], row[1]),
     )
     effective = min(n_bins, len(rows))

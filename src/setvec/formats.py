@@ -376,14 +376,32 @@ def read_run(path) -> dict[str, ScoredRun]:
     return runs
 
 
+def is_run_field(s: str) -> bool:
+    """True when *s* reads back as one field of a run line, which :func:`read_run` splits on whitespace."""
+    return s.split() == [s]
+
+
+def _run_field(path, what: str, s: str) -> str:
+    if not is_run_field(s):
+        raise FormatError(f"{path}: {what} {s!r} is empty or holds whitespace, which a run file cannot store")
+    return s
+
+
 def write_search_results(path, results: Iterable[tuple[str, list]], tag: str = DEFAULT_RUN_TAG) -> None:
-    """Emit (qid, ranked hits) pairs as a run, preserving the given ranking."""
-    lines = (
-        f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n"
-        for qid, hits in results
-        for rank, (doc, score) in enumerate(hits, start=1)
-    )
-    _write(path, lines)
+    """Emit (qid, ranked hits) pairs as a run, preserving the given ranking.
+
+    Every qid, doc name and the tag must pass :func:`is_run_field`; only the
+    names written are checked.
+    """
+    _run_field(path, "tag", tag)
+
+    def lines():
+        for qid, hits in results:
+            _run_field(path, "qid", qid)
+            for rank, (doc, score) in enumerate(hits, start=1):
+                yield f"{qid} Q0 {_run_field(path, 'doc name', doc)} {rank} {score:.6f} {tag}\n"
+
+    _write(path, lines())
 
 
 def read_logits(path, vocab: Vocabulary) -> LogitMatrix:

@@ -24,14 +24,10 @@ from typing import Iterable
 import numpy as np
 
 from .cpt import PseudoTermVector, _require_nonnegative
-from .errors import (
-    CptDomainError,
-    DuplicateDocError,
-    IndexFormatError,
-    NonFiniteError,
-    VocabularyMismatchError,
+from .errors import CptDomainError, DuplicateDocError, IndexFormatError, VocabularyMismatchError
+from .sparse import (
+    SparseVector, VectorBatch, Vocabulary, _not_increasing, _positive_int, _rank, maxpool
 )
-from .sparse import SparseVector, VectorBatch, Vocabulary, maxpool
 
 MAGIC = b"SVIX"
 FORMAT_VERSION = 2
@@ -113,24 +109,6 @@ def build(
     return InvertedIndex(vocab, names, offsets, doc_ids, weights)
 
 
-def _rank(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one ranking rule: descending score, ties by ascending doc id, first *k*.
-
-    A partition first keeps every score tied with or above the k-th best, so
-    only those survivors are sorted; the output is identical to a full sort.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError("k must be a positive integer")
-    if not np.isfinite(scores).all():
-        raise NonFiniteError("a document score overflows to inf or nan")
-    if scores.size > k:
-        kth = np.partition(scores, -k)[-k]
-        keep = np.flatnonzero(scores >= kth)
-        doc_ids, scores = doc_ids[keep], scores[keep]
-    order = np.lexsort((doc_ids, -scores))[:k]
-    return doc_ids[order], scores[order]
-
-
 def _named(idx: InvertedIndex, doc_ids: np.ndarray, scores: np.ndarray) -> SearchResult:
     return [(idx.doc_names[d], s) for d, s in zip(doc_ids.tolist(), scores.tolist())]
 
@@ -176,8 +154,7 @@ def search_cpt(
     document side is never materialized).  With a pool at least the corpus
     size this is exhaustive.
     """
-    if not isinstance(candidate_pool, (int, np.integer)) or candidate_pool < 1:
-        raise ValueError("candidate_pool must be a positive integer")
+    candidate_pool = _positive_int(candidate_pool, "candidate_pool")
     _require_nonnegative(a, "query side A")
     _require_nonnegative(b, "query side B")
     cand_ids, scores = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
@@ -303,11 +280,7 @@ def load(path) -> InvertedIndex:
         del gaps  # free before the checks' temporaries
         if doc_ids.size and int(doc_ids.max()) >= n_docs:
             raise IndexFormatError("doc id out of range")
-        # unordered[i] compares postings i and i + 1; skip pairs that span two lists.
-        unordered = doc_ids[1:] <= doc_ids[:-1]
-        starts = offsets[1:-1]
-        unordered[starts[(starts > 0) & (starts < n_postings)] - 1] = False
-        if unordered.any():
+        if _not_increasing(doc_ids, offsets).any():
             raise IndexFormatError("doc ids not strictly increasing within a posting list")
         if not np.isfinite(weights).all():
             raise IndexFormatError("non-finite posting weight")

@@ -126,15 +126,16 @@ class SparseVector:
         if ids.shape != weights.shape or ids.ndim != 1:
             raise ValueError("ids and weights must be 1-d arrays of equal length")
         ids, weights = _canonicalize(ids, weights)
-        if ids.size and int(ids[-1]) >= len(vocab):
-            raise ValueError(
-                f"term id {int(ids[-1])} out of range for vocabulary of size {len(vocab)}"
-            )
+        _require_in_vocab(ids, vocab)
+        self._bind(ids, weights, vocab)
+
+    def _bind(self, ids: np.ndarray, weights: np.ndarray, vocab: Vocabulary) -> "SparseVector":
         ids.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "vocab", vocab)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseVector is immutable")
@@ -142,13 +143,7 @@ class SparseVector:
     @classmethod
     def _trusted(cls, ids: np.ndarray, weights: np.ndarray, vocab: Vocabulary) -> "SparseVector":
         """Wrap arrays already known to be canonical (internal fast path)."""
-        vec = object.__new__(cls)
-        ids.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(vec, "ids", ids)
-        object.__setattr__(vec, "weights", weights)
-        object.__setattr__(vec, "vocab", vocab)
-        return vec
+        return object.__new__(cls)._bind(ids, weights, vocab)
 
     @classmethod
     def from_pairs(
@@ -227,7 +222,7 @@ class VectorBatch:
 
     def __init__(self, names: list[str], lengths, ids, weights, vocab: Vocabulary):
         """Rows are *lengths* consecutive entries of *ids*/*weights*; a row's ids
-        must be distinct.  Rows are sorted by id and pruned as :func:`_prune`
+        must be distinct.  Rows are sorted by id and pruned as :func:`_kept`
         does.  The batch keeps the arrays it can use as given and makes them
         read-only."""
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -237,8 +232,7 @@ class VectorBatch:
             raise ValueError("ids and weights must be 1-d arrays of equal length, with one length per name")
         if lengths.min(initial=0) < 0 or int(lengths.sum()) != ids.size:
             raise ValueError("row lengths must be nonnegative and cover every entry")
-        if ids.size and int(ids.max()) >= len(vocab):
-            raise ValueError(f"term id {int(ids.max())} out of range for vocabulary of size {len(vocab)}")
+        _require_in_vocab(ids, vocab)
         offsets = np.zeros(len(names) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         offsets, ids, weights = _canonical_rows(offsets, ids, weights)
@@ -286,14 +280,12 @@ class VectorBatch:
 
 
 def _canonical_rows(offsets: np.ndarray, ids: np.ndarray, weights: np.ndarray):
-    """Sort the rows whose ids are out of order, then check and prune as :func:`_prune`.
+    """Sort the rows whose ids are out of order, then check and prune as :func:`_kept`.
 
     Returns ``(offsets, ids, weights)``, copied where a row changes; the inputs
     are never modified.
     """
-    unordered = ids[1:] <= ids[:-1]
-    starts = offsets[1:-1]
-    unordered[starts[(starts > 0) & (starts < ids.size)] - 1] = False
+    unordered = _not_increasing(ids, offsets)
     if unordered.any():
         ids, weights = ids.copy(), weights.copy()
         rows = np.unique(np.searchsorted(offsets, np.flatnonzero(unordered), side="right") - 1)
@@ -301,19 +293,41 @@ def _canonical_rows(offsets: np.ndarray, ids: np.ndarray, weights: np.ndarray):
             order = np.argsort(ids[start:end], kind="stable")
             ids[start:end] = ids[start:end][order]
             weights[start:end] = weights[start:end][order]
-            if (ids[start + 1 : end] == ids[start : end - 1]).any():
-                raise ValueError("a row holds the same term id twice")
-    if not np.isfinite(weights).all():
-        raise NonFiniteError("a weight is inf or nan (non-finite input or an overflow)")
-    keep = np.abs(weights) >= NEAR_ZERO
-    if not keep.all():
+        # Every row is sorted now, so an id that still does not increase repeats.
+        if _not_increasing(ids, offsets).any():
+            raise ValueError("a row holds the same term id twice")
+    keep = _kept(weights)
+    if keep is not None:
         offsets = np.concatenate(([0], np.cumsum(keep)))[offsets]
         ids, weights = ids[keep], weights[keep]
     return offsets, ids, weights
 
 
+def _not_increasing(ids: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
+    """The one row-order rule: ``mask[i]`` flags ids ``i`` and ``i + 1`` in one row
+    (of CSR *offsets*, else of one row) that do not strictly increase."""
+    mask = ids[1:] <= ids[:-1]
+    if offsets is not None:
+        starts = offsets[1:-1]
+        mask[starts[(starts > 0) & (starts < ids.size)] - 1] = False
+    return mask
+
+
+def _require_in_vocab(ids: np.ndarray, vocab: Vocabulary) -> None:
+    if ids.size and int(ids.max()) >= len(vocab):
+        raise ValueError(f"term id {int(ids.max())} out of range for vocabulary of size {len(vocab)}")
+
+
+def _positive_int(value, name: str) -> int:
+    """*value* as an ``int``, once it is a count: an ``int`` or numpy integer of at
+    least 1, never a ``bool``.  Callers use the result, since ``-np.uint8(1)`` wraps."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _canonicalize(ids: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by id and sum duplicate ids, then check and prune as :func:`_prune`."""
+    """Sort by id and sum duplicate ids, then check and prune as :func:`_kept`."""
     if ids.size:
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
@@ -332,22 +346,32 @@ def _require_same_vocab(a: SparseVector, b: SparseVector) -> None:
         raise VocabularyMismatchError("operands are bound to different vocabularies")
 
 
-def _aligned(a: SparseVector, b: SparseVector):
-    """Union of supports with both weight arrays aligned to it (missing = 0)."""
+def _elementwise(a: SparseVector, b: SparseVector, op) -> SparseVector:
+    """``op`` over both weight arrays aligned to the union of supports (missing = 0)."""
+    _require_same_vocab(a, b)
     union = np.union1d(a.ids, b.ids)
     wa = np.zeros(union.size, dtype=np.float64)
     wb = np.zeros(union.size, dtype=np.float64)
     wa[np.searchsorted(union, a.ids)] = a.weights
     wb[np.searchsorted(union, b.ids)] = b.weights
-    return union.astype(np.uint32), wa, wb
+    # An overflow is reported by _kept's finite check, not by a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _from_sorted(union.astype(np.uint32), op(wa, wb), a.vocab)
 
 
-def _prune(ids: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reject non-finite weights and drop near-zero ones; *ids* are sorted and unique."""
+def _kept(weights: np.ndarray) -> np.ndarray | None:
+    """The one weight rule: reject non-finite weights, keep magnitudes of at least
+    :data:`NEAR_ZERO`.  Returns the keep mask, or None when every weight stays."""
     if not np.isfinite(weights).all():
         raise NonFiniteError("a weight is inf or nan (non-finite input or an overflow)")
     keep = np.abs(weights) >= NEAR_ZERO
-    if not keep.all():
+    return None if keep.all() else keep
+
+
+def _prune(ids: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply :func:`_kept` to one vector; *ids* are sorted and unique."""
+    keep = _kept(weights)
+    if keep is not None:
         ids = ids[keep]
         weights = weights[keep]
     return np.ascontiguousarray(ids, dtype=np.uint32), np.ascontiguousarray(weights)
@@ -380,19 +404,11 @@ def norm(a: SparseVector) -> float:
 
 
 def add(a: SparseVector, b: SparseVector) -> SparseVector:
-    _require_same_vocab(a, b)
-    ids, wa, wb = _aligned(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        summed = wa + wb
-    return _from_sorted(ids, summed, a.vocab)
+    return _elementwise(a, b, np.add)
 
 
 def sub(a: SparseVector, b: SparseVector) -> SparseVector:
-    _require_same_vocab(a, b)
-    ids, wa, wb = _aligned(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = wa - wb
-    return _from_sorted(ids, diff, a.vocab)
+    return _elementwise(a, b, np.subtract)
 
 
 def scale(a: SparseVector, factor: float) -> SparseVector:
@@ -409,9 +425,7 @@ def maxpool(a: SparseVector, b: SparseVector) -> SparseVector:
     Negative entries that face a missing slot therefore vanish:
     ``max(-1, 0) = 0`` is dropped from the result.
     """
-    _require_same_vocab(a, b)
-    ids, wa, wb = _aligned(a, b)
-    return _from_sorted(ids, np.maximum(wa, wb), a.vocab)
+    return _elementwise(a, b, np.maximum)
 
 
 def mask_remove(b: SparseVector, support_of: SparseVector) -> SparseVector:
@@ -447,12 +461,28 @@ def cosine(a: SparseVector, b: SparseVector) -> float:
     return max(-1.0, min(1.0, value))
 
 
+def _rank(ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one ranking rule: descending score, ties by ascending id, first *k*.
+
+    A partition first keeps every score tied with or above the k-th best, so
+    only those survivors are sorted; the output is identical to a full sort.
+    """
+    k = _positive_int(k, "k")
+    if not np.isfinite(scores).all():
+        raise NonFiniteError("a document score overflows to inf or nan")
+    if scores.size > k:
+        kth = np.partition(scores, -k)[-k]
+        keep = np.flatnonzero(scores >= kth)
+        ids, scores = ids[keep], scores[keep]
+    order = np.lexsort((ids, -scores))[:k]
+    return ids[order], scores[order]
+
+
 def top_m(a: SparseVector, m: int) -> SparseVector:
     """Keep the *m* entries of largest weight (ties broken by ascending id)."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _positive_int(m, "m")
     if m >= a.nnz:
         return a
-    order = np.lexsort((a.ids, -a.weights))
-    keep = np.sort(order[:m])
-    return SparseVector._trusted(a.ids[keep].copy(), a.weights[keep].copy(), a.vocab)
+    # Positions rank as the ids do, since ids ascend; sorting them restores id order.
+    keep = np.sort(_rank(np.arange(a.nnz), a.weights, m)[0])
+    return SparseVector._trusted(a.ids[keep], a.weights[keep], a.vocab)

@@ -618,3 +618,150 @@ def test_escaped_surrogate_pair_reads_as_one_character(tmp_path):
     write_lines(queries, r'{"qid": "q\uD83D\uDE00", "operator": "atomic", "method": "atomic", "a": {"\ud83d\ude00": 2.0}}')
     assert main(["compose", "--queries", str(queries), "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == '{"id": "q\U0001F600", "vector": {"\U0001F600": 2.0}}\n'
+
+
+# str.split() also splits on non-ASCII whitespace: a no-break space and an em space.
+_UNSTORABLE = ["doc one", "doc\u00a0one", "doc\u2003one", "tab\tbed"]
+
+
+@pytest.mark.parametrize("name", _UNSTORABLE)
+@pytest.mark.parametrize("field", ["doc name", "qid"])
+def test_run_field_with_whitespace_is_data_error(tmp_path, capsys, field, name):
+    """A name that read_run would split is refused, so every run search writes reads back."""
+    doc, qid = (name, "q1") if field == "doc name" else ("d1", name)
+    docs = tmp_path / "docs.jsonl"
+    write_lines(docs, json.dumps({"id": "d0", "vector": {"x": 2.0}}), json.dumps({"id": doc, "vector": {"x": 1.0}}))
+    index = tmp_path / "corpus.svix"
+    assert main(["index", "--vectors", str(docs), "--out", str(index)]) == 0
+    queries = tmp_path / "q.jsonl"
+    write_lines(queries, json.dumps({"id": qid, "vector": {"x": 1.0}}))
+    run = tmp_path / "run.txt"
+    assert main(["search", "--index", str(index), "--queries", str(queries), "--out", str(run)]) == 2
+    assert f"error: {run}: {field} {name!r} is empty or holds whitespace" in capsys.readouterr().err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("tag", ["my tag", "", "t\u00a0x", "t\u3000x"])
+@pytest.mark.parametrize("command", ["search", "fuse"])
+def test_run_tag_with_whitespace_is_usage_error(tmp_path, capsys, indexed_corpus, command, tag):
+    out = tmp_path / "run.txt"
+    if command == "search":
+        queries = tmp_path / "q.jsonl"
+        write_lines(queries, json.dumps({"id": "q1", "vector": {"colombia": 1.0}}))
+        argv = ["search", "--index", str(indexed_corpus), "--queries", str(queries)]
+    else:
+        run = tmp_path / "a.trec"
+        write_lines(run, "q1 Q0 d1 1 1.0 t")
+        argv = ["fuse", "--run-a", str(run), "--run-b", str(run), "--op", "plus"]
+    assert main([*argv, "--tag", tag, "--out", str(out)]) == 1
+    assert f"argument --tag: {tag!r} is empty or holds whitespace" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_ascii_names_without_whitespace_round_trip(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    write_lines(docs, json.dumps({"id": "döc·1", "vector": {"x": 1.0}}))
+    index = tmp_path / "corpus.svix"
+    assert main(["index", "--vectors", str(docs), "--out", str(index)]) == 0
+    queries = tmp_path / "q.jsonl"
+    write_lines(queries, json.dumps({"id": "q·é", "vector": {"x": 1.0}}))
+    run = tmp_path / "run.txt"
+    assert main(["search", "--index", str(index), "--queries", str(queries), "--tag", "tåg", "--out", str(run)]) == 0
+    assert run.read_text(encoding="utf-8") == "q·é Q0 döc·1 1 1.000000 tåg\n"
+    qrels = tmp_path / "qrels"
+    write_lines(qrels, "q·é 0 döc·1 1")
+    assert main(["eval", "--run", str(run), "--qrels", str(qrels), "--metrics", "ndcg@1"]) == 0
+    assert "ndcg@1  1.0000" in capsys.readouterr().out
+
+
+def test_logits_with_a_shared_stem_are_usage_error(tmp_path, capsys):
+    grids = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        grids.append(tmp_path / folder / "x.tsv")
+        write_lines(grids[-1], "t1\tt2", "1.0\t2.0")
+    out = tmp_path / "vectors.jsonl"
+    assert main(["encode", "--logits", *map(str, grids), "--out", str(out)]) == 1
+    assert "--logits files share the stem 'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_interference_failure_names_the_query(tmp_path, capsys):
+    queries = tmp_path / "q.jsonl"
+    write_lines(
+        queries,
+        json.dumps({"qid": "q0", "operator": "difference", "method": "subtract", "a": {"x": 1.0}, "b": {"y": 1.0}}),
+        json.dumps({"qid": "q1", "operator": "difference", "method": "subtract", "a": {"x": 1.0}, "b": {}}),
+    )
+    metrics = tmp_path / "m.tsv"
+    write_lines(metrics, "q0\t0.5", "q1\t0.25")
+    report = tmp_path / "report.json"
+    argv = ["analyze-interference", "--queries", str(queries), "--per-query-metrics", str(metrics)]
+    assert main([*argv, "--out", str(report)]) == 2
+    assert f"error: {queries}: query 'q1': cosine undefined for zero-norm vectors" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def _oracle_run(doc_rows, query_rows, k=10):
+    """The expected run, scored in process over a vocabulary that holds every term: ``dot``,
+    or for cpt the factorized pseudo-term score over every doc that ``maxpool(a, b)`` touches."""
+    vocab = setvec.Vocabulary()
+    docs = [(name, setvec.SparseVector.from_dict(vec, vocab)) for name, vec in doc_rows]
+    lines = []
+    for row in query_rows:
+        a, b = (setvec.SparseVector.from_dict(row[side], vocab) for side in "ab")
+        params = setvec.CompositionParams(m=row.get("params", {}).get("m", 5))
+        rep = setvec.compose(setvec.CompositionalQuery(row["qid"], row["operator"], row["method"], a, b, params))
+        if isinstance(rep, setvec.PseudoTermVector):
+            reach, score = setvec.maxpool(a, b), lambda d: setvec.cpt_score_factorized(rep.x, rep.y, d)
+        else:
+            reach, score = rep, lambda d: setvec.dot(rep, d)
+        scored = sorted((-score(d), i) for i, (_, d) in enumerate(docs) if np.intersect1d(reach.ids, d.ids).size)
+        for rank, (neg_score, i) in enumerate(scored[:k], start=1):
+            lines.append(f"{row['qid']} Q0 {docs[i][0]} {rank} {-neg_score:.6f} setvec\n")
+    return "".join(lines)
+
+
+_INDEXED = [
+    ("d1", {"a": 1.0, "b": 0.5}),
+    ("d2", {"a": 0.25, "c": 2.0}),
+    ("d3", {"b": 1.5, "c": 1.0}),
+    ("d4", {"b": 1.0}),
+]
+_MISSING_TERM_QUERIES = [
+    # |b|^2 counts zz: the coefficient a.b/|b|^2 is 1/10 where the index alone would give 1.
+    {"qid": "orth", "operator": "difference", "method": "orthogonal",
+     "a": {"a": 1.0, "b": 1.0}, "b": {"a": 1.0, "zz": 3.0}},
+    # zz is outside a's support, so b* keeps it; it scores nothing.
+    {"qid": "dis", "operator": "difference", "method": "disentangled",
+     "a": {"a": 1.0}, "b": {"c": 1.0, "zz": 2.0, "yy": 0.5}},
+    # zz is A's top-1 term: it takes the only slot, and every doc scores 0.
+    {"qid": "cpt", "operator": "intersection", "method": "cpt", "params": {"m": 1},
+     "a": {"zz": 5.0, "a": 1.0}, "b": {"c": 1.0}},
+    {"qid": "cpt2", "operator": "intersection", "method": "cpt", "params": {"m": 2},
+     "a": {"zz": 5.0, "a": 1.0}, "b": {"c": 1.0, "yy": 2.0}},
+]
+
+
+def test_search_with_query_terms_missing_from_the_index(tmp_path):
+    """Query terms the index lacks still shape the composed query, as if the index knew them."""
+    docs = tmp_path / "docs.jsonl"
+    write_lines(docs, *(json.dumps({"id": name, "vector": vec}) for name, vec in _INDEXED))
+    index = tmp_path / "corpus.svix"
+    assert main(["index", "--vectors", str(docs), "--out", str(index)]) == 0
+    queries = tmp_path / "q.jsonl"
+    write_lines(queries, *map(json.dumps, _MISSING_TERM_QUERIES))
+    run = tmp_path / "run.txt"
+    assert main(["search", "--index", str(index), "--queries", str(queries), "--threads", "1",
+                 "--out", str(run)]) == 0
+    text = run.read_text()
+    assert text == _oracle_run(_INDEXED, _MISSING_TERM_QUERIES)
+    lines = text.splitlines()
+    # Dropping the missing term would change the orthogonal run ...
+    without = [{**_MISSING_TERM_QUERIES[0], "b": {"a": 1.0}}]
+    orth = "".join(line + "\n" for line in lines if line.startswith("orth "))
+    assert orth and orth != _oracle_run(_INDEXED, without)
+    # ... and with m=1 the missing top term leaves every touched doc at 0.
+    cpt = [line.split() for line in lines if line.startswith("cpt ")]
+    assert cpt and {fields[4] for fields in cpt} == {"0.000000"}
+    assert any(float(line.split()[4]) > 0 for line in lines if line.startswith("cpt2 "))

@@ -10,6 +10,7 @@ from setvec import (
     SparseVector,
     UndefinedMetricError,
     Vocabulary,
+    ZeroNormError,
     interference_bins,
     ndcg_at_k,
     pairwise_accuracy,
@@ -185,3 +186,11 @@ class TestInterferenceBins:
         )
         with pytest.raises(ValueError):
             interference_bins([union_query], lambda qid: 0.0, n_bins=2)
+
+    def test_zero_norm_side_names_the_query(self, vocab):
+        queries = [
+            _diff_query("q0", [("a", 1.0)], [("b", 1.0)], vocab),
+            _diff_query("q1", [("a", 1.0)], [], vocab),
+        ]
+        with pytest.raises(ZeroNormError, match=r"^query 'q1': cosine undefined for zero-norm vectors$"):
+            interference_bins(queries, lambda qid: 0.5, n_bins=2)

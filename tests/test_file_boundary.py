@@ -1,10 +1,13 @@
-"""Each decision lives in one place: how a file is opened, and how hits are ranked.
+"""Each decision lives in one place: how a file is opened, and how arrays are ranked and checked.
 
 Text files are opened only by ``formats._lines`` (read) and ``formats._write``
 (write); the binary index only by ``index.save`` and ``index.load``.  The CLI
-orchestrates: it parses no file itself.  Hits are ordered only by
-``index._rank``.  And setvec imports nothing beyond the standard library and
-numpy, its one declared dependency.
+orchestrates: it parses no file itself.  Hits, CPT pools and top-m terms are
+ordered only by ``sparse._rank``; near-zero weights are dropped only by
+``sparse._kept``; ids are checked to increase within a row only by
+``sparse._not_increasing``; counts are checked only by
+``sparse._positive_int``.  And setvec imports nothing beyond the
+standard library and numpy, its one declared dependency.
 """
 
 import ast
@@ -15,10 +18,35 @@ import setvec
 
 SRC = Path(setvec.__file__).parent
 ALLOWED_OPENS = {("formats", "_lines"), ("formats", "_write"), ("index", "save"), ("index", "load")}
+SELECTIONS = {"lexsort", "partition", "argpartition"}
+NAME_FIELDS = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
 
 
 def _tree(module: str) -> ast.Module:
     return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _modules():
+    """``(module name, top-level statement)`` for every statement of every setvec module."""
+    for path in sorted(SRC.glob("*.py")):
+        for top in _tree(path.stem).body:
+            yield path.stem, top
+
+
+def _selections(top: ast.stmt):
+    """The numpy selections that *top* names; a string's ``s.partition("@")`` is none."""
+    string_splits = {
+        id(node.func)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    }
+    for node in ast.walk(top):
+        name = getattr(node, NAME_FIELDS.get(type(node), ""), None)
+        if name in SELECTIONS and id(node) not in string_splits:
+            yield name
 
 
 def _opens(tree: ast.Module):
@@ -59,14 +87,47 @@ def test_cli_parses_no_file():
 
 
 def test_index_ranks_in_one_place():
-    """``search`` and both CPT stages select and order their hits through ``index._rank`` alone."""
-    callers = [
-        (node.attr, getattr(top, "name", "<module>"))
-        for top in _tree("index").body
+    """``search``, both CPT stages and ``top_m`` select and order through ``sparse._rank``
+    alone: no other code in setvec names a lexsort or a partition."""
+    found = sorted(
+        (module, getattr(top, "name", "<module>"), name)
+        for module, top in _modules()
+        for name in _selections(top)
+    )
+    assert found == [("sparse", "_rank", "lexsort"), ("sparse", "_rank", "partition")]
+
+
+def test_near_zero_is_read_in_one_place():
+    readers = [
+        (module, getattr(top, "name", "<module>"))
+        for module, top in _modules()
         for node in ast.walk(top)
-        if isinstance(node, ast.Attribute) and node.attr in ("lexsort", "partition")
+        if isinstance(node, ast.Name) and node.id == "NEAR_ZERO" and isinstance(node.ctx, ast.Load)
     ]
-    assert sorted(callers) == [("lexsort", "_rank"), ("partition", "_rank")]
+    assert readers == [("sparse", "_kept")]
+
+
+def test_positive_integer_rule_is_raised_in_one_place():
+    """Outside the CLI's usage messages, one function says what a count must be."""
+    sayers = [
+        (module, getattr(top, "name", "<module>"))
+        for module, top in _modules()
+        if module != "cli"
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "positive integer" in node.value
+    ]
+    assert sayers == [("sparse", "_positive_int")]
+
+
+def test_row_order_rule_has_one_implementation():
+    """Batch canonicalisation, the index loader and logit columns share ``sparse._not_increasing``."""
+    callers = {
+        (module, getattr(top, "name", "<module>"))
+        for module, top in _modules()
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_not_increasing"
+    }
+    assert callers == {("sparse", "_canonical_rows"), ("index", "load"), ("activations", "LogitMatrix")}
 
 
 def test_runtime_imports_are_stdlib_or_numpy():
