@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseVector, Vocabulary, _from_sorted, _not_increasing, _require_in_vocab
+from .sparse import SparseVector, Vocabulary, _not_increasing, _require_in_vocab
 
 NEG_CORRECTED = "corrected"
 NEG_LITERAL = "literal"
@@ -98,7 +98,7 @@ class ActivationConfig:
 def splade_activate(m: LogitMatrix) -> SparseVector:
     """Positive log-saturated activation, max-pooled over positions."""
     pooled = np.log1p(np.maximum(m.values, 0.0)).max(axis=0)
-    return _from_sorted(m.term_ids.copy(), pooled, m.vocab)
+    return SparseVector(m.term_ids, pooled, m.vocab)
 
 
 def snrelu_pos(x, epsilon: float):
@@ -130,7 +130,7 @@ def snrelu_activate(m: LogitMatrix, cfg: ActivationConfig) -> SparseVector:
         weights = np.where(pos >= -neg, pos, neg)
     else:
         weights = pos + neg
-    return _from_sorted(m.term_ids.copy(), weights, m.vocab)
+    return SparseVector(m.term_ids, weights, m.vocab)
 
 
 def activate(m: LogitMatrix, cfg: ActivationConfig) -> SparseVector:

@@ -31,12 +31,12 @@ from .compose import (
     compose,
 )
 from .cpt import PseudoTermVector
-from .errors import SetvecError, UndefinedMetricError
+from .errors import SetvecError, UndefinedMetricError, ZeroNormError
 from .evaluation import interference_bins, ndcg_at_k, pairwise_accuracy, recall_at_k
 from .fusion import FUSE_OPS, fuse
 from .index import build, load, save, search, search_cpt
 from .lexical import DEFAULT_B, DEFAULT_K1, encode_bm25, encode_tf, tokenize
-from .sparse import Vocabulary, cosine
+from .sparse import Vocabulary, _positive_int
 
 log = logging.getLogger("setvec")
 
@@ -63,6 +63,14 @@ def _run_tag(value: str) -> str:
     if not formats.is_run_field(value):
         raise argparse.ArgumentTypeError(f"{value!r} is empty or holds whitespace")
     return value
+
+
+def _count(value: str) -> int:
+    """A count flag, as :func:`sparse._positive_int` defines a count."""
+    try:
+        return _positive_int(int(value), "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True, help="index file from 'setvec index'")
     p.add_argument("--queries", required=True, help="query JSONL or pre-composed vector JSONL")
     p.add_argument("--vectors", help="atomic vectors for query records with refs")
-    p.add_argument("--k", type=int, default=10, help="results per query (default: %(default)s)")
+    p.add_argument("--k", type=_count, default=10, help="results per query (default: %(default)s)")
     p.add_argument("--method", help="override method of every non-atomic query record")
     p.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float, default=DEFAULT_LAMBDA,
                    help="nrf lambda when a record omits it (default: %(default)s)")
@@ -128,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cpt top-m when a record omits it (default: %(default)s)")
     p.add_argument(
         "--candidate-pool",
-        type=int,
+        type=_count,
         default=1000,
         help="stage-1 pool size for cpt queries (default: %(default)s)",
     )
@@ -180,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True, help="query JSONL")
     p.add_argument("--vectors", help="atomic vectors for refs")
     p.add_argument("--per-query-metrics", required=True, help="TSV: qid<TAB>value")
-    p.add_argument("--bins", type=int, default=4, help="number of bins (default: %(default)s)")
+    p.add_argument("--bins", type=_count, default=4, help="number of bins (default: %(default)s)")
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(func=cmd_analyze_interference)
 
@@ -272,10 +280,6 @@ def cmd_compose(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.k < 1:
-        raise _UsageError("--k must be a positive integer")
-    if args.candidate_pool < 1:
-        raise _UsageError("--candidate-pool must be a positive integer")
     defaults = _query_defaults(args)
     idx = load(args.index)
     if formats.is_query_file(args.queries):
@@ -392,8 +396,6 @@ def cmd_pairwise(args) -> int:
 
 
 def cmd_analyze_interference(args) -> int:
-    if args.bins < 1:
-        raise _UsageError("--bins must be a positive integer")
     queries = _load_queries(args, Vocabulary())
     diffs = [q for q in queries if q.operator == OP_DIFFERENCE]
     dropped = len(queries) - len(diffs)
@@ -406,11 +408,10 @@ def cmd_analyze_interference(args) -> int:
             raise UndefinedMetricError(f"no per-query metric for {qid!r}")
         return metric_by_qid[qid]
 
-    # A zero-norm side is a data error in the queries file; name the file and qid.
-    measurable = _naming_errors(args.queries, lambda q: cosine(q.a, q.b))
-    for q in diffs:
-        measurable(q)
-    bins = interference_bins(diffs, metric, n_bins=args.bins)
+    try:
+        bins = interference_bins(diffs, metric, n_bins=args.bins)
+    except ZeroNormError as exc:  # a zero-norm side is a data error in the queries file
+        raise ZeroNormError(f"{args.queries}: {exc}") from exc
     print(f"{'similarity range':<24} {'mean metric':>12} {'queries':>8}")
     for b in bins:
         print(f"[{b.low:.4f}, {b.high:.4f}]{'':<6} {b.mean_metric:>12.4f} {b.count:>8}")

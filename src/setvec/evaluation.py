@@ -29,8 +29,9 @@ class Qrels:
         self._by_qid: dict[str, dict[str, int]] = {}
 
     def set(self, qid: str, doc: str, grade: int) -> None:
-        if grade < 0:
-            raise ValueError("relevance grades must be nonnegative")
+        """Judge *doc* for *qid*: *grade* is an ``int`` or numpy integer of at least 0, never a ``bool``."""
+        if isinstance(grade, bool) or not isinstance(grade, (int, np.integer)) or grade < 0:
+            raise ValueError(f"relevance grades must be nonnegative integers, got {grade!r}")
         self._by_qid.setdefault(qid, {})[doc] = int(grade)
 
     def grade(self, qid: str, doc: str) -> int:

@@ -108,6 +108,7 @@ def _unique_id(record: dict, key: str, seen: set[str], where: str) -> str:
     rec_id = record.get(key)
     if not isinstance(rec_id, str) or not rec_id:
         raise FormatError(f"{where}: missing or invalid {key!r}")
+    _run_field(where, key, rec_id)  # a run file must be able to store every id read
     if rec_id in seen:
         raise FormatError(f"{where}: duplicate {key} {rec_id!r}")
     seen.add(rec_id)

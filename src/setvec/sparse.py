@@ -8,6 +8,10 @@ below :data:`NEAR_ZERO`.  A :class:`VectorBatch` holds many canonical
 vectors as CSR columns; the ingest path (BM25 encoding, vector files, index
 build) carries documents that way instead of one object per document.
 
+One function, ``_canonical_rows``, puts every vector and every batch row in
+canonical form, and it alone applies the weight rule ``_kept``.  A row may not
+hold an id twice; only :meth:`SparseVector.from_pairs` sums repeated terms.
+
 The dot product accumulates shared entries sequentially in ascending term-id
 order.  The inverted index accumulates its scores term by term in the same
 order, so index scores and ``dot()`` agree bit for bit.
@@ -121,11 +125,12 @@ class SparseVector:
     __slots__ = ("ids", "weights", "vocab")
 
     def __init__(self, ids, weights, vocab: Vocabulary):
-        ids = np.asarray(ids, dtype=np.uint32)
-        weights = np.asarray(weights, dtype=np.float64)
+        """*ids* are distinct; the vector keeps canonical copies, never the caller's arrays."""
+        ids = np.array(ids, dtype=np.uint32)
+        weights = np.array(weights, dtype=np.float64)
         if ids.shape != weights.shape or ids.ndim != 1:
             raise ValueError("ids and weights must be 1-d arrays of equal length")
-        ids, weights = _canonicalize(ids, weights)
+        _, ids, weights = _canonical_rows(np.array([0, ids.size]), ids, weights)
         _require_in_vocab(ids, vocab)
         self._bind(ids, weights, vocab)
 
@@ -142,7 +147,7 @@ class SparseVector:
 
     @classmethod
     def _trusted(cls, ids: np.ndarray, weights: np.ndarray, vocab: Vocabulary) -> "SparseVector":
-        """Wrap arrays already known to be canonical (internal fast path)."""
+        """Wrap views or subsets of arrays already canonical, without a copy or a check."""
         return object.__new__(cls)._bind(ids, weights, vocab)
 
     @classmethod
@@ -151,15 +156,18 @@ class SparseVector:
     ) -> "SparseVector":
         """Build a vector from ``(term, weight)`` pairs.
 
-        Duplicate terms have their weights summed; zero results are dropped.
-        Unknown terms extend the vocabulary unless it is frozen.
+        Duplicate terms have their weights summed in input order; zero results
+        are dropped.  Unknown terms extend the vocabulary unless it is frozen.
         """
         ids = []
         weights = []
         for term, weight in pairs:
             ids.append(vocab.add(term))
             weights.append(weight)
-        return cls(np.asarray(ids, dtype=np.uint32), weights, vocab)
+        summed: dict[int, float] = {}
+        for term_id, weight in zip(ids, np.asarray(weights, dtype=np.float64).tolist()):
+            summed[term_id] = summed.get(term_id, 0.0) + weight
+        return cls(list(summed), list(summed.values()), vocab)
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, float], vocab: Vocabulary) -> "SparseVector":
@@ -280,7 +288,7 @@ class VectorBatch:
 
 
 def _canonical_rows(offsets: np.ndarray, ids: np.ndarray, weights: np.ndarray):
-    """Sort the rows whose ids are out of order, then check and prune as :func:`_kept`.
+    """Sort the rows whose ids are out of order, refuse a repeated id, then check and prune as :func:`_kept`.
 
     Returns ``(offsets, ids, weights)``, copied where a row changes; the inputs
     are never modified.
@@ -326,21 +334,6 @@ def _positive_int(value, name: str) -> int:
     return int(value)
 
 
-def _canonicalize(ids: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by id and sum duplicate ids, then check and prune as :func:`_kept`."""
-    if ids.size:
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        weights = weights[order]
-        unique_ids, inverse = np.unique(ids, return_inverse=True)
-        if unique_ids.size != ids.size:
-            summed = np.zeros(unique_ids.size, dtype=np.float64)
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.add.at(summed, inverse, weights)
-            ids, weights = unique_ids, summed
-    return _prune(ids, weights)
-
-
 def _require_same_vocab(a: SparseVector, b: SparseVector) -> None:
     if a.vocab is not b.vocab:
         raise VocabularyMismatchError("operands are bound to different vocabularies")
@@ -356,7 +349,8 @@ def _elementwise(a: SparseVector, b: SparseVector, op) -> SparseVector:
     wb[np.searchsorted(union, b.ids)] = b.weights
     # An overflow is reported by _kept's finite check, not by a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _from_sorted(union.astype(np.uint32), op(wa, wb), a.vocab)
+        weights = op(wa, wb)
+    return SparseVector(union, weights, a.vocab)
 
 
 def _kept(weights: np.ndarray) -> np.ndarray | None:
@@ -366,20 +360,6 @@ def _kept(weights: np.ndarray) -> np.ndarray | None:
         raise NonFiniteError("a weight is inf or nan (non-finite input or an overflow)")
     keep = np.abs(weights) >= NEAR_ZERO
     return None if keep.all() else keep
-
-
-def _prune(ids: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply :func:`_kept` to one vector; *ids* are sorted and unique."""
-    keep = _kept(weights)
-    if keep is not None:
-        ids = ids[keep]
-        weights = weights[keep]
-    return np.ascontiguousarray(ids, dtype=np.uint32), np.ascontiguousarray(weights)
-
-
-def _from_sorted(ids: np.ndarray, weights: np.ndarray, vocab: Vocabulary) -> SparseVector:
-    """Canonicalize arrays that are already sorted and duplicate-free."""
-    return SparseVector._trusted(*_prune(ids, weights), vocab)
 
 
 def dot(a: SparseVector, b: SparseVector) -> float:
@@ -416,7 +396,7 @@ def scale(a: SparseVector, factor: float) -> SparseVector:
         raise ValueError("scale factor must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = a.weights * float(factor)
-    return _from_sorted(a.ids.copy(), scaled, a.vocab)
+    return SparseVector(a.ids, scaled, a.vocab)
 
 
 def maxpool(a: SparseVector, b: SparseVector) -> SparseVector:
@@ -438,7 +418,7 @@ def mask_remove(b: SparseVector, support_of: SparseVector) -> SparseVector:
     if b.nnz == 0 or support_of.nnz == 0:
         return b
     keep = ~np.isin(b.ids, support_of.ids, assume_unique=True)
-    return SparseVector._trusted(b.ids[keep].copy(), b.weights[keep].copy(), b.vocab)
+    return SparseVector._trusted(b.ids[keep], b.weights[keep], b.vocab)
 
 
 def project(a: SparseVector, onto_b: SparseVector) -> SparseVector:

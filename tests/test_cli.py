@@ -387,6 +387,24 @@ class TestExitCodes:
             "--k", "0", "--out", str(tmp_path / "r.trec"),
         ]) == 1
 
+    @pytest.mark.parametrize("value, shown", [("0", "0"), ("-3", "-3"), ("abc", None), ("1.5", None)])
+    @pytest.mark.parametrize("command, flag", [
+        ("search", "--k"), ("search", "--candidate-pool"), ("analyze-interference", "--bins"),
+    ])
+    def test_count_flags_share_the_count_rule(self, tmp_path, capsys, indexed_corpus, command, flag, value, shown):
+        queries, out = tmp_path / "q.jsonl", tmp_path / "out"
+        write_lines(queries, json.dumps({"id": "q1", "vector": {"colombia": 1.0}}))
+        if command == "search":
+            argv = ["search", "--index", str(indexed_corpus), "--queries", str(queries)]
+        else:
+            argv = ["analyze-interference", "--queries", str(queries), "--per-query-metrics", str(queries)]
+        assert main([*argv, flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: argument {flag}: " in err
+        if shown is not None:
+            assert f"value must be a positive integer, got {shown}" in err
+        assert not out.exists()
+
     def test_data_error_missing_file(self, tmp_path):
         assert main(["index", "--vectors", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o.svix")]) == 2
@@ -627,18 +645,60 @@ _UNSTORABLE = ["doc one", "doc\u00a0one", "doc\u2003one", "tab\tbed"]
 @pytest.mark.parametrize("name", _UNSTORABLE)
 @pytest.mark.parametrize("field", ["doc name", "qid"])
 def test_run_field_with_whitespace_is_data_error(tmp_path, capsys, field, name):
-    """A name that read_run would split is refused, so every run search writes reads back."""
+    """A name that read_run would split is refused when a run is written, also for an
+    index that the library built (the readers refuse such ids before that)."""
     doc, qid = (name, "q1") if field == "doc name" else ("d1", name)
-    docs = tmp_path / "docs.jsonl"
-    write_lines(docs, json.dumps({"id": "d0", "vector": {"x": 2.0}}), json.dumps({"id": doc, "vector": {"x": 1.0}}))
+    vocab = setvec.Vocabulary()
     index = tmp_path / "corpus.svix"
-    assert main(["index", "--vectors", str(docs), "--out", str(index)]) == 0
-    queries = tmp_path / "q.jsonl"
-    write_lines(queries, json.dumps({"id": qid, "vector": {"x": 1.0}}))
+    rows = [("d0", {"x": 2.0}), (doc, {"x": 1.0})]
+    setvec.save(setvec.build([(n, setvec.SparseVector.from_dict(v, vocab)) for n, v in rows], vocab), index)
     run = tmp_path / "run.txt"
-    assert main(["search", "--index", str(index), "--queries", str(queries), "--out", str(run)]) == 2
-    assert f"error: {run}: {field} {name!r} is empty or holds whitespace" in capsys.readouterr().err
+    if field == "doc name":
+        queries = tmp_path / "q.jsonl"
+        write_lines(queries, json.dumps({"id": qid, "vector": {"x": 1.0}}))
+        assert main(["search", "--index", str(index), "--queries", str(queries), "--out", str(run)]) == 2
+        message = capsys.readouterr().err
+    else:
+        with pytest.raises(setvec.FormatError) as exc:
+            setvec.formats.write_search_results(run, [(qid, [(doc, 1.0)])])
+        message = f"error: {exc.value}"
+    assert f"error: {run}: {field} {name!r} is empty or holds whitespace" in message
     assert not run.exists()
+
+
+def _unstorable_id_case(tmp_path, command, name):
+    """argv for *command* whose input (returned) holds the id *name* on line 1."""
+    out = tmp_path / "out"
+    if command in ("encode", "encode-tf"):
+        path = tmp_path / "docs.jsonl"
+        write_lines(path, json.dumps({"id": name, "text": "birds of colombia"}))
+        mode = "--bm25" if command == "encode" else "--tf"
+        return path, ["encode", mode, "--docs", str(path), "--out", str(out)], out
+    if command == "index":
+        path = tmp_path / "v.jsonl"
+        write_lines(path, json.dumps({"id": name, "vector": {"x": 1.0}}))
+        return path, ["index", "--vectors", str(path), "--out", str(out)], out
+    path = tmp_path / "q.jsonl"
+    write_lines(path, json.dumps({"qid": name, "operator": "atomic", "a": {"x": 1.0}}))
+    if command == "compose":
+        return path, ["compose", "--queries", str(path), "--out", str(out)], out
+    vocab = setvec.Vocabulary()
+    index = tmp_path / "i.svix"
+    setvec.save(setvec.build([("d1", setvec.SparseVector.from_pairs([("x", 1.0)], vocab))], vocab), index)
+    if command == "search-vectors":
+        write_lines(path, json.dumps({"id": name, "vector": {"x": 1.0}}))
+    return path, ["search", "--index", str(index), "--queries", str(path), "--out", str(out)], out
+
+
+@pytest.mark.parametrize("name", _UNSTORABLE)
+@pytest.mark.parametrize("command", ["encode", "encode-tf", "index", "compose", "search", "search-vectors"])
+def test_unstorable_id_is_refused_where_it_is_read(tmp_path, capsys, command, name):
+    """Every id that may reach a run is checked as its file is read: exit 2, the line named, no output."""
+    path, argv, out = _unstorable_id_case(tmp_path, command, name)
+    key = "qid" if command in ("compose", "search") else "id"
+    assert main(argv) == 2
+    assert f"error: {path}:1: {key} {name!r} is empty or holds whitespace" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tag", ["my tag", "", "t\u00a0x", "t\u3000x"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,21 @@ def simple_qrels():
     qrels.set("q1", "d1", 1)
     qrels.set("q1", "d2", 1)
     return qrels
+
+
+class TestQrels:
+    @pytest.mark.parametrize("grade", [0, 3, np.int64(2), np.uint8(1)])
+    def test_integer_grades_are_stored_as_int(self, grade):
+        qrels = Qrels()
+        qrels.set("q", "d", grade)
+        assert qrels.grade("q", "d") == grade and type(qrels.grade("q", "d")) is int
+
+    @pytest.mark.parametrize("grade", [2.7, 1.0, True, False, -1, np.int8(-1), "1", None])
+    def test_other_grades_are_refused_by_value(self, grade):
+        qrels = Qrels()
+        with pytest.raises(ValueError, match=re.escape(f"got {grade!r}")):
+            qrels.set("q", "d", grade)
+        assert len(qrels) == 0
 
 
 class TestNdcg:

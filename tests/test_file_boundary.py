@@ -4,7 +4,8 @@ Text files are opened only by ``formats._lines`` (read) and ``formats._write``
 (write); the binary index only by ``index.save`` and ``index.load``.  The CLI
 orchestrates: it parses no file itself.  Hits, CPT pools and top-m terms are
 ordered only by ``sparse._rank``; near-zero weights are dropped only by
-``sparse._kept``; ids are checked to increase within a row only by
+``sparse._kept``, which only ``sparse._canonical_rows`` calls, for every
+vector and batch row; ids are checked to increase within a row only by
 ``sparse._not_increasing``; counts are checked only by
 ``sparse._positive_int``.  And setvec imports nothing beyond the
 standard library and numpy, its one declared dependency.
@@ -107,12 +108,22 @@ def test_near_zero_is_read_in_one_place():
     assert readers == [("sparse", "_kept")]
 
 
+def test_one_canonicaliser_applies_the_weight_rule():
+    """Every vector and batch row is pruned through ``sparse._canonical_rows`` alone."""
+    callers = [
+        (module, getattr(top, "name", "<module>"))
+        for module, top in _modules()
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_kept"
+    ]
+    assert callers == [("sparse", "_canonical_rows")]
+
+
 def test_positive_integer_rule_is_raised_in_one_place():
-    """Outside the CLI's usage messages, one function says what a count must be."""
+    """One function says what a count must be, for the library and the CLI's count flags alike."""
     sayers = [
         (module, getattr(top, "name", "<module>"))
         for module, top in _modules()
-        if module != "cli"
         for node in ast.walk(top)
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "positive integer" in node.value
     ]

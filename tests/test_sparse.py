@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setvec import (
     NonFiniteError,
@@ -86,6 +88,64 @@ class TestConstruction:
             a.ids = None
         with pytest.raises(ValueError):
             a.weights[0] = 5.0
+
+
+REPEAT_WEIGHT = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((1e308, -1e308, 1e-13, -1e-13, NEAR_ZERO, -NEAR_ZERO, 0.0, -0.0)),
+)
+
+
+def _summed_then_pruned(pairs, vocab):
+    """``from_pairs`` as a stable sort by id, a sequential sum per id and a prune."""
+    ids = np.asarray([vocab.add(term) for term, _ in pairs], dtype=np.uint32)
+    weights = np.asarray([weight for _, weight in pairs], dtype=np.float64)
+    order = np.argsort(ids, kind="stable")
+    unique_ids, inverse = np.unique(ids[order], return_inverse=True)
+    summed = np.zeros(unique_ids.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(summed, inverse, weights[order])
+    if not np.isfinite(summed).all():
+        return None
+    keep = np.abs(summed) >= NEAR_ZERO
+    return unique_ids[keep], summed[keep]
+
+
+class TestOneCanonicaliser:
+    """The constructor canonicalises one row as a batch does; only ``from_pairs`` sums repeats."""
+
+    @pytest.mark.parametrize("ids", [[0, 0], [1, 0, 1], [2, 1, 2, 0]])
+    def test_repeated_id_is_refused(self, ids):
+        with pytest.raises(ValueError, match="a row holds the same term id twice"):
+            SparseVector(ids, np.ones(len(ids)), Vocabulary(["a", "b", "c"]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.sampled_from("abcd"), REPEAT_WEIGHT), max_size=12))
+    def test_from_pairs_sums_repeats_in_input_order(self, pairs):
+        want = _summed_then_pruned(pairs, Vocabulary())
+        if want is None:
+            with pytest.raises(NonFiniteError):
+                SparseVector.from_pairs(pairs, Vocabulary())
+            return
+        got = SparseVector.from_pairs(pairs, Vocabulary())
+        assert got.ids.tolist() == want[0].tolist()
+        assert got.weights.tobytes() == want[1].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(row=st.dictionaries(st.integers(0, 39), REPEAT_WEIGHT, max_size=20))
+    def test_distinct_unsorted_ids_match_a_sorted_dict(self, row):
+        ids, weights = np.array(list(row), dtype=np.uint32), np.array(list(row.values()), dtype=np.float64)
+        vec = SparseVector(ids, weights, Vocabulary(f"t{i}" for i in range(40)))
+        want = {t: float(row[t]) for t in sorted(row) if abs(row[t]) >= NEAR_ZERO}
+        assert vec.ids.tolist() == list(want)
+        assert vec.weights.tolist() == list(want.values())
+        assert not np.shares_memory(vec.ids, ids) and not np.shares_memory(vec.weights, weights)
+
+    @pytest.mark.parametrize("weight, error", [(None, NonFiniteError), ("x", ValueError), (10**400, OverflowError)])
+    def test_from_pairs_converts_weights_as_numpy_does(self, weight, error):
+        with pytest.raises(error):
+            SparseVector.from_pairs([("a", 1.0), ("a", weight)], Vocabulary())
 
 
 class TestDot:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from setvec import FormatError, NonFiniteError, SparseVector, UnknownTermError, Vocabulary, build
 from setvec.cli import main
 from setvec.errors import VocabularyMismatchError
-from setvec.formats import read_vectors, write_vectors
+from setvec.formats import is_run_field, read_vectors, write_vectors
 from setvec.lexical import encode_bm25
 from setvec.sparse import NEAR_ZERO, VectorBatch
 
@@ -45,11 +45,15 @@ FILE_WEIGHT = st.one_of(WEIGHT, st.sampled_from((0.0, -0.0, 1e-13, -1e-300, 0)))
 ORACLE = settings(max_examples=60, deadline=None)
 
 
+# A name that a vector file may hold: one run field.
+RUN_NAME = TEXT.filter(is_run_field)
+
+
 @st.composite
-def corpora(draw, weight=WEIGHT):
+def corpora(draw, weight=WEIGHT, name=TEXT):
     """(terms, [(name, {term: weight})]) with unique terms and names."""
     terms = draw(st.lists(TEXT, min_size=1, max_size=10, unique=True))
-    names = draw(st.lists(TEXT, max_size=6, unique=True))
+    names = draw(st.lists(name, max_size=6, unique=True))
     rows = [
         (name, draw(st.dictionaries(st.sampled_from(terms), weight, max_size=len(terms))))
         for name in names
@@ -93,7 +97,7 @@ def test_batch_writer_matches_per_record_json_dumps(corpus):
 
 
 @ORACLE
-@given(corpus=corpora(weight=FILE_WEIGHT))
+@given(corpus=corpora(weight=FILE_WEIGHT, name=RUN_NAME))
 def test_reader_matches_per_record_from_pairs(corpus):
     _, rows = corpus
     content = "".join(
@@ -113,7 +117,7 @@ def test_reader_matches_per_record_from_pairs(corpus):
 
 
 @ORACLE
-@given(corpus=corpora())
+@given(corpus=corpora(name=RUN_NAME))
 def test_read_then_write_round_trips_exactly(corpus):
     # Term ids follow first occurrence, as in a file that encode or index wrote.
     vocab, pairs = _pairs([], corpus[1])
@@ -223,6 +227,11 @@ class TestVectorBatch:
     def test_rejects_bad_rows(self, lengths, ids, weights, error):
         with pytest.raises(error):
             VectorBatch([str(i) for i in range(len(lengths))], lengths, ids, weights, Vocabulary(["a", "b"]))
+
+    @pytest.mark.parametrize("lengths, ids", [([1, 2], [0, 1, 1]), ([1, 3], [2, 2, 0, 2]), ([3, 1], [1, 0, 1, 2])])
+    def test_rejects_an_id_repeated_in_a_row(self, lengths, ids):
+        with pytest.raises(ValueError, match="a row holds the same term id twice"):
+            VectorBatch(["x", "y"], lengths, ids, np.ones(len(ids)), Vocabulary(["a", "b", "c"]))
 
     def test_stack_requires_one_vocabulary(self):
         v1, v2 = Vocabulary(["a"]), Vocabulary(["a"])
