@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build an inverted index from a vector file")
     p.add_argument("--vectors", required=True, help="document vector JSONL")
     p.add_argument("--out", required=True, help="output index file")
-    p.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
+    p.add_argument("--threads", type=_count, help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("compose", help="turn compositional query records into vectors")
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output TREC run file")
     p.add_argument(
         "--threads",
-        type=int,
+        type=_count,
         default=os.cpu_count() or 1,
         help="worker threads, at most one per query and per CPU "
         "(affects throughput only, never results; default: %(default)s)",

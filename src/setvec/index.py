@@ -2,7 +2,11 @@
 
 Scoring is term-at-a-time accumulation with a full accumulator table and no
 pruning: upper-bound tricks are unsound once query or document weights can be
-negative, and exactness is the contract here.  A document is returned iff at
+negative, and exactness is the contract here.  Query terms are taken in
+ascending id order; each posted term adds its contributions with one
+unbuffered ``np.add.at`` over its doc ids cast once to ``np.intp``.  A posting
+list holds each doc once, so every doc receives its terms in that order,
+starting from +0.0, as ``dot()`` sums them.  A document is returned iff at
 least one query term touches it, even when its accumulated score is zero or
 negative; ties break by ascending internal doc id (ingestion order).  Only
 the candidates scoring at least the k-th best score (found by one partition)
@@ -127,8 +131,9 @@ def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray
             if posting is None:
                 continue
             doc_ids, weights = posting
-            scores[doc_ids] += qw * weights
-            touched[doc_ids] = True
+            ids = doc_ids.astype(np.intp)
+            np.add.at(scores, ids, qw * weights)
+            touched[ids] = True
     candidates = np.nonzero(touched)[0]
     return _rank(candidates, scores[candidates], k)
 
@@ -178,7 +183,7 @@ def _sqrt_factor(idx: InvertedIndex, side: SparseVector) -> np.ndarray:
                 f"term {idx.vocab.term(tid)!r} has negative document weights; "
                 "pseudo-term scoring needs a nonnegative corpus"
             )
-        acc[doc_ids] += np.sqrt(qw * weights)
+        np.add.at(acc, doc_ids.astype(np.intp), np.sqrt(qw * weights))
     return acc
 
 

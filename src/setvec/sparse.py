@@ -14,7 +14,8 @@ hold an id twice; only :meth:`SparseVector.from_pairs` sums repeated terms.
 
 The dot product accumulates shared entries sequentially in ascending term-id
 order.  The inverted index accumulates its scores term by term in the same
-order, so index scores and ``dot()`` agree bit for bit.
+order, one unbuffered ``np.add.at`` per query term over its posting's doc ids
+(as ``np.intp``), so index scores and ``dot()`` agree bit for bit.
 """
 
 from __future__ import annotations
@@ -365,8 +366,10 @@ def _kept(weights: np.ndarray) -> np.ndarray | None:
 def dot(a: SparseVector, b: SparseVector) -> float:
     """Dot product over shared term ids.
 
-    Accumulates in ascending term-id order; the inverted index reproduces
-    exactly this summation, so the two never disagree.
+    Accumulates in ascending term-id order from +0.0.  The inverted index
+    adds each query term's contributions with an unbuffered ``np.add.at`` over
+    intp doc ids, in the same ascending order, so it reproduces exactly this
+    summation and the two never disagree.
     """
     _require_same_vocab(a, b)
     if a.nnz == 0 or b.nnz == 0:

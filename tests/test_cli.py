@@ -390,12 +390,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("value, shown", [("0", "0"), ("-3", "-3"), ("abc", None), ("1.5", None)])
     @pytest.mark.parametrize("command, flag", [
         ("search", "--k"), ("search", "--candidate-pool"), ("analyze-interference", "--bins"),
+        ("search", "--threads"), ("index", "--threads"),
     ])
     def test_count_flags_share_the_count_rule(self, tmp_path, capsys, indexed_corpus, command, flag, value, shown):
         queries, out = tmp_path / "q.jsonl", tmp_path / "out"
         write_lines(queries, json.dumps({"id": "q1", "vector": {"colombia": 1.0}}))
         if command == "search":
             argv = ["search", "--index", str(indexed_corpus), "--queries", str(queries)]
+        elif command == "index":
+            argv = ["index", "--vectors", str(queries)]
         else:
             argv = ["analyze-interference", "--queries", str(queries), "--per-query-metrics", str(queries)]
         assert main([*argv, flag, value, "--out", str(out)]) == 1

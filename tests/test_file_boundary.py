@@ -7,8 +7,9 @@ ordered only by ``sparse._rank``; near-zero weights are dropped only by
 ``sparse._kept``, which only ``sparse._canonical_rows`` calls, for every
 vector and batch row; ids are checked to increase within a row only by
 ``sparse._not_increasing``; counts are checked only by
-``sparse._positive_int``.  And setvec imports nothing beyond the
-standard library and numpy, its one declared dependency.
+``sparse._positive_int``; scores are accumulated only by the two scoring
+loops of ``index``, through ``np.add.at``.  And setvec imports nothing beyond
+the standard library and numpy, its one declared dependency.
 """
 
 import ast
@@ -128,6 +129,29 @@ def test_positive_integer_rule_is_raised_in_one_place():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "positive integer" in node.value
     ]
     assert sayers == [("sparse", "_positive_int")]
+
+
+def test_scores_accumulate_in_one_place():
+    """``search`` and CPT stage 2 scatter-add through a numpy ufunc's unbuffered ``at``, and
+    nothing else does; no array accumulates through ``x[ids] += ...`` (the one subscript
+    update left extends a string in ``formats._records``' list of pieces)."""
+    scatters = [
+        (module, getattr(top, "name", "<module>"))
+        for module, top in _modules()
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "at"
+        and isinstance(node.value, ast.Attribute)
+        and getattr(node.value.value, "id", None) == "np"
+    ]
+    assert scatters == [("index", "_search_ids"), ("index", "_sqrt_factor")]
+    updates = [
+        (module, getattr(top, "name", "<module>"))
+        for module, top in _modules()
+        for node in ast.walk(top)
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)
+    ]
+    assert updates == [("formats", "_records")]
 
 
 def test_row_order_rule_has_one_implementation():

@@ -23,6 +23,7 @@ from setvec import (
 )
 from setvec.cli import main
 from setvec.index import _rank
+from setvec.sparse import NEAR_ZERO
 
 from conftest import random_lattice_vector, random_vector
 
@@ -40,6 +41,35 @@ def brute_force(doc_dicts, names, query_dict, k):
         scored.append((doc_id, s))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return [(names[doc_id], s) for doc_id, s in scored[:k]]
+
+
+def _bits(hits):
+    """Hits with each score as its exact bits, so 0.0 and -0.0 differ."""
+    return [(name, score.hex()) for name, score in hits]
+
+
+# Multiples of 1/16 in [-4, 4], zero excluded: signed, exactly representable.
+lattice_weights = st.integers(-64, 64).filter(bool).map(lambda k: k / 16.0)
+# Any weight the vector rule keeps, on the lattice or off it.
+signed_weights = st.one_of(lattice_weights, st.floats(-4.0, 4.0).filter(lambda w: abs(w) >= NEAR_ZERO))
+
+
+@st.composite
+def searches(draw):
+    """(terms, late terms, doc dicts, query dicts a and b, k); k may exceed the docs touched."""
+    n_terms = draw(st.integers(1, 10))
+    late = draw(st.integers(0, 2))
+    docs = draw(st.lists(st.dictionaries(st.integers(0, n_terms - 1), signed_weights), min_size=1, max_size=12))
+    query = st.dictionaries(st.integers(0, n_terms + late - 1), signed_weights, min_size=1)
+    qa = draw(query)
+    pairs = [d for d in docs if len(d) >= 2]
+    if pairs and draw(st.booleans()):
+        # One doc then scores d_s d_t - d_t d_s, exactly 0.0 whatever the weights.
+        d = draw(st.sampled_from(pairs))
+        s, t = sorted(draw(st.permutations(list(d)))[:2])
+        qa = {u: w for u, w in qa.items() if u not in d}
+        qa[s], qa[t] = d[t], -d[s]
+    return n_terms, late, docs, qa, draw(query), draw(st.integers(1, len(docs) + 2))
 
 
 @pytest.fixture
@@ -118,20 +148,35 @@ class TestSearch:
             with pytest.raises(ValueError, match="^k must be a positive integer"):
                 search_cpt(idx, expand_query(q, q), q, q, k, candidate_pool=3)
 
-    def test_oracle_equivalence_small(self):
-        rng = np.random.default_rng(97)
-        for _ in range(20):
-            vocab = Vocabulary(f"t{i}" for i in range(int(rng.integers(5, 40))))
-            n_docs = int(rng.integers(1, 60))
-            vecs = [random_vector(rng, vocab, max_nnz=min(len(vocab), 10)) for _ in range(n_docs)]
-            names = [f"d{i:03d}" for i in range(n_docs)]
-            idx = build(zip(names, vecs), vocab)
-            doc_dicts = [dict(v.entries()) for v in vecs]
-            for _ in range(5):
-                q = random_vector(rng, vocab, max_nnz=min(len(vocab), 8))
-                qd = dict(q.entries())
-                for k in (1, 3, n_docs + 5):
-                    assert search(idx, q, k) == brute_force(doc_dicts, names, qd, k)
+    @settings(max_examples=200, deadline=None)
+    # d0 cancels to exactly 0.0 and must still be returned; t2 is added after build.
+    @example((2, 1, [{0: 1.0, 1: 1.0}, {0: 0.5}], {0: 1.0, 1: -1.0, 2: 3.0}, {1: 2.0}, 4))
+    @given(searches())
+    def test_oracle_equivalence_small(self, case):
+        """search equals brute_force, and search_cpt with a pool covering the
+        corpus equals cpt_score_factorized, bit for bit."""
+        n_terms, late, docs, qa, qb, k = case
+        vocab = Vocabulary(f"t{i}" for i in range(n_terms))
+        names = [f"d{i:02d}" for i in range(len(docs))]
+        vecs = [SparseVector(list(d), list(d.values()), vocab) for d in docs]
+        idx = build(zip(names, vecs), vocab)
+        unsigned = [SparseVector(v.ids, np.abs(v.weights), vocab) for v in vecs]
+        unsigned_idx = build(zip(names, unsigned), vocab)
+        for i in range(late):
+            vocab.add(f"late{i}")
+        q = SparseVector(list(qa), list(qa.values()), vocab)
+        expected = brute_force([dict(v.entries()) for v in vecs], names, dict(q.entries()), k)
+        assert _bits(search(idx, q, k)) == _bits(expected)
+
+        a, b = (SparseVector(list(d), np.abs(list(d.values())), vocab) for d in (qa, qb))
+        at, bt = top_m(a, 3), top_m(b, 3)
+        sides = set(a.ids.tolist()) | set(b.ids.tolist())
+        scored = sorted(
+            (-cpt_score_factorized(at, bt, v), i)
+            for i, v in enumerate(unsigned) if sides & set(v.ids.tolist())
+        )
+        hits = search_cpt(unsigned_idx, expand_query(a, b, 3), a, b, k, candidate_pool=len(docs))
+        assert _bits(hits) == _bits([(names[i], -s) for s, i in scored[:k]])
 
     def test_negative_term_only_penalizes_docs_containing_it(self):
         # Lattice weights keep every score exact, so the comparison is exact.
@@ -381,10 +426,6 @@ class TestLoaderStructure:
         argv = ["search", "--index", str(index), "--queries", str(queries),
                 "--out", str(tmp_path / "run.trec")]
         assert main(argv) == 2
-
-
-# Multiples of 1/16 in [-4, 4], zero excluded: signed, exactly representable.
-lattice_weights = st.integers(-64, 64).filter(bool).map(lambda k: k / 16.0)
 
 
 @st.composite
