@@ -341,7 +341,8 @@ def cmd_eval(args) -> int:
     per_query: dict[str, dict[str, float]] = {}
     skipped = []
     for qid, run in runs.items():
-        ranking = [doc for doc, _ in run.ranking()]
+        # The ranking that was written: search's tie order, not ScoredRun.ranking()'s.
+        ranking = list(run.scores)
         row = {}
         try:
             for name, k in metrics:

@@ -352,9 +352,13 @@ def read_qrels(path) -> Qrels:
 
 
 def read_run(path) -> dict[str, ScoredRun]:
-    """TREC run file grouped by qid; ranks must increase within a query, scores be finite."""
+    """TREC run file grouped by qid, each query's hits in file (rank) order.
+
+    Within a query, ranks must increase and scores must not; scores are finite.
+    """
     runs: dict[str, ScoredRun] = {}
     last_rank: dict[str, int] = {}
+    last_score: dict[str, float] = {}
     for line_no, line in _lines(path):
         parts = line.split()
         if len(parts) != 6:
@@ -369,7 +373,12 @@ def read_run(path) -> dict[str, ScoredRun]:
             raise FormatError(f"{path}:{line_no}: score {score_str!r} is not finite")
         if rank <= last_rank.get(qid, 0):
             raise FormatError(f"{path}:{line_no}: nonmonotonic rank for {qid!r}")
+        if score > last_score.get(qid, math.inf):
+            raise FormatError(
+                f"{path}:{line_no}: score {score_str!r} is above the previous hit's score for {qid!r}"
+            )
         last_rank[qid] = rank
+        last_score[qid] = score
         run = runs.setdefault(qid, ScoredRun(qid=qid))
         if doc in run.scores:
             raise FormatError(f"{path}:{line_no}: duplicate doc {doc!r} for {qid!r}")

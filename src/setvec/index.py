@@ -14,9 +14,26 @@ are sorted, which gives the same hits as sorting every touched document.
 
 Postings live in one columnar (CSR) layout shared by every layer: term ``t``
 owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending) and the matching
-slice of ``weights``.  The on-disk format is little-endian binary: magic,
-format version, the vocabulary, the doc-name table, the raw offsets, two zlib
-streams (the weights, then the doc-id gaps), and a trailing CRC32 checksum.
+slice of ``weights``.
+
+The on-disk format (SVIX version 3) is little-endian binary: magic, format
+version, the vocabulary and the doc names as two string tables, the raw
+offsets, the weights as a table plus codes, the doc-id gaps, and a trailing
+CRC32 checksum.  A string table is a u32 count, a u32 byte length per string,
+the u64 size of the UTF-8 blob those lengths slice, then the blob.  The
+weight table holds the sorted distinct weights; each posting stores its
+weight's position in it as a code of the narrowest unsigned width the table
+size allows (1 byte up to 256 entries, 2 up to 65,536, else 4).  The table,
+the codes and the uint32 gaps are each one zlib stream of byte planes (byte 0
+of every value, then byte 1, and so on), which compress better than the
+interleaved values.  Besides the checksum, :func:`load` checks structure:
+each string table's lengths sum exactly to its blob, the strings are valid,
+distinct and non-empty, the offsets partition the postings, every stream
+holds exactly the values the offsets imply, the table is finite, strictly
+increasing and obeys the weight rule (so no zero weight), every code is
+below the table size, and doc ids are in range and strictly increasing within
+each list.  Files of versions 1 and 2 are refused; rebuild them with
+``setvec index``.
 """
 
 from __future__ import annotations
@@ -28,13 +45,15 @@ from typing import Iterable
 import numpy as np
 
 from .cpt import PseudoTermVector, _require_nonnegative
-from .errors import CptDomainError, DuplicateDocError, IndexFormatError, VocabularyMismatchError
+from .errors import (
+    CptDomainError, DuplicateDocError, IndexFormatError, NonFiniteError, VocabularyMismatchError
+)
 from .sparse import (
-    SparseVector, VectorBatch, Vocabulary, _not_increasing, _positive_int, _rank, maxpool
+    SparseVector, VectorBatch, Vocabulary, _canonical_rows, _not_increasing, _positive_int, _rank, maxpool
 )
 
 MAGIC = b"SVIX"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 ZLIB_LEVEL = 1
 
 # Ranked (doc name, score) pairs, best first.
@@ -187,43 +206,99 @@ def _sqrt_factor(idx: InvertedIndex, side: SparseVector) -> np.ndarray:
     return acc
 
 
-def _write_str(buf: bytearray, s: str) -> None:
-    raw = s.encode("utf-8")
-    buf += struct.pack("<I", len(raw))
-    buf += raw
+def _code_dtype(table_size: int) -> np.dtype:
+    """The narrowest unsigned width whose codes reach every entry of a table of *table_size*."""
+    width = 1 if table_size <= 1 << 8 else 2 if table_size <= 1 << 16 else 4
+    return np.dtype(f"<u{width}")
 
 
-def _read_strs(data, pos: int, what: str) -> tuple[list[str], int]:
-    """A u32 count, then that many length-prefixed UTF-8 strings, all distinct and non-empty."""
+def _weight_codes(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct *weights*, and each weight's position among them as a code.
+
+    One argsort serves both.  A binary search of every weight is several
+    times slower once the table is large, and np.unique's inverse holds more
+    int64 temporaries at once.  build never keeps a zero weight, so no -0.0
+    is merged into 0.0.
+    """
+    order = np.argsort(weights)
+    ordered = weights[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    table = ordered[first]
+    del ordered
+    first[:1] = False
+    codes = np.empty(weights.size, dtype=_code_dtype(table.size))
+    codes[order] = np.cumsum(first, dtype=codes.dtype)
+    return table, codes
+
+
+def _deflate(values: np.ndarray) -> bytes:
+    """One zlib stream of little-endian *values* as byte planes: byte 0 of every
+    value, then byte 1, and so on."""
+    return zlib.compress(values.view(np.uint8).reshape(values.size, values.itemsize).T.tobytes(), ZLIB_LEVEL)
+
+
+def _string_table(strings) -> bytes:
+    """A u32 count, a u32 byte length per string, the u64 blob size, then the UTF-8 blob."""
+    raw = [s.encode("utf-8") for s in strings]
+    blob = b"".join(raw)
+    lengths = np.array([len(r) for r in raw], dtype="<u4")
+    return struct.pack("<I", len(raw)) + lengths.tobytes() + struct.pack("<Q", len(blob)) + blob
+
+
+def _array(data, pos: int, dtype: str, count: int, what: str) -> tuple[np.ndarray, int]:
+    """*count* raw values of *dtype* at *pos*, and the position after them."""
+    end = pos + count * np.dtype(dtype).itemsize
+    if end > len(data):
+        raise IndexFormatError(f"truncated {what}")
+    return np.frombuffer(data, dtype, count, pos), end
+
+
+def _read_strings(data, pos: int, what: str) -> tuple[list[str], int]:
+    """A string table written by :func:`_string_table`; its strings are distinct and non-empty."""
     (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    strings = []
-    for _ in range(count):
-        (length,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        end = pos + length
-        if end > len(data):
-            raise IndexFormatError("truncated string block")
-        strings.append(str(data[pos:end], "utf-8"))
-        pos = end
+    lengths, pos = _array(data, pos + 4, "<u4", count, f"{what} lengths")
+    (size,) = struct.unpack_from("<Q", data, pos)
+    pos += 8
+    bounds = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(lengths, dtype=np.int64, out=bounds[1:])
+    if bounds[-1] != size:
+        raise IndexFormatError(f"{what} lengths do not sum to the string blob size")
+    end = pos + size
+    if end > len(data):
+        raise IndexFormatError(f"truncated {what} blob")
+    blob = bytes(data[pos:end])
+    bounds = bounds.tolist()
+    strings = [str(blob[start:stop], "utf-8") for start, stop in zip(bounds, bounds[1:])]
     if "" in strings or len(set(strings)) != count:
         raise IndexFormatError(f"empty or duplicate {what}")
-    return strings, pos
+    return strings, end
 
 
-def _inflate(data, dtype: str, count: int, what: str) -> tuple[np.ndarray, bytes]:
-    """Decompress one zlib stream of exactly *count* values; also return the bytes after it."""
-    expected = count * np.dtype(dtype).itemsize
+def _inflate(data, pos: int, dtype: str, count: int, what: str) -> tuple[np.ndarray, int]:
+    """The *count* values of *dtype* in the zlib stream of byte planes at *pos*, and the
+    position after the stream.  The values are allocated only once the stream holds them."""
+    dtype = np.dtype(dtype)
+    expected = count * dtype.itemsize
     stream = zlib.decompressobj()
     try:
         # One byte over the expected size catches an overlong stream without
         # inflating it further; a limit of 0 would mean no limit at all.
-        raw = stream.decompress(data, expected + 1)
+        raw = stream.decompress(data[pos:], expected + 1)
     except zlib.error as exc:
         raise IndexFormatError(f"corrupt {what} stream ({exc})") from exc
     if len(raw) != expected or not stream.eof:
         raise IndexFormatError(f"{what} stream does not hold {count} values")
-    return np.frombuffer(raw, dtype=dtype), stream.unused_data
+    # Only the position is kept: the copy of the bytes after the stream goes now.
+    end = len(data) - len(stream.unused_data)
+    del stream
+    values = np.empty(count, dtype=dtype)
+    columns = values.view(np.uint8).reshape(count, dtype.itemsize)
+    # A copy per plane runs about 4x faster than one transposed copy of all of them.
+    for byte, plane in enumerate(np.frombuffer(raw, dtype=np.uint8).reshape(dtype.itemsize, count)):
+        columns[:, byte] = plane
+    return values, end
 
 
 def save(idx: InvertedIndex, path) -> None:
@@ -232,19 +307,18 @@ def save(idx: InvertedIndex, path) -> None:
     buf += MAGIC
     buf += struct.pack("<I", FORMAT_VERSION)
     terms = idx.vocab.terms
-    buf += struct.pack("<I", len(terms))
-    for term in terms:
-        _write_str(buf, term)
-    buf += struct.pack("<I", idx.doc_count)
-    for name in idx.doc_names:
-        _write_str(buf, name)
+    buf += _string_table(terms)
+    buf += _string_table(idx.doc_names)
     # Terms added to the vocabulary after build get empty lists.
     offsets = np.pad(idx.offsets, (0, len(terms) + 1 - idx.offsets.size), mode="edge")
     buf += offsets.astype("<i8").tobytes()
-    buf += zlib.compress(np.asarray(idx.weights, dtype="<f8"), ZLIB_LEVEL)
+    table, codes = _weight_codes(idx.weights)
+    buf += struct.pack("<I", table.size)
+    buf += _deflate(np.asarray(table, dtype="<f8"))
+    buf += _deflate(codes)
+    del codes
     # Gaps wrap modulo 2**32 at list starts; a uint32 cumsum undoes that exactly.
-    gaps = np.diff(idx.doc_ids, prepend=np.uint32(0))
-    buf += zlib.compress(np.asarray(gaps, dtype="<u4"), ZLIB_LEVEL)
+    buf += _deflate(np.asarray(np.diff(idx.doc_ids, prepend=np.uint32(0)), dtype="<u4"))
     buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
     with open(path, "wb") as fh:
         fh.write(buf)
@@ -262,14 +336,14 @@ def load(path) -> InvertedIndex:
         raise IndexFormatError(f"{path}: checksum mismatch (corrupt or truncated file)")
     (version,) = struct.unpack_from("<I", data, 4)
     if version != FORMAT_VERSION:
-        raise IndexFormatError(f"{path}: unsupported format version {version}")
+        raise IndexFormatError(
+            f"{path}: unsupported format version {version}; rebuild the index with `setvec index`"
+        )
     try:
-        terms, pos = _read_strs(body, 8, "vocabulary term")
-        doc_names, pos = _read_strs(body, pos, "doc name")
-        end = pos + 8 * (len(terms) + 1)
-        if end > len(body):
-            raise IndexFormatError("truncated offsets")
-        offsets = np.frombuffer(body[pos:end], dtype="<i8").astype(np.int64)
+        terms, pos = _read_strings(body, 8, "vocabulary term")
+        doc_names, pos = _read_strings(body, pos, "doc name")
+        offsets, pos = _array(body, pos, "<i8", len(terms) + 1, "offsets")
+        offsets = offsets.astype(np.int64)
         # A list holds each doc at most once; checking that here also keeps
         # the stream sizes below from overflowing.
         lengths = np.diff(offsets)
@@ -277,18 +351,32 @@ def load(path) -> InvertedIndex:
         if offsets[0] != 0 or lengths.min(initial=0) < 0 or lengths.max(initial=0) > n_docs:
             raise IndexFormatError("posting offsets do not partition the postings")
         n_postings = int(offsets[-1])
-        weights, rest = _inflate(body[end:], "<f8", n_postings, "weight")
-        gaps, rest = _inflate(rest, "<u4", n_postings, "doc-id gap")
-        if rest:
+        (table_size,) = struct.unpack_from("<I", body, pos)
+        table, pos = _inflate(body, pos + 4, "<f8", table_size, "weight table")
+        # The table is one row of weights: the weight rule drops none of them.
+        try:
+            kept = _canonical_rows(np.array([0, table_size]), np.arange(table_size), table)[2]
+        except NonFiniteError:
+            raise IndexFormatError("non-finite weight in the weight table") from None
+        if kept.size != table_size:
+            raise IndexFormatError("zero or near-zero weight in the weight table")
+        if _not_increasing(table).any():
+            raise IndexFormatError("weight table not strictly increasing")
+        codes, pos = _inflate(body, pos, _code_dtype(table_size), n_postings, "weight")
+        if codes.size and int(codes.max()) >= table_size:
+            raise IndexFormatError("weight code out of range")
+        weights = table[codes]
+        del codes
+        # The gaps are un-shuffled straight into doc_ids and summed in place:
+        # a second array of that size would raise the loader's peak memory.
+        doc_ids, pos = _inflate(body, pos, "<u4", n_postings, "doc-id gap")
+        if pos != len(body):
             raise IndexFormatError("trailing bytes after the posting streams")
-        doc_ids = np.cumsum(gaps, dtype=np.uint32)
-        del gaps  # free before the checks' temporaries
+        np.cumsum(doc_ids, dtype=np.uint32, out=doc_ids)
         if doc_ids.size and int(doc_ids.max()) >= n_docs:
             raise IndexFormatError("doc id out of range")
         if _not_increasing(doc_ids, offsets).any():
             raise IndexFormatError("doc ids not strictly increasing within a posting list")
-        if not np.isfinite(weights).all():
-            raise IndexFormatError("non-finite posting weight")
     except IndexFormatError as exc:
         raise IndexFormatError(f"{path}: {exc}") from None
     except struct.error as exc:

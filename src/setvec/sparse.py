@@ -53,13 +53,17 @@ class Vocabulary:
     __slots__ = ("_terms", "_ids", "_frozen")
 
     def __init__(self, terms: Iterable[str] = ()):
-        self._terms: list[str] = []
-        self._ids = _TermIds()
+        # One pass builds the id map; only a repeated term, which keeps its
+        # first id, costs a second.
+        self._terms: list[str] = list(terms)
+        self._ids = _TermIds(zip(self._terms, range(len(self._terms))))
+        if len(self._ids) != len(self._terms):
+            self._terms = list(dict.fromkeys(self._terms))
+            self._ids = _TermIds(zip(self._terms, range(len(self._terms))))
+        if not all(issubclass(kind, str) for kind in set(map(type, self._terms))) or "" in self._ids:
+            raise ValueError("vocabulary terms must be non-empty strings")
         self._ids.vocab = self
         self._frozen = False
-        for term in terms:
-            if term not in self._ids:
-                self._append(term)
 
     def _append(self, term) -> int:
         """Give an unseen *term* the next id; ``_ids`` calls this on a miss."""

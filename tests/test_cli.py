@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import setvec
 from setvec import cli
@@ -334,6 +336,72 @@ class TestFuseEvalPairwise:
         assert payload["metrics"]["recall@2"] == 0.5
         assert "q1\tndcg@3" in per_query.read_text()
         assert "ndcg@3" in capsys.readouterr().out
+
+    def test_eval_scores_the_written_tie_order(self, tmp_path, capsys):
+        """search breaks the tie by ingestion order (zeta first); eval must score
+        that ranking, not one re-sorted by doc name."""
+        docs = tmp_path / "docs.jsonl"
+        write_lines(docs, json.dumps({"id": "zeta", "vector": {"x": 1.0}}),
+                    json.dumps({"id": "alpha", "vector": {"x": 1.0}}))
+        index = tmp_path / "corpus.svix"
+        assert main(["index", "--vectors", str(docs), "--out", str(index)]) == 0
+        queries = tmp_path / "q.jsonl"
+        write_lines(queries, json.dumps({"id": "q1", "vector": {"x": 1.0}}))
+        run = tmp_path / "run.trec"
+        assert main(["search", "--index", str(index), "--queries", str(queries), "--out", str(run)]) == 0
+        assert run.read_text().splitlines()[0] == "q1 Q0 zeta 1 1.000000 setvec"
+        qrels = tmp_path / "q.qrels"
+        write_lines(qrels, "q1 0 zeta 1")
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run), "--qrels", str(qrels), "--metrics", "ndcg@1"]) == 0
+        assert "ndcg@1  1.0000" in capsys.readouterr().out
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_eval_matches_ndcg_over_the_search_order(self, tmp_path_factory, data):
+        """Doc names shuffled against ingestion order make name order and the doc-id
+        tie order disagree; eval --per-query must equal nDCG over search's own order."""
+        # Multiples of 1/4: few values, so scores tie often, and every sum is exact.
+        weight = st.integers(-8, 8).filter(bool).map(lambda k: k / 4.0)
+        vector = st.dictionaries(st.sampled_from("xyz"), weight, min_size=1)
+        n_docs = data.draw(st.integers(2, 8))
+        names = data.draw(st.permutations([f"d{i}" for i in range(n_docs)]))
+        docs = [data.draw(vector) for _ in names]
+        queries = data.draw(st.lists(vector, min_size=1, max_size=3))
+        grades = data.draw(st.lists(st.integers(0, 2), min_size=n_docs, max_size=n_docs).filter(any))
+
+        vocab = setvec.Vocabulary()
+        idx = setvec.build([(n, setvec.SparseVector.from_dict(d, vocab)) for n, d in zip(names, docs)], vocab)
+        qrels = setvec.Qrels()
+        for name, grade in zip(names, grades):
+            for qid in range(len(queries)):
+                qrels.set(f"q{qid}", name, grade)
+        expected = {}
+        for qid, q in enumerate(queries):
+            hits = setvec.search(idx, setvec.SparseVector.from_dict(q, vocab), n_docs)
+            if hits:
+                expected[f"q{qid}"] = f"{setvec.ndcg_at_k([n for n, _ in hits], qrels, f'q{qid}', 3):.6f}"
+        assume(expected)
+
+        tmp = tmp_path_factory.mktemp("ties")
+        write_lines(tmp / "docs.jsonl", *(json.dumps({"id": n, "vector": d}) for n, d in zip(names, docs)))
+        write_lines(tmp / "q.jsonl", *(json.dumps({"id": f"q{i}", "vector": q}) for i, q in enumerate(queries)))
+        write_lines(tmp / "q.qrels", *(f"q{i} 0 {n} {g}" for i in range(len(queries)) for n, g in zip(names, grades)))
+        assert main(["index", "--vectors", str(tmp / "docs.jsonl"), "--out", str(tmp / "idx.svix")]) == 0
+        assert main(["search", "--index", str(tmp / "idx.svix"), "--queries", str(tmp / "q.jsonl"),
+                     "--k", str(n_docs), "--out", str(tmp / "run.trec")]) == 0
+        assert main(["eval", "--run", str(tmp / "run.trec"), "--qrels", str(tmp / "q.qrels"),
+                     "--metrics", "ndcg@3", "--per-query", str(tmp / "pq.tsv")]) == 0
+        rows = [line.split("\t") for line in (tmp / "pq.tsv").read_text().splitlines()]
+        assert {qid: value for qid, _, value in rows} == expected
+
+    def test_eval_refuses_a_rising_score(self, tmp_path, capsys):
+        run = tmp_path / "run.trec"
+        write_lines(run, "q1 Q0 d1 1 1.000000 t", "q2 Q0 d1 1 5.000000 t", "q1 Q0 d2 2 2.000000 t")
+        qrels = tmp_path / "q.qrels"
+        write_lines(qrels, "q1 0 d1 1")
+        assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 2
+        assert f"{run}:3: score '2.000000' is above the previous hit's score for 'q1'" in capsys.readouterr().err
 
     def test_pairwise(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"

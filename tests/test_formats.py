@@ -212,6 +212,14 @@ class TestRuns:
         with pytest.raises(FormatError, match="nonmonotonic"):
             read_run(path)
 
+    def test_hits_keep_file_order_and_scores_must_not_rise(self, tmp_path):
+        path = tmp_path / "r.trec"
+        path.write_text("q1 Q0 zeta 1 1.0 t\nq1 Q0 alpha 2 1.0 t\nq1 Q0 beta 3 -0.0 t\nq1 Q0 mu 4 0.0 t\n")
+        assert list(read_run(path)["q1"].scores) == ["zeta", "alpha", "beta", "mu"]
+        path.write_text("q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 1.5 t\n")
+        with pytest.raises(FormatError, match=":2: score '1.5' is above the previous hit's score for 'q1'"):
+            read_run(path)
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "r.trec"
         path.write_text("q1 d1 1 1.0\n")

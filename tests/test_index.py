@@ -11,6 +11,7 @@ from setvec import (
     DuplicateDocError,
     IndexFormatError,
     SparseVector,
+    VectorBatch,
     Vocabulary,
     build,
     cpt_score_factorized,
@@ -334,7 +335,7 @@ class TestPersistence:
         with pytest.raises(IndexFormatError):
             load(path)
 
-    @pytest.mark.parametrize("version", [999, 1])
+    @pytest.mark.parametrize("version", [999, 1, 2])
     def test_version_mismatch_rejected(self, tmp_path, small_corpus, version):
         idx, _ = small_corpus
         path = tmp_path / "idx.svix"
@@ -343,8 +344,34 @@ class TestPersistence:
         struct.pack_into("<I", data, 4, version)  # change version, then re-checksum
         struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])) & 0xFFFFFFFF)
         path.write_bytes(bytes(data))
-        with pytest.raises(IndexFormatError, match=f"unsupported format version {version}"):
+        message = f"unsupported format version {version}; rebuild the index with `setvec index`"
+        with pytest.raises(IndexFormatError, match=message):
             load(path)
+
+    @pytest.mark.parametrize("distinct", [256, 257, 65536, 65537])
+    def test_round_trip_per_code_width(self, tmp_path, distinct):
+        """Tables on each side of the 1-, 2- and 4-byte code limits: save writes the
+        independent encoder's exact bytes, and load returns the built columns bit for bit."""
+        rng = np.random.default_rng(distinct)
+        # Signed, nonzero and distinct; term "b" repeats a few of them.
+        values = rng.permutation((np.arange(distinct) - distinct // 2 + 0.5) / 8.0)
+        lengths = 1 + (np.arange(distinct) % 2 == 0)
+        ids = np.zeros(int(lengths.sum()), dtype=np.uint32)
+        ids[np.cumsum(lengths)[lengths == 2] - 1] = 1
+        weights = np.empty(ids.size)
+        weights[ids == 0] = values
+        weights[ids == 1] = values[np.arange(np.count_nonzero(ids)) % 7]
+        vocab = Vocabulary(["a", "b"])
+        names = [f"doc{i}" for i in range(distinct)]
+        idx = build(VectorBatch(names, lengths, ids, weights, vocab))
+        saved, crafted = tmp_path / "saved.svix", tmp_path / "crafted.svix"
+        save(idx, saved)
+        write_raw_index(crafted, vocab.terms, names, idx.offsets.tolist(), idx.doc_ids, idx.weights.tolist())
+        assert saved.read_bytes() == crafted.read_bytes()
+        loaded = load(saved)
+        assert loaded.doc_names == names and loaded.vocab.terms == vocab.terms
+        for column in ("offsets", "doc_ids", "weights"):
+            assert getattr(loaded, column).tobytes() == getattr(idx, column).tobytes()
 
     def test_unwritable_path(self, tmp_path, small_corpus):
         idx, _ = small_corpus
@@ -352,19 +379,40 @@ class TestPersistence:
             save(idx, tmp_path / "missing" / "idx.svix")
 
 
-def write_raw_index(path, terms, names, offsets, doc_ids, weights, tail=b""):
-    """Independent v2 encoder for crafted files; str or raw bytes strings, valid CRC."""
-    buf = bytearray(b"SVIX" + struct.pack("<I", 2))
-    for strings in (terms, names):
-        buf += struct.pack("<I", len(strings))
-        for s in strings:
-            raw = s if isinstance(s, bytes) else s.encode("utf-8")
-            buf += struct.pack("<I", len(raw)) + raw
-    buf += np.asarray(offsets, dtype="<i8").tobytes()
-    buf += zlib.compress(np.asarray(weights, dtype="<f8").tobytes())
-    ids = np.asarray(doc_ids, dtype=np.int64)
-    gaps = np.diff(ids, prepend=0) % 2**32
-    buf += zlib.compress(gaps.astype("<u4").tobytes()) + tail
+def write_raw_index(path, terms, names, offsets, doc_ids, weights, table=None, codes=None,
+                    name_lengths=None, tail=b""):
+    """Independent v3 encoder for crafted files; str or raw bytes strings, valid CRC.
+
+    The weight table defaults to the sorted distinct weights and the codes to
+    each weight's place in it; *table*, *codes* and *name_lengths* (the doc
+    names' byte lengths) override what the other arguments imply.
+    """
+
+    def string_table(strings, lengths=None):
+        raw = [s if isinstance(s, bytes) else s.encode("utf-8") for s in strings]
+        lengths = [len(r) for r in raw] if lengths is None else lengths
+        blob = b"".join(raw)
+        return struct.pack(f"<I{len(lengths)}IQ", len(lengths), *lengths, len(blob)) + blob
+
+    def byte_planes(fmt, values):
+        raw = struct.pack(f"<{len(values)}{fmt}", *values)
+        width = struct.calcsize(fmt)
+        return zlib.compress(b"".join(raw[plane::width] for plane in range(width)), 1)
+
+    if table is None:
+        table = sorted(set(weights))
+    if codes is None:
+        position = {w: i for i, w in enumerate(table)}
+        codes = [position[w] for w in weights]
+    code_fmt = "B" if len(table) <= 2**8 else "H" if len(table) <= 2**16 else "I"
+    ids = [int(d) for d in doc_ids]
+    gaps = [(d - prev) % 2**32 for prev, d in zip([0] + ids, ids)]
+    buf = bytearray(b"SVIX" + struct.pack("<I", 3))
+    buf += string_table(terms) + string_table(names, name_lengths)
+    buf += struct.pack(f"<{len(offsets)}q", *offsets)
+    # Level 1, as save uses, so that a valid index encodes to save's very bytes.
+    buf += struct.pack("<I", len(table)) + byte_planes("d", table)
+    buf += byte_planes(code_fmt, codes) + byte_planes("I", gaps) + tail
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
     path.write_bytes(bytes(buf))
 
@@ -410,6 +458,15 @@ class TestLoaderStructure:
             ({"weights": [1.5, float("nan"), 0.25]}, "non-finite"),
             ({"weights": [1.5, -2.0, float("-inf")]}, "non-finite"),
             ({"tail": b"\0"}, "trailing bytes"),
+            ({"codes": [2, 3, 1]}, "weight code out of range"),
+            ({"codes": [2, 255, 1]}, "weight code out of range"),
+            ({"table": [0.25, -2.0, 1.5], "codes": [2, 1, 0]}, "weight table not strictly increasing"),
+            ({"table": [-2.0, 0.25, 0.25, 1.5], "codes": [3, 0, 2]}, "weight table not strictly increasing"),
+            ({"table": [-2.0, 0.25, float("nan")], "codes": [1, 0, 1]}, "non-finite"),
+            ({"weights": [1.5, 0.0, 0.25]}, "zero or near-zero weight"),
+            ({"weights": [1.5, -0.0, 0.25]}, "zero or near-zero weight"),
+            ({"name_lengths": [2, 2, 3]}, "doc name lengths do not sum to the string blob size"),
+            ({"name_lengths": [2, 2, 1]}, "doc name lengths do not sum to the string blob size"),
         ],
     )
     def test_malformed_structure_rejected(self, tmp_path, change, message):
@@ -482,7 +539,7 @@ class TestIndexProperties:
             assert (got is None) == (want is None)
             if want is not None:
                 assert got[0].tolist() == want[0].tolist()
-                assert got[1].tolist() == want[1].tolist()
+                assert got[1].tobytes() == want[1].tobytes()
         for _, vec in vectors:
             q = SparseVector(vec.ids, vec.weights, loaded.vocab)
             assert search(loaded, q, 10) == search(idx, vec, 10)

@@ -42,6 +42,17 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary([""])
 
+    def test_repeated_term_keeps_its_first_id(self):
+        v = Vocabulary(["b", "a", "b", "c", "a"])
+        assert v.terms == ("b", "a", "c")
+        assert [v.id_of(t) for t in "bac"] == [0, 1, 2]
+        assert v.add("d") == 3
+
+    @pytest.mark.parametrize("terms", [["a", 1], [None], ["a", b"b"], ["a", "a", ""]])
+    def test_rejects_non_string_terms(self, terms):
+        with pytest.raises(ValueError, match="non-empty strings"):
+            Vocabulary(terms)
+
     def test_frozen_vocabulary_raises_on_miss(self):
         v = Vocabulary(["a"]).freeze()
         assert v.add("a") == 0
