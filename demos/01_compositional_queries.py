@@ -13,14 +13,13 @@ union variants.
 from setvec import (
     SparseVector,
     Vocabulary,
+    add,
     cosine,
     difference_disentangled,
-    difference_ignore,
     difference_nrf,
     difference_orthogonal,
-    difference_subtract,
-    union_add,
-    union_maxpool,
+    maxpool,
+    sub,
 )
 
 
@@ -44,9 +43,9 @@ def main():
     print(f"  interference cosine(A, B) = {cosine(a, b):.2f}  (high: 3 of 4 terms shared)\n")
 
     print("difference (A \\ B):")
-    show("subtract", difference_subtract(a, b))
+    show("subtract", sub(a, b))
     print("    ^ penalizes venezuela but also erased birds/fly/andes")
-    show("ignore", difference_ignore(a, b))
+    show("ignore", a)
     print("    ^ keeps A intact but cannot penalize venezuela at all")
     show("orthogonal", difference_orthogonal(a, b))
     print("    ^ removes A's component along B; shrinks the shared terms")
@@ -56,9 +55,9 @@ def main():
     print("    ^ keeps every A weight and penalizes only B-exclusive terms\n")
 
     print("union (A u B):")
-    show("add", union_add(a, b))
+    show("add", add(a, b))
     print("    ^ shared terms counted twice")
-    show("maxpool", union_maxpool(a, b))
+    show("maxpool", maxpool(a, b))
     print("    ^ shared terms kept at their single-query strength")
 
 

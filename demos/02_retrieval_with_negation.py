@@ -11,7 +11,6 @@ from setvec import (
     Vocabulary,
     build,
     difference_disentangled,
-    difference_ignore,
     search,
 )
 
@@ -47,7 +46,7 @@ def main():
     )
 
     print("query: birds of colombia, but not venezuela\n")
-    print_run("ignore negation (just A)", search(idx, difference_ignore(a, b), 6))
+    print_run("ignore negation (just A)", search(idx, a, 6))
     print()
     print_run("disentangled negation", search(idx, difference_disentangled(a, b), 6))
     print(

@@ -10,11 +10,11 @@ exactly zero for one-sided documents.
 from setvec import (
     SparseVector,
     Vocabulary,
+    add,
     build,
     expand_query,
     search,
     search_cpt,
-    union_add,
 )
 
 
@@ -35,7 +35,7 @@ def main():
     print("intersection query: documentaries about education AND disability\n")
 
     print("addition baseline (one strong side is enough to rank high):")
-    for rank, (doc, score) in enumerate(search(idx, union_add(a, b), 4), 1):
+    for rank, (doc, score) in enumerate(search(idx, add(a, b), 4), 1):
         print(f"  {rank}. {doc:<26} {score:.2f}")
 
     q = expand_query(a, b, m=5)

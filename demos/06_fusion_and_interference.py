@@ -19,10 +19,10 @@ from setvec import (
     SparseVector,
     Vocabulary,
     build,
-    difference_subtract,
     fuse,
     interference_bins,
     search,
+    sub,
 )
 
 
@@ -41,7 +41,7 @@ def main():
     run_a = ScoredRun(qid="q", scores=dict(search(idx, a, 30)))
     run_b = ScoredRun(qid="q", scores=dict(search(idx, b, 30)))
     fused = fuse(run_a, run_b, "minus").ranking()
-    composed = search(idx, difference_subtract(a, b), 30)
+    composed = search(idx, sub(a, b), 30)
     print("fusion(-) vs composed subtraction, top 5 of each:")
     for (fd, fs), (cd, cs) in zip(fused[:5], composed[:5]):
         print(f"  fused {fd} {fs:+.1f}    composed {cd} {cs:+.1f}")

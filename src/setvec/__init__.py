@@ -21,15 +21,8 @@ from .compose import (
     CompositionParams,
     compose,
     difference_disentangled,
-    difference_ignore,
     difference_nrf,
     difference_orthogonal,
-    difference_subtract,
-    intersection_add,
-    intersection_cpt,
-    intersection_maxpool,
-    union_add,
-    union_maxpool,
 )
 from .cpt import (
     PseudoTermVector,
@@ -113,10 +106,8 @@ __all__ = [
     "cpt_score",
     "cpt_score_factorized",
     "difference_disentangled",
-    "difference_ignore",
     "difference_nrf",
     "difference_orthogonal",
-    "difference_subtract",
     "dot",
     "encode_bm25",
     "encode_tf",
@@ -124,9 +115,6 @@ __all__ = [
     "expand_query",
     "fuse",
     "interference_bins",
-    "intersection_add",
-    "intersection_cpt",
-    "intersection_maxpool",
     "load",
     "mask_remove",
     "maxpool",
@@ -146,6 +134,4 @@ __all__ = [
     "splade_activate",
     "sub",
     "top_m",
-    "union_add",
-    "union_maxpool",
 ]

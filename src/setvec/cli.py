@@ -20,7 +20,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 from . import formats
-from .activations import AGGREGATIONS, NEG_FORMULAS, ActivationConfig, activate
+from .activations import AGGREGATIONS, NEG_CORRECTED, NEG_FORMULAS, ActivationConfig, activate
 from .compose import (
     DEFAULT_LAMBDA,
     DEFAULT_M,
@@ -32,7 +32,7 @@ from .compose import (
 )
 from .cpt import PseudoTermVector
 from .errors import SetvecError, UndefinedMetricError, ZeroNormError
-from .evaluation import interference_bins, ndcg_at_k, pairwise_accuracy, recall_at_k
+from .evaluation import DEFAULT_BINS, interference_bins, ndcg_at_k, pairwise_accuracy, recall_at_k
 from .fusion import FUSE_OPS, fuse
 from .index import build, load, save, search, search_cpt
 from .lexical import DEFAULT_B, DEFAULT_K1, encode_bm25, encode_tf, tokenize
@@ -93,11 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=DEFAULT_B, help="BM25 b (default: %(default)s)")
     p.add_argument("--stopwords", help="optional newline-separated stopword list")
     p.add_argument(
-        "--epsilon", type=float, default=0.25,
+        "--epsilon", type=float, default=ActivationConfig.epsilon,
         help="dead-zone half-width for signed activations (default: %(default)s)",
     )
     p.add_argument(
-        "--neg-formula", choices=NEG_FORMULAS, default="corrected",
+        "--neg-formula", choices=NEG_FORMULAS, default=NEG_CORRECTED,
         help="negative-half spelling for signed activations (default: %(default)s)",
     )
     p.add_argument(
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True, help="query JSONL")
     p.add_argument("--vectors", help="atomic vectors for refs")
     p.add_argument("--per-query-metrics", required=True, help="TSV: qid<TAB>value")
-    p.add_argument("--bins", type=_count, default=4, help="number of bins (default: %(default)s)")
+    p.add_argument("--bins", type=_count, default=DEFAULT_BINS, help="number of bins (default: %(default)s)")
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(func=cmd_analyze_interference)
 

@@ -1,15 +1,18 @@
-"""Compositional query encoding: dispatch a set operator and method to vector ops.
+"""Compositional query encoding: :data:`COMPOSITIONS` maps each (operator,
+method) pair to its vector math, and :func:`compose` applies it.
 
-Supported (operator, method) pairs:
+    difference    subtract      sub(a, b): shared terms are penalized too
+                  ignore        a: the negated part is dropped
+                  disentangled, orthogonal, nrf: the functions below
+    union         add           add(a, b): shared terms are counted twice
+                  maxpool       maxpool(a, b): shared terms count once
+    intersection  add, maxpool  as for union; an ablation label only
+                  cpt           expand_query(a, b, m): a PseudoTermVector
+                                over the top-m terms of each side
+    atomic        atomic        a
 
-    difference    subtract | ignore | disentangled | orthogonal | nrf
-    union         add | maxpool
-    intersection  add | maxpool | cpt
-    atomic        atomic
-
-``cpt`` is the only method producing a :class:`PseudoTermVector`; everything
-else returns a plain :class:`SparseVector`.  Inputs are never mutated, and an
-empty atomic vector is legal: it propagates as an empty result.
+Inputs are never mutated, and an empty atomic vector is legal: it
+propagates as an empty result.
 """
 
 from __future__ import annotations
@@ -64,16 +67,6 @@ class CompositionalQuery:
             raise ValueError(f"operator {self.operator!r} requires a second vector")
 
 
-def difference_subtract(a: SparseVector, b: SparseVector) -> SparseVector:
-    """Plain subtraction ``a - b``; penalizes shared terms along with negated ones."""
-    return sub(a, b)
-
-
-def difference_ignore(a: SparseVector, b: SparseVector) -> SparseVector:
-    """Drop the negated part entirely."""
-    return a
-
-
 def difference_disentangled(a: SparseVector, b: SparseVector) -> SparseVector:
     """``a - b*`` where ``b*`` is *b* with a's dimensions masked out.
 
@@ -95,43 +88,19 @@ def difference_nrf(a: SparseVector, b: SparseVector, lambda_: float = DEFAULT_LA
     return sub(a, scale(b, lambda_))
 
 
-def union_add(a: SparseVector, b: SparseVector) -> SparseVector:
-    """Union by addition; shared terms are counted twice."""
-    return add(a, b)
-
-
-def union_maxpool(a: SparseVector, b: SparseVector) -> SparseVector:
-    """Union by elementwise max, avoiding double-counted shared terms."""
-    return maxpool(a, b)
-
-
-def intersection_add(a: SparseVector, b: SparseVector) -> SparseVector:
-    """Addition used as an intersection surrogate (ablation labeling only)."""
-    return add(a, b)
-
-
-def intersection_maxpool(a: SparseVector, b: SparseVector) -> SparseVector:
-    return maxpool(a, b)
-
-
-def intersection_cpt(a: SparseVector, b: SparseVector, m: int = DEFAULT_M) -> PseudoTermVector:
-    """Pseudo-term outer product of the truncated sides."""
-    return expand_query(a, b, m)
-
-
-# (operator, method) -> encoder.  The lambdas look the wrappers (and through
-# them expand_query and maxpool) up at call time, so tracing can replace them.
+# (operator, method) -> encoder.  The cpt entry looks expand_query up at call
+# time, so replacing this module's name (as perfbench's tracer does) reaches it.
 COMPOSITIONS = {
-    (OP_DIFFERENCE, "subtract"): lambda q: difference_subtract(q.a, q.b),
-    (OP_DIFFERENCE, "ignore"): lambda q: difference_ignore(q.a, q.b),
+    (OP_DIFFERENCE, "subtract"): lambda q: sub(q.a, q.b),
+    (OP_DIFFERENCE, "ignore"): lambda q: q.a,
     (OP_DIFFERENCE, "disentangled"): lambda q: difference_disentangled(q.a, q.b),
     (OP_DIFFERENCE, "orthogonal"): lambda q: difference_orthogonal(q.a, q.b),
     (OP_DIFFERENCE, "nrf"): lambda q: difference_nrf(q.a, q.b, q.params.lambda_),
-    (OP_UNION, "add"): lambda q: union_add(q.a, q.b),
-    (OP_UNION, "maxpool"): lambda q: union_maxpool(q.a, q.b),
-    (OP_INTERSECTION, "add"): lambda q: intersection_add(q.a, q.b),
-    (OP_INTERSECTION, "maxpool"): lambda q: intersection_maxpool(q.a, q.b),
-    (OP_INTERSECTION, "cpt"): lambda q: intersection_cpt(q.a, q.b, q.params.m),
+    (OP_UNION, "add"): lambda q: add(q.a, q.b),
+    (OP_UNION, "maxpool"): lambda q: maxpool(q.a, q.b),
+    (OP_INTERSECTION, "add"): lambda q: add(q.a, q.b),
+    (OP_INTERSECTION, "maxpool"): lambda q: maxpool(q.a, q.b),
+    (OP_INTERSECTION, "cpt"): lambda q: expand_query(q.a, q.b, q.params.m),
     (OP_ATOMIC, "atomic"): lambda q: q.a,
 }
 

@@ -22,8 +22,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CptDomainError, NonFiniteError, VocabularyMismatchError
-from .sparse import SparseVector, top_m
+from .errors import CptDomainError, NonFiniteError
+from .sparse import SparseVector, _require_same_vocab, top_m
 
 PAIR_SEPARATOR = "∩"  # the set-intersection glyph used in debug dumps
 
@@ -37,8 +37,7 @@ class PseudoTermVector:
     __slots__ = ("x", "y", "vocab")
 
     def __init__(self, x: SparseVector, y: SparseVector):
-        if x.vocab is not y.vocab:
-            raise VocabularyMismatchError("pseudo-term factors use different vocabularies")
+        _require_same_vocab(x.vocab, y.vocab, "pseudo-term factors")
         _require_nonnegative(x, "pseudo-term factor")
         _require_nonnegative(y, "pseudo-term factor")
         # No pair weight exceeds sqrt(max(x) * max(y)), so one product bounds them all.
@@ -108,8 +107,7 @@ def expand_doc(d: SparseVector) -> PseudoTermVector:
 
 def cpt_score(q: PseudoTermVector, d_exp: PseudoTermVector) -> float:
     """Inner product over matching pairs, accumulated in pair order."""
-    if q.vocab is not d_exp.vocab:
-        raise VocabularyMismatchError("pseudo-term operands use different vocabularies")
+    _require_same_vocab(q.vocab, d_exp.vocab, "pseudo-term operands")
     total = 0.0
     for pair, qw in q.entries():
         dw = d_exp.weight(*pair)
@@ -124,8 +122,8 @@ def cpt_score_factorized(a_top: SparseVector, b_top: SparseVector, d: SparseVect
     ``(sum_i sqrt(a_i d_i)) * (sum_j sqrt(b_j d_j))`` over shared supports;
     *a_top* and *b_top* are expected to be truncated already.
     """
-    if a_top.vocab is not d.vocab or b_top.vocab is not d.vocab:
-        raise VocabularyMismatchError("operands use different vocabularies")
+    _require_same_vocab(a_top.vocab, d.vocab)
+    _require_same_vocab(b_top.vocab, d.vocab)
     _require_nonnegative(a_top, "query side A")
     _require_nonnegative(b_top, "query side B")
     _require_nonnegative(d, "document")

@@ -10,11 +10,11 @@ class SetvecError(Exception):
 
 
 class UnknownTermError(SetvecError):
-    """A term string is not in the vocabulary and the vocabulary is frozen."""
+    """A term string looked up with ``Vocabulary.id_of`` is not in the vocabulary."""
 
 
 class VocabularyMismatchError(SetvecError):
-    """Two operands are bound to different Vocabulary objects."""
+    """Two operands are bound to different Vocabulary objects (``sparse._require_same_vocab``)."""
 
 
 class ZeroNormError(SetvecError):

@@ -19,7 +19,7 @@ Qrels            qid 0 docid grade
 Run              qid Q0 docid rank score tag      (rank 1-based, 6-decimal scores)
 Logit grid       TSV; first row = term strings, later rows = positions.
 Pairs JSONL      {"qid_a": "...", "qid_b": "...", "doc_a": "...", "doc_b": "..."}
-Per-query TSV    qid<TAB>value (or qid<TAB>metric<TAB>value, as eval writes it)
+Per-query TSV    qid<TAB>value (or qid<TAB>metric<TAB>value, one metric per qid)
 Stopwords        one word per line
 """
 
@@ -460,8 +460,10 @@ def read_pairs(path) -> list[PairedQueries]:
 
 
 def read_per_query(path) -> dict[str, float]:
-    """Per-query TSV: qid in the first column, value in the last; a repeated qid keeps its last value."""
+    """Per-query TSV: qid in the first column, value in the last; a repeated qid keeps its
+    last value, but its ``qid<TAB>metric<TAB>value`` rows must all name one metric."""
     values: dict[str, float] = {}
+    metrics: dict[str, str] = {}
     for line_no, line in _lines(path):
         parts = line.split("\t")
         if len(parts) < 2:
@@ -472,6 +474,11 @@ def read_per_query(path) -> dict[str, float]:
             raise FormatError(f"{path}:{line_no}: bad metric value") from None
         if not math.isfinite(value):
             raise FormatError(f"{path}:{line_no}: metric value {parts[-1]!r} is not finite")
+        if len(parts) == 3 and metrics.setdefault(parts[0], parts[1]) != parts[1]:
+            raise FormatError(
+                f"{path}:{line_no}: {parts[0]!r} has values for {metrics[parts[0]]!r} and {parts[1]!r}; "
+                "pass a one-metric file, for example from `eval --metrics ndcg@10`"
+            )
         values[parts[0]] = value
     return values
 

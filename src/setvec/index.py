@@ -14,7 +14,9 @@ are sorted, which gives the same hits as sorting every touched document.
 
 Postings live in one columnar (CSR) layout shared by every layer: term ``t``
 owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending) and the matching
-slice of ``weights``.
+slice of ``weights``.  ``setvec search`` reads queries into ``idx.vocab``,
+which appends each query-only term past the ids ``offsets`` covers: hence
+:meth:`InvertedIndex.postings`' range check and :func:`save`'s padding.
 
 The on-disk format (SVIX version 3) is little-endian binary: magic, format
 version, the vocabulary and the doc names as two string tables, the raw
@@ -45,11 +47,10 @@ from typing import Iterable
 import numpy as np
 
 from .cpt import PseudoTermVector, _require_nonnegative
-from .errors import (
-    CptDomainError, DuplicateDocError, IndexFormatError, NonFiniteError, VocabularyMismatchError
-)
+from .errors import CptDomainError, DuplicateDocError, IndexFormatError, NonFiniteError
 from .sparse import (
-    SparseVector, VectorBatch, Vocabulary, _canonical_rows, _not_increasing, _positive_int, _rank, maxpool
+    SparseVector, VectorBatch, Vocabulary, _canonical_rows, _not_increasing, _positive_int, _rank,
+    _require_same_vocab, maxpool,
 )
 
 MAGIC = b"SVIX"
@@ -88,10 +89,7 @@ class InvertedIndex:
         return int(np.count_nonzero(np.diff(self.offsets)))
 
     def postings(self, term_id: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """(doc ids, weights) for a term, or None when the term indexes nothing.
-
-        Terms added to the vocabulary after the index was built index nothing.
-        """
+        """(doc ids, weights) for a term, or None when the term indexes nothing, as a query-only term does."""
         tid = int(term_id)
         if not 0 <= tid < self.offsets.size - 1:
             return None
@@ -115,8 +113,7 @@ def build(
     """
     batch = docs if isinstance(docs, VectorBatch) else VectorBatch.stack(docs, vocab)
     vocab = batch.vocab if vocab is None else vocab
-    if batch.vocab is not vocab:
-        raise VocabularyMismatchError("the document batch uses a different vocabulary")
+    _require_same_vocab(batch.vocab, vocab, "the document batch and the index")
     names = batch.names
     seen: set[str] = set()
     for name in names:
@@ -138,8 +135,7 @@ def _named(idx: InvertedIndex, doc_ids: np.ndarray, scores: np.ndarray) -> Searc
 
 def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k (doc ids, scores); internal, shared by search and search_cpt."""
-    if q.vocab is not idx.vocab:
-        raise VocabularyMismatchError("query vocabulary does not match the index")
+    _require_same_vocab(q.vocab, idx.vocab, "the query and the index")
     n = idx.doc_count
     scores = np.zeros(n, dtype=np.float64)
     touched = np.zeros(n, dtype=bool)
@@ -179,6 +175,7 @@ def search_cpt(
     size this is exhaustive.
     """
     candidate_pool = _positive_int(candidate_pool, "candidate_pool")
+    _require_same_vocab(q_cpt.vocab, idx.vocab, "the pseudo-term query and the index")
     _require_nonnegative(a, "query side A")
     _require_nonnegative(b, "query side B")
     cand_ids, scores = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)

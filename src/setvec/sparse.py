@@ -1,12 +1,15 @@
 """Vocabulary handling and the sparse term-weight vector algebra.
 
 A :class:`SparseVector` stores sorted ``(term-id, weight)`` pairs over a
-shared :class:`Vocabulary`.  Weights may be negative; missing entries are
-semantically zero everywhere.  All operations are pure and return vectors in
-canonical form: strictly increasing term ids, no stored weight with magnitude
-below :data:`NEAR_ZERO`.  A :class:`VectorBatch` holds many canonical
-vectors as CSR columns; the ingest path (BM25 encoding, vector files, index
-build) carries documents that way instead of one object per document.
+shared :class:`Vocabulary`, which appends an unseen term on ``add``.  An id
+names a term only in its own vocabulary: ``_require_same_vocab`` alone refuses
+operands over two, for vectors, batches, the index and pseudo-terms alike.
+Weights may be negative; missing entries are semantically zero everywhere.
+All operations are pure and return vectors in canonical form: strictly
+increasing term ids, no stored weight with magnitude below :data:`NEAR_ZERO`.
+A :class:`VectorBatch` holds many canonical vectors as CSR columns; the ingest
+path (BM25 encoding, vector files, index build) carries documents that way
+instead of one object per document.
 
 One function, ``_canonical_rows``, puts every vector and every batch row in
 canonical form, and it alone applies the weight rule ``_kept``.  A row may not
@@ -33,24 +36,26 @@ NEAR_ZERO = 1e-12
 
 
 class _TermIds(dict):
-    """``term -> id``; looking up a missing term appends it to the vocabulary."""
+    """``term -> id``; looking up a missing term appends it to ``terms`` with the next id."""
 
-    __slots__ = ("vocab",)
+    __slots__ = ("terms",)
 
     def __missing__(self, term):
-        return self.vocab._append(term)
+        if not isinstance(term, str) or not term:
+            raise ValueError("vocabulary terms must be non-empty strings")
+        term_id = self[term] = len(self.terms)
+        self.terms.append(term)
+        return term_id
 
 
 class Vocabulary:
     """Bidirectional mapping between term strings and dense integer ids.
 
-    A fresh vocabulary is in extend-on-miss mode: looking up an unknown term
-    through :meth:`add` or :meth:`add_all` appends it.  After :meth:`freeze`,
-    unknown terms raise :class:`UnknownTermError` and the vocabulary is safely
-    shareable across threads.
+    Looking up an unknown term through :meth:`add` or :meth:`add_all` appends
+    it; :meth:`id_of`, :meth:`get` and ``in`` never do.
     """
 
-    __slots__ = ("_terms", "_ids", "_frozen")
+    __slots__ = ("_terms", "_ids")
 
     def __init__(self, terms: Iterable[str] = ()):
         # One pass builds the id map; only a repeated term, which keeps its
@@ -62,24 +67,11 @@ class Vocabulary:
             self._ids = _TermIds(zip(self._terms, range(len(self._terms))))
         if not all(issubclass(kind, str) for kind in set(map(type, self._terms))) or "" in self._ids:
             raise ValueError("vocabulary terms must be non-empty strings")
-        self._ids.vocab = self
-        self._frozen = False
-
-    def _append(self, term) -> int:
-        """Give an unseen *term* the next id; ``_ids`` calls this on a miss."""
-        if self._frozen:
-            raise UnknownTermError(f"term {term!r} not in frozen vocabulary")
-        if not isinstance(term, str) or not term:
-            raise ValueError("vocabulary terms must be non-empty strings")
-        term_id = len(self._terms)
-        self._terms.append(term)
-        self._ids[term] = term_id
-        return term_id
+        self._ids.terms = self._terms
 
     def add(self, term: str) -> int:
-        """Return the id of *term*, appending it if unseen (and not frozen)."""
-        term_id = self._ids.get(term)
-        return self._append(term) if term_id is None else term_id
+        """Return the id of *term*, appending it if unseen."""
+        return self._ids[term]
 
     def add_all(self, terms: Iterable[str]) -> list[int]:
         """The ids of *terms* in order, appending unseen ones as :meth:`add` does.
@@ -101,14 +93,6 @@ class Vocabulary:
     def term(self, term_id: int) -> str:
         return self._terms[term_id]
 
-    def freeze(self) -> "Vocabulary":
-        self._frozen = True
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     @property
     def terms(self) -> tuple[str, ...]:
         return tuple(self._terms)
@@ -120,8 +104,7 @@ class Vocabulary:
         return len(self._terms)
 
     def __repr__(self) -> str:
-        state = "frozen" if self._frozen else "open"
-        return f"Vocabulary({len(self)} terms, {state})"
+        return f"Vocabulary({len(self)} terms)"
 
 
 class SparseVector:
@@ -162,7 +145,7 @@ class SparseVector:
         """Build a vector from ``(term, weight)`` pairs.
 
         Duplicate terms have their weights summed in input order; zero results
-        are dropped.  Unknown terms extend the vocabulary unless it is frozen.
+        are dropped.  Unknown terms extend the vocabulary.
         """
         ids = []
         weights = []
@@ -269,8 +252,7 @@ class VectorBatch:
         for name, vec in rows:
             if vocab is None:
                 vocab = vec.vocab
-            elif vec.vocab is not vocab:
-                raise VocabularyMismatchError(f"vector {name!r} uses a different vocabulary")
+            _require_same_vocab(vec.vocab, vocab, f"vector {name!r} and the batch")
             names.append(name)
             id_cols.append(vec.ids)
             weight_cols.append(vec.weights)
@@ -339,14 +321,15 @@ def _positive_int(value, name: str) -> int:
     return int(value)
 
 
-def _require_same_vocab(a: SparseVector, b: SparseVector) -> None:
-    if a.vocab is not b.vocab:
-        raise VocabularyMismatchError("operands are bound to different vocabularies")
+def _require_same_vocab(vocab: Vocabulary, other: Vocabulary, what: str = "operands") -> None:
+    """The one same-vocabulary rule: *what* must share one :class:`Vocabulary` object."""
+    if vocab is not other:
+        raise VocabularyMismatchError(f"{what} use different vocabularies")
 
 
 def _elementwise(a: SparseVector, b: SparseVector, op) -> SparseVector:
     """``op`` over both weight arrays aligned to the union of supports (missing = 0)."""
-    _require_same_vocab(a, b)
+    _require_same_vocab(a.vocab, b.vocab)
     union = np.union1d(a.ids, b.ids)
     wa = np.zeros(union.size, dtype=np.float64)
     wb = np.zeros(union.size, dtype=np.float64)
@@ -375,7 +358,7 @@ def dot(a: SparseVector, b: SparseVector) -> float:
     intp doc ids, in the same ascending order, so it reproduces exactly this
     summation and the two never disagree.
     """
-    _require_same_vocab(a, b)
+    _require_same_vocab(a.vocab, b.vocab)
     if a.nnz == 0 or b.nnz == 0:
         return 0.0
     _, ia, ib = np.intersect1d(a.ids, b.ids, assume_unique=True, return_indices=True)
@@ -421,7 +404,7 @@ def mask_remove(b: SparseVector, support_of: SparseVector) -> SparseVector:
     Surviving weights are untouched, so the result equals *b* exactly outside
     the mask's support.
     """
-    _require_same_vocab(b, support_of)
+    _require_same_vocab(b.vocab, support_of.vocab)
     if b.nnz == 0 or support_of.nnz == 0:
         return b
     keep = ~np.isin(b.ids, support_of.ids, assume_unique=True)
@@ -430,7 +413,7 @@ def mask_remove(b: SparseVector, support_of: SparseVector) -> SparseVector:
 
 def project(a: SparseVector, onto_b: SparseVector) -> SparseVector:
     """Orthogonal projection of *a* onto the line of *onto_b*: ``(a.b/|b|^2) b``."""
-    _require_same_vocab(a, onto_b)
+    _require_same_vocab(a.vocab, onto_b.vocab)
     denom = dot(onto_b, onto_b)
     if denom <= 0.0:
         raise ZeroNormError("cannot project onto a zero vector")
@@ -439,7 +422,7 @@ def project(a: SparseVector, onto_b: SparseVector) -> SparseVector:
 
 def cosine(a: SparseVector, b: SparseVector) -> float:
     """Cosine similarity in [-1, 1]; raises on zero-norm input."""
-    _require_same_vocab(a, b)
+    _require_same_vocab(a.vocab, b.vocab)
     na = norm(a)
     nb = norm(b)
     if na == 0.0 or nb == 0.0:

@@ -20,13 +20,13 @@ from setvec import (
     ScoredRun,
     SparseVector,
     Vocabulary,
+    add,
     build,
     cpt_score,
     cpt_score_factorized,
     difference_disentangled,
     difference_nrf,
     difference_orthogonal,
-    difference_subtract,
     dot,
     expand_doc,
     expand_query,
@@ -41,9 +41,8 @@ from setvec import (
     search,
     search_cpt,
     snrelu_activate,
+    sub,
     top_m,
-    union_add,
-    union_maxpool,
 )
 from setvec.cli import main
 from setvec.formats import write_search_results
@@ -107,7 +106,7 @@ def test_criterion_2_orthogonality_suite():
             residual = difference_orthogonal(a, b)
             assert abs(dot(residual, b)) <= 1e-9 * max(norm(a) * norm(b), 1.0)
             assert difference_nrf(a, b, 0.0) == a
-            assert difference_nrf(a, b, 1.0) == difference_subtract(a, b)
+            assert difference_nrf(a, b, 1.0) == sub(a, b)
 
 
 def test_criterion_3_cpt_factorization_oracle():
@@ -185,10 +184,8 @@ def test_criterion_5_fusion_composition_rank_equivalence():
             b = _lattice(rng, vocab, 10, 65, 128, min_nnz=1)
             run_a = ScoredRun(qid="q", scores=dict(search(idx, a, n_docs)))
             run_b = ScoredRun(qid="q", scores=dict(search(idx, b, n_docs)))
-            assert fuse(run_a, run_b, "plus").ranking() == search(idx, union_add(a, b), n_docs)
-            assert fuse(run_a, run_b, "minus").ranking() == search(
-                idx, difference_subtract(a, b), n_docs
-            )
+            assert fuse(run_a, run_b, "plus").ranking() == search(idx, add(a, b), n_docs)
+            assert fuse(run_a, run_b, "minus").ranking() == search(idx, sub(a, b), n_docs)
 
 
 class SyntheticCorpus:
@@ -293,7 +290,7 @@ def test_criterion_6_synthetic_set_semantics():
             union_qid = f"union{pi}"
             for doc in in_a | in_b:
                 qrels.set(union_qid, doc, 1)
-            union_ranking = [doc for doc, _ in search(idx, union_maxpool(a, b), n)]
+            union_ranking = [doc for doc, _ in search(idx, maxpool(a, b), n)]
             b_ranking = [doc for doc, _ in search(idx, b, n)]
             r_union = recall_at_k(union_ranking, qrels, union_qid, 100)
             assert r_union >= recall_at_k(ignore_ranking, qrels, union_qid, 100)

@@ -441,6 +441,27 @@ class TestFuseEvalPairwise:
             '  {\n    "low": 1.0,\n    "high": 1.0,\n    "mean_metric": 0.2,\n    "count": 1\n  }\n]\n'
         )
 
+    def test_interference_refuses_default_eval_output(self, tmp_path, capsys):
+        """eval's default metrics write two rows per qid; analyze-interference would bin one
+        of them, so it names the line and asks for a one-metric file."""
+        run, qrels, queries, per_query = (tmp_path / name for name in ("r.trec", "q.qrels", "q.jsonl", "pq.tsv"))
+        write_lines(run, "q1 Q0 d2 1 2.000000 t", "q1 Q0 d1 2 1.000000 t")
+        write_lines(qrels, "q1 0 d1 1")
+        write_lines(queries, json.dumps({"qid": "q1", "operator": "difference", "method": "subtract",
+                                         "a": {"x": 1.0}, "b": {"y": 1.0}}))
+        analyze = ["analyze-interference", "--queries", str(queries), "--per-query-metrics", str(per_query),
+                   "--bins", "1"]
+        assert main(["eval", "--run", str(run), "--qrels", str(qrels), "--per-query", str(per_query)]) == 0
+        capsys.readouterr()
+        assert main(analyze) == 2
+        err = capsys.readouterr().err
+        assert f"{per_query}:2: 'q1' has values for 'ndcg@10' and 'recall@100'" in err
+        assert "eval --metrics ndcg@10" in err
+        eval_one = ["eval", "--run", str(run), "--qrels", str(qrels), "--metrics", "ndcg@10"]
+        assert main([*eval_one, "--per-query", str(per_query)]) == 0
+        assert main(analyze) == 0
+        assert "0.6309" in capsys.readouterr().out
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -498,15 +519,23 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag", [
         ("search", "--m=0"), ("search", "--lambda=-1"), ("search", "--lambda=nan"),
         ("compose", "--m=0"), ("compose", "--lambda=-1"),
+        ("eval", "--metrics=ndcg@x"), ("eval", "--metrics=,"),
     ])
-    def test_bad_query_default_is_usage_error(self, tmp_path, indexed_corpus, birds_files, command, flag):
+    def test_bad_query_default_is_usage_error(self, tmp_path, capsys, indexed_corpus, birds_files, command, flag):
         vectors, queries = birds_files
         out = tmp_path / "out"
         argv = [command, "--queries", str(queries), "--vectors", str(vectors), flag, "--out", str(out)]
         if command == "search":
             argv += ["--index", str(indexed_corpus)]
+        if command == "eval":
+            run, qrels = tmp_path / "run.trec", tmp_path / "q.qrels"
+            write_lines(run, "q1 Q0 d1 1 1.000000 t")
+            write_lines(qrels, "q1 0 d1 1")
+            argv = ["eval", "--run", str(run), "--qrels", str(qrels), flag, "--out", str(out)]
         assert main(argv) == 1
         assert not out.exists()
+        if command == "eval":
+            assert "metric" in capsys.readouterr().err
 
 
 HUGE = "1" + "0" * 400  # a JSON integer no float can hold
@@ -518,26 +547,45 @@ def _query(method, params):
                        "a": {"x": 1.0}, "b": {"y": 1.0}, "params": params})
 
 
-@pytest.mark.parametrize("command, line", [
-    ("index", '{"id": "d1", "vector": {"x": %s}}' % HUGE),
-    ("compose", '{"qid": "q1", "operator": "atomic", "method": "atomic", "a": {"x": -%s}}' % HUGE),
-    ("compose", _query("cpt", {"m": 0})),
-    ("compose", _query("cpt", {"m": 2.7})),
-    ("compose", _query("cpt", {"m": True})),
-    ("compose", _query("cpt", {"m": "5"})),
-    ("compose", _query("nrf", {"lambda": -1})),
-    ("compose", _query("nrf", {"lambda": True})),
-    ("compose", _query("nrf", {"lambda": "0.5"})),
-    ("index", '{"id": "d1", "vector": {"": 1.0}}'),
-    ("compose", '{"qid": "q1", "operator": "union", "method": "add", "a": {"x": 1.0}, "b": {"": 1.0}}'),
+@pytest.mark.parametrize("command, line, line_no", [
+    ("index", '{"id": "d1", "vector": {"x": %s}}' % HUGE, 1),
+    ("compose", '{"qid": "q1", "operator": "atomic", "method": "atomic", "a": {"x": -%s}}' % HUGE, 1),
+    ("compose", _query("cpt", {"m": 0}), 1),
+    ("compose", _query("cpt", {"m": 2.7}), 1),
+    ("compose", _query("cpt", {"m": True}), 1),
+    ("compose", _query("cpt", {"m": "5"}), 1),
+    ("compose", _query("nrf", {"lambda": -1}), 1),
+    ("compose", _query("nrf", {"lambda": True}), 1),
+    ("compose", _query("nrf", {"lambda": "0.5"}), 1),
+    ("index", '{"id": "d1", "vector": {"": 1.0}}', 1),
+    ("compose", '{"qid": "q1", "operator": "union", "method": "add", "a": {"x": 1.0}, "b": {"": 1.0}}', 1),
+    ("index", "[1, 2]", 1),
+    ("compose", '{"qid": "q1", "method": "subtract", "a": {"x": 1.0}, "b": {"y": 1.0}}', 1),
+    ("compose", _query("nrf", [0.5]), 1),
+    ("eval --qrels", "q1 0 d1 x", 1),
+    ("eval --qrels", "q1 0 d1 -1", 1),
+    ("eval --run", "q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t", 2),
+    ("encode --logits", "a\t\tb\n1.0\t2.0\t3.0", 1),
+    ("encode --logits", "a\tb\n1.0\tnan", 2),
 ], ids=["vector-weight-overflow", "inline-weight-overflow", "m-0", "m-2.7", "m-true", "m-str",
-        "lambda-neg", "lambda-true", "lambda-str", "vector-empty-term", "inline-empty-term"])
-def test_malformed_value_is_located_data_error(tmp_path, capsys, command, line):
+        "lambda-neg", "lambda-true", "lambda-str", "vector-empty-term", "inline-empty-term",
+        "not-an-object", "no-operator", "params-not-object", "grade-not-int", "grade-negative",
+        "run-duplicate-doc", "logit-empty-term", "logit-non-finite"])
+def test_malformed_value_is_located_data_error(tmp_path, capsys, command, line, line_no):
     path = tmp_path / "input.jsonl"
     write_lines(path, line)
-    flag = "--vectors" if command == "index" else "--queries"
-    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"{path}:1: " in capsys.readouterr().err
+    run, qrels = tmp_path / "run.trec", tmp_path / "q.qrels"
+    write_lines(run, "q1 Q0 d1 1 1.000000 t")
+    write_lines(qrels, "q1 0 d1 1")
+    argv = {
+        "index": ["index", "--vectors", str(path)],
+        "compose": ["compose", "--queries", str(path)],
+        "eval --qrels": ["eval", "--run", str(run), "--qrels", str(path)],
+        "eval --run": ["eval", "--run", str(path), "--qrels", str(qrels)],
+        "encode --logits": ["encode", "--logits", str(path)],
+    }[command]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}:{line_no}: " in capsys.readouterr().err
 
 
 # Each row: the input under test, the valid inputs around it, and the command that reads it.

@@ -10,21 +10,21 @@ from setvec import (
     ZeroNormError,
     compose,
     difference_disentangled,
-    difference_ignore,
     difference_nrf,
     difference_orthogonal,
-    difference_subtract,
     dot,
-    intersection_add,
-    intersection_cpt,
-    intersection_maxpool,
     norm,
     sub,
-    union_add,
-    union_maxpool,
 )
 
 from conftest import random_lattice_vector, random_vector
+
+
+def composed(operator, method, a, b, **params):
+    """The (operator, method) pair applied through ``compose``, the table the CLI uses."""
+    return compose(CompositionalQuery(
+        qid="q", operator=operator, method=method, a=a, b=b, params=CompositionParams(**params)
+    ))
 
 
 class TestQueryValidation:
@@ -53,17 +53,17 @@ class TestQueryValidation:
 class TestDifference:
     def test_subtract_birds(self, birds):
         a, b = birds
-        assert difference_subtract(a, b).to_dict() == {"colombia": 1.0, "venezuela": -1.0}
+        assert composed("difference", "subtract", a, b).to_dict() == {"colombia": 1.0, "venezuela": -1.0}
 
     def test_subtract_trivia(self, birds):
         a, _ = birds
-        assert difference_subtract(a, SparseVector.empty(a.vocab)) == a
-        assert difference_subtract(a, a).nnz == 0
+        assert composed("difference", "subtract", a, SparseVector.empty(a.vocab)) == a
+        assert composed("difference", "subtract", a, a).nnz == 0
 
     def test_ignore_returns_a(self, birds):
         a, b = birds
-        assert difference_ignore(a, b) == a
-        assert difference_ignore(SparseVector.empty(a.vocab), b).nnz == 0
+        assert composed("difference", "ignore", a, b) == a
+        assert composed("difference", "ignore", SparseVector.empty(a.vocab), b).nnz == 0
 
     def test_disentangled_birds(self, birds):
         a, b = birds
@@ -140,7 +140,7 @@ class TestDifference:
             a = random_vector(rng, vocab)
             b = random_vector(rng, vocab)
             assert difference_nrf(a, b, 0.0) == a
-            assert difference_nrf(a, b, 1.0) == difference_subtract(a, b)
+            assert difference_nrf(a, b, 1.0) == composed("difference", "subtract", a, b)
 
     def test_nrf_half(self, birds):
         a, b = birds
@@ -168,7 +168,7 @@ class TestDifference:
             b = random_lattice_vector(rng, vocab)
             d = random_lattice_vector(rng, vocab)
             s_dis = dot(difference_disentangled(a, b), d)
-            s_ign = dot(difference_ignore(a, b), d)
+            s_ign = dot(composed("difference", "ignore", a, b), d)
             assert s_dis <= s_ign
             b_only = set(b.ids.tolist()) - set(a.ids.tolist())
             penalized = any(d.get(t) > 0 for t in b_only)
@@ -178,7 +178,7 @@ class TestDifference:
 class TestUnionIntersection:
     def test_union_add_birds(self, birds):
         a, b = birds
-        assert union_add(a, b).to_dict() == {
+        assert composed("union", "add", a, b).to_dict() == {
             "birds": 2.0,
             "fly": 2.0,
             "colombia": 1.0,
@@ -188,21 +188,21 @@ class TestUnionIntersection:
 
     def test_union_maxpool_birds(self, birds):
         a, b = birds
-        assert set(union_maxpool(a, b).to_dict().values()) == {1.0}
-        assert union_maxpool(a, b).nnz == 5
+        assert set(composed("union", "maxpool", a, b).to_dict().values()) == {1.0}
+        assert composed("union", "maxpool", a, b).nnz == 5
 
     def test_union_add_identity(self, birds):
         a, _ = birds
-        assert union_add(a, SparseVector.empty(a.vocab)) == a
+        assert composed("union", "add", a, SparseVector.empty(a.vocab)) == a
 
     def test_intersection_vector_methods_match_union_math(self, birds):
         a, b = birds
-        assert intersection_add(a, b) == union_add(a, b)
-        assert intersection_maxpool(a, b) == union_maxpool(a, b)
+        assert composed("intersection", "add", a, b) == composed("union", "add", a, b)
+        assert composed("intersection", "maxpool", a, b) == composed("union", "maxpool", a, b)
 
     def test_intersection_cpt_returns_pseudo_terms(self, birds):
         a, b = birds
-        out = intersection_cpt(a, b, m=2)
+        out = composed("intersection", "cpt", a, b, m=2)
         assert isinstance(out, PseudoTermVector)
         assert out.nnz == 4
 
@@ -215,8 +215,8 @@ class TestUnionIntersection:
             a = random_lattice_vector(rng, vocab)
             b = random_lattice_vector(rng, vocab)
             d = random_lattice_vector(rng, vocab)
-            assert dot(union_add(a, b), d) == dot(a, d) + dot(b, d)
-            assert dot(difference_subtract(a, b), d) == dot(a, d) - dot(b, d)
+            assert dot(composed("union", "add", a, b), d) == dot(a, d) + dot(b, d)
+            assert dot(composed("difference", "subtract", a, b), d) == dot(a, d) - dot(b, d)
 
 
 class TestComposeDispatch:

@@ -16,8 +16,10 @@ SRC = os.path.dirname(os.path.dirname(setvec.__file__))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    # The warning policy pyproject.toml sets for the tests holds for the demos too.
+    warnings = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *warnings, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
 

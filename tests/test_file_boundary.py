@@ -7,9 +7,10 @@ ordered only by ``sparse._rank``; near-zero weights are dropped only by
 ``sparse._kept``, which only ``sparse._canonical_rows`` calls, for every
 vector and batch row; ids are checked to increase within a row only by
 ``sparse._not_increasing``; counts are checked only by
-``sparse._positive_int``; scores are accumulated only by the two scoring
-loops of ``index``, through ``np.add.at``.  And setvec imports nothing beyond
-the standard library and numpy, its one declared dependency.
+``sparse._positive_int``; operands are held to one vocabulary only by
+``sparse._require_same_vocab``; scores are accumulated only by the two
+scoring loops of ``index``, through ``np.add.at``.  And setvec imports
+nothing beyond the standard library and numpy, its one declared dependency.
 """
 
 import ast
@@ -129,6 +130,19 @@ def test_positive_integer_rule_is_raised_in_one_place():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "positive integer" in node.value
     ]
     assert sayers == [("sparse", "_positive_int")]
+
+
+def test_same_vocabulary_rule_is_raised_in_one_place():
+    """Vectors, batches, the index and pseudo-terms all refuse operands over another
+    vocabulary through ``sparse._require_same_vocab``; nothing else raises the error."""
+    raisers = [
+        (module, getattr(top, "name", "<module>"))
+        for module, top in _modules()
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise)
+        and any(getattr(n, NAME_FIELDS.get(type(n), ""), None) == "VocabularyMismatchError" for n in ast.walk(node))
+    ]
+    assert raisers == [("sparse", "_require_same_vocab")]
 
 
 def test_scores_accumulate_in_one_place():

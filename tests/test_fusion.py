@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from setvec import ScoredRun, SparseVector, Vocabulary, build, fuse, min_max_scale, search
-from setvec.compose import difference_subtract, union_add
+from setvec import ScoredRun, SparseVector, Vocabulary, add, build, fuse, min_max_scale, search, sub
 
 from conftest import random_lattice_vector
 
@@ -82,9 +81,9 @@ class TestRankEquivalence:
             run_b = ScoredRun(qid="q", scores=dict(search(idx, b, 40)))
 
             fused_plus = fuse(run_a, run_b, "plus").ranking()
-            composed_plus = search(idx, union_add(a, b), 40)
+            composed_plus = search(idx, add(a, b), 40)
             assert fused_plus == composed_plus
 
             fused_minus = fuse(run_a, run_b, "minus").ranking()
-            composed_minus = search(idx, difference_subtract(a, b), 40)
+            composed_minus = search(idx, sub(a, b), 40)
             assert fused_minus == composed_minus

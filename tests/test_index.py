@@ -13,6 +13,7 @@ from setvec import (
     SparseVector,
     VectorBatch,
     Vocabulary,
+    VocabularyMismatchError,
     build,
     cpt_score_factorized,
     expand_query,
@@ -282,6 +283,21 @@ class TestSearchCpt:
         with pytest.raises(CptDomainError):
             search_cpt(idx, q, neg, pos, k=5, candidate_pool=5)
 
+    def test_pseudo_term_query_from_another_vocabulary_rejected(self):
+        """A term id means a term only in its own vocabulary, so search_cpt refuses a
+        pseudo-term query built over another one, as search does for a vector."""
+        vocab = Vocabulary()
+        rows = [("d1", {"a": 1.0, "b": 4.0}), ("d2", {"a": 4.0, "b": 1.0}), ("d3", {"a": 1.0, "c": 9.0})]
+        idx = build([(name, SparseVector.from_dict(vec, vocab)) for name, vec in rows], vocab)
+        a, b = (SparseVector.from_pairs([(t, 1.0)], vocab) for t in "ab")
+        assert search_cpt(idx, expand_query(a, b), a, b, 10, 10) == [("d1", 2.0), ("d2", 2.0), ("d3", 0.0)]
+        other = Vocabulary(["c", "a", "b"])
+        a_other, b_other = (SparseVector.from_pairs([(t, 1.0)], other) for t in "ab")
+        with pytest.raises(VocabularyMismatchError):
+            search(idx, a_other, 10)
+        with pytest.raises(VocabularyMismatchError):
+            search_cpt(idx, expand_query(a_other, b_other), a, b, 10, 10)
+
 
 class TestPersistence:
     def test_round_trip_search_identical(self, tmp_path, vocab):
@@ -380,12 +396,13 @@ class TestPersistence:
 
 
 def write_raw_index(path, terms, names, offsets, doc_ids, weights, table=None, codes=None,
-                    name_lengths=None, tail=b""):
+                    name_lengths=None, tail=b"", cut=None):
     """Independent v3 encoder for crafted files; str or raw bytes strings, valid CRC.
 
     The weight table defaults to the sorted distinct weights and the codes to
     each weight's place in it; *table*, *codes* and *name_lengths* (the doc
-    names' byte lengths) override what the other arguments imply.
+    names' byte lengths) override what the other arguments imply.  *cut* keeps
+    only that many bytes of the body, before the CRC is taken.
     """
 
     def string_table(strings, lengths=None):
@@ -413,6 +430,7 @@ def write_raw_index(path, terms, names, offsets, doc_ids, weights, table=None, c
     # Level 1, as save uses, so that a valid index encodes to save's very bytes.
     buf += struct.pack("<I", len(table)) + byte_planes("d", table)
     buf += byte_planes(code_fmt, codes) + byte_planes("I", gaps) + tail
+    buf = buf[:cut]
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
     path.write_bytes(bytes(buf))
 
@@ -467,6 +485,8 @@ class TestLoaderStructure:
             ({"weights": [1.5, -0.0, 0.25]}, "zero or near-zero weight"),
             ({"name_lengths": [2, 2, 3]}, "doc name lengths do not sum to the string blob size"),
             ({"name_lengths": [2, 2, 1]}, "doc name lengths do not sum to the string blob size"),
+            ({"cut": 56}, "truncated doc name blob"),
+            ({"cut": 10}, "truncated index file"),
         ],
     )
     def test_malformed_structure_rejected(self, tmp_path, change, message):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from setvec import (
     NonFiniteError,
     SparseVector,
-    UnknownTermError,
     Vocabulary,
     VocabularyMismatchError,
     ZeroNormError,
@@ -52,14 +51,6 @@ class TestVocabulary:
     def test_rejects_non_string_terms(self, terms):
         with pytest.raises(ValueError, match="non-empty strings"):
             Vocabulary(terms)
-
-    def test_frozen_vocabulary_raises_on_miss(self):
-        v = Vocabulary(["a"]).freeze()
-        assert v.add("a") == 0
-        with pytest.raises(UnknownTermError):
-            v.add("b")
-        with pytest.raises(UnknownTermError):
-            v.id_of("b")
 
 
 class TestConstruction:

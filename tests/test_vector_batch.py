@@ -265,15 +265,6 @@ class TestVocabularyBulkLookup:
         assert vocab.add_all(["b", "x", "a", "b"]) == [1, 0, 2, 1]
         assert vocab.terms == ("x", "b", "a")
 
-    def test_frozen_vocabulary_rejects_unknown_terms(self):
-        vocab = Vocabulary(["x"]).freeze()
-        assert vocab.add_all(["x"]) == [0]
-        with pytest.raises(UnknownTermError):
-            vocab.add_all(["x", "new"])
-        with pytest.raises(UnknownTermError):
-            vocab.add("new")
-        assert vocab.terms == ("x",)
-
     @pytest.mark.parametrize("term", ["", 3, None])
     def test_rejects_empty_and_non_string_terms(self, term):
         vocab = Vocabulary()
@@ -281,6 +272,14 @@ class TestVocabularyBulkLookup:
             vocab.add_all(["ok", term])
         with pytest.raises(ValueError):
             vocab.add(term)
+
+    def test_unhashable_term_is_a_type_error(self):
+        vocab = Vocabulary(["x"])
+        with pytest.raises(TypeError):
+            vocab.add(["y"])
+        with pytest.raises(TypeError):
+            vocab.add_all(["x", {"y"}])
+        assert vocab.terms == ("x",)
 
     def test_lookups_never_append(self):
         vocab = Vocabulary(["x"])
