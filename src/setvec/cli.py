@@ -21,16 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import formats
 from .activations import AGGREGATIONS, NEG_CORRECTED, NEG_FORMULAS, ActivationConfig, activate
-from .compose import (
-    DEFAULT_LAMBDA,
-    DEFAULT_M,
-    OP_ATOMIC,
-    OP_DIFFERENCE,
-    CompositionalQuery,
-    CompositionParams,
-    compose,
-)
-from .cpt import PseudoTermVector
+from .compose import DEFAULT_LAMBDA, OP_ATOMIC, OP_DIFFERENCE, CompositionalQuery, CompositionParams, compose
+from .cpt import DEFAULT_M, PseudoTermVector
 from .errors import SetvecError, UndefinedMetricError, ZeroNormError
 from .evaluation import DEFAULT_BINS, interference_bins, ndcg_at_k, pairwise_accuracy, recall_at_k
 from .fusion import FUSE_OPS, fuse
@@ -119,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", help="override the method of every non-atomic record")
     p.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float, default=DEFAULT_LAMBDA,
                    help="nrf lambda when a record omits it (default: %(default)s)")
-    p.add_argument("--m", type=int, default=DEFAULT_M,
+    p.add_argument("--m", type=_count, default=DEFAULT_M,
                    help="cpt top-m when a record omits it (default: %(default)s)")
     p.add_argument("--out", required=True, help="output vector JSONL (cpt rows use term∩term keys)")
     p.set_defaults(func=cmd_compose)
@@ -132,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", help="override method of every non-atomic query record")
     p.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float, default=DEFAULT_LAMBDA,
                    help="nrf lambda when a record omits it (default: %(default)s)")
-    p.add_argument("--m", type=int, default=DEFAULT_M,
+    p.add_argument("--m", type=_count, default=DEFAULT_M,
                    help="cpt top-m when a record omits it (default: %(default)s)")
     p.add_argument(
         "--candidate-pool",
@@ -246,18 +238,18 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _query_defaults(args) -> dict:
-    """--method/--lambda/--m as read_queries keywords; bad values are usage errors."""
+def _query_params(args) -> CompositionParams:
+    """--lambda and --m, the settings a record's params fall back to; a bad lambda is a usage error."""
     try:
-        CompositionParams(lambda_=args.lambda_, m=args.m)
+        return CompositionParams(lambda_=args.lambda_, m=args.m)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    return {"default_method": args.method, "default_lambda": args.lambda_, "default_m": args.m}
 
 
-def _load_queries(args, vocab, **defaults) -> list[CompositionalQuery]:
+def _load_queries(args, vocab, *settings) -> list[CompositionalQuery]:
+    """The query file; *settings* are read_queries' method override and params."""
     vectors = dict(formats.read_vectors(args.vectors, vocab)) if args.vectors else {}
-    return formats.read_queries(args.queries, vectors, vocab, **defaults)
+    return formats.read_queries(args.queries, vectors, vocab, *settings)
 
 
 def _naming_errors(path, fn):
@@ -273,17 +265,16 @@ def _naming_errors(path, fn):
 
 
 def cmd_compose(args) -> int:
-    defaults = _query_defaults(args)
-    queries = _load_queries(args, Vocabulary(), **defaults)
+    queries = _load_queries(args, Vocabulary(), args.method, _query_params(args))
     formats.write_vectors(args.out, map(_naming_errors(args.queries, lambda q: (q.qid, compose(q))), queries))
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
-    defaults = _query_defaults(args)
+    params = _query_params(args)
     idx = load(args.index)
     if formats.is_query_file(args.queries):
-        queries = _load_queries(args, idx.vocab, **defaults)
+        queries = _load_queries(args, idx.vocab, args.method, params)
     else:
         queries = [
             CompositionalQuery(qid=qid, operator=OP_ATOMIC, method="atomic", a=vec)

@@ -11,6 +11,11 @@ method) pair to its vector math, and :func:`compose` applies it.
                                 over the top-m terms of each side
     atomic        atomic        a
 
+:class:`CompositionParams` holds the two knobs: nrf's lambda, held to the
+one rule of :func:`_checked_lambda` that ``difference_nrf`` applies too, and
+cpt's top-m, whose default :data:`setvec.cpt.DEFAULT_M` is also
+``expand_query``'s.
+
 Inputs are never mutated, and an empty atomic vector is legal: it
 propagates as an empty result.
 """
@@ -20,7 +25,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .cpt import PseudoTermVector, expand_query
+from .cpt import DEFAULT_M, PseudoTermVector, expand_query
 from .sparse import SparseVector, _positive_int, add, mask_remove, maxpool, project, scale, sub
 
 OP_DIFFERENCE = "difference"
@@ -29,7 +34,13 @@ OP_INTERSECTION = "intersection"
 OP_ATOMIC = "atomic"
 
 DEFAULT_LAMBDA = 0.5
-DEFAULT_M = 5
+
+
+def _checked_lambda(lam: float) -> float:
+    """nrf's lambda: a finite ``int`` or ``float`` >= 0, never a ``bool``."""
+    if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0 <= lam <= sys.float_info.max:
+        raise ValueError(f"lambda must be a finite number >= 0, got {lam!r}")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -41,9 +52,7 @@ class CompositionParams:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _positive_int(self.m, "m"))
-        lam = self.lambda_
-        if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0 <= lam <= sys.float_info.max:
-            raise ValueError(f"lambda must be a finite number >= 0, got {lam!r}")
+        _checked_lambda(self.lambda_)
 
 
 @dataclass(frozen=True)
@@ -83,9 +92,7 @@ def difference_orthogonal(a: SparseVector, b: SparseVector) -> SparseVector:
 
 def difference_nrf(a: SparseVector, b: SparseVector, lambda_: float = DEFAULT_LAMBDA) -> SparseVector:
     """Negative relevance feedback ``a - lambda * b`` (Rocchio-style)."""
-    if lambda_ < 0.0:
-        raise ValueError("nrf lambda must be nonnegative")
-    return sub(a, scale(b, lambda_))
+    return sub(a, scale(b, _checked_lambda(lambda_)))
 
 
 # (operator, method) -> encoder.  The cpt entry looks expand_query up at call

@@ -10,9 +10,12 @@ the inner product over matching pairs, which factorizes:
 so an expansion is stored as its two factors (the truncated sides, or the
 document twice) and its pairs are enumerated only on demand: retrieval reads
 the factors and never materializes a pair.  A document scores above zero only
-when it overlaps *both* truncated sides.  All weights must be nonnegative
-(sqrt domain); negative input raises rather than being clamped, since it
-signals a misconfigured encoder.
+when it overlaps *both* truncated sides.  Each side keeps its top
+:data:`DEFAULT_M` terms unless told otherwise.  All weights must be
+nonnegative (sqrt domain): :func:`_require_nonnegative` raises
+:class:`CptDomainError` for query sides, factors, documents and postings
+alike rather than clamping, since negative input signals a misconfigured
+encoder.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import CptDomainError, NonFiniteError
 from .sparse import SparseVector, _require_same_vocab, top_m
 
 PAIR_SEPARATOR = "∩"  # the set-intersection glyph used in debug dumps
+DEFAULT_M = 5  # top terms kept per side
 
 
 class PseudoTermVector:
@@ -38,8 +42,8 @@ class PseudoTermVector:
 
     def __init__(self, x: SparseVector, y: SparseVector):
         _require_same_vocab(x.vocab, y.vocab, "pseudo-term factors")
-        _require_nonnegative(x, "pseudo-term factor")
-        _require_nonnegative(y, "pseudo-term factor")
+        _require_nonnegative(x.weights, "pseudo-term factor")
+        _require_nonnegative(y.weights, "pseudo-term factor")
         # No pair weight exceeds sqrt(max(x) * max(y)), so one product bounds them all.
         if x.nnz and y.nnz and not math.isfinite(float(x.weights.max()) * float(y.weights.max())):
             raise NonFiniteError("a pseudo-term weight overflows to inf")
@@ -84,19 +88,19 @@ class PseudoTermVector:
         return f"PseudoTermVector({head}{tail})"
 
 
-def _require_nonnegative(v: SparseVector, label: str) -> None:
-    if v.nnz and float(v.weights.min()) < 0.0:
+def _require_nonnegative(weights: np.ndarray, label: str) -> None:
+    if weights.size and float(weights.min()) < 0.0:
         raise CptDomainError(f"{label} carries negative weights; pseudo-terms need w >= 0")
 
 
-def expand_query(a: SparseVector, b: SparseVector, m: int = 5) -> PseudoTermVector:
+def expand_query(a: SparseVector, b: SparseVector, m: int = DEFAULT_M) -> PseudoTermVector:
     """Outer product of the two truncated sides: pairs ``(i, j)``, ``sqrt(a_i b_j)``.
 
     Each atomic side is truncated to its top-*m* terms first, bounding the
     expansion at ``m**2`` pairs.
     """
-    _require_nonnegative(a, "query side A")
-    _require_nonnegative(b, "query side B")
+    _require_nonnegative(a.weights, "query side A")
+    _require_nonnegative(b.weights, "query side B")
     return PseudoTermVector(top_m(a, m), top_m(b, m))
 
 
@@ -124,9 +128,9 @@ def cpt_score_factorized(a_top: SparseVector, b_top: SparseVector, d: SparseVect
     """
     _require_same_vocab(a_top.vocab, d.vocab)
     _require_same_vocab(b_top.vocab, d.vocab)
-    _require_nonnegative(a_top, "query side A")
-    _require_nonnegative(b_top, "query side B")
-    _require_nonnegative(d, "document")
+    _require_nonnegative(a_top.weights, "query side A")
+    _require_nonnegative(b_top.weights, "query side B")
+    _require_nonnegative(d.weights, "document")
     return _sqrt_overlap(a_top, d) * _sqrt_overlap(b_top, d)
 
 

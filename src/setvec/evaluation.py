@@ -43,9 +43,6 @@ class Qrels:
     def relevant(self, qid: str) -> set[str]:
         return {doc for doc, g in self._by_qid.get(qid, {}).items() if g > 0}
 
-    def qids(self) -> list[str]:
-        return list(self._by_qid)
-
     def __len__(self) -> int:
         return sum(len(docs) for docs in self._by_qid.values())
 

@@ -37,13 +37,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .activations import LogitMatrix
-from .compose import (
-    DEFAULT_LAMBDA,
-    DEFAULT_M,
-    OP_ATOMIC,
-    CompositionalQuery,
-    CompositionParams,
-)
+from .compose import OP_ATOMIC, CompositionalQuery, CompositionParams
 from .cpt import PseudoTermVector
 from .errors import FormatError
 from .evaluation import PairedQueries, Qrels
@@ -268,14 +262,13 @@ def read_queries(
     path,
     vectors: Mapping[str, SparseVector],
     vocab: Vocabulary,
-    default_method: str | None = None,
-    default_lambda: float = DEFAULT_LAMBDA,
-    default_m: int = DEFAULT_M,
+    method: str | None = None,
+    params: CompositionParams = CompositionParams(),
 ) -> list[CompositionalQuery]:
     """Parse query records, resolving a_ref/b_ref against *vectors*.
 
-    *default_method* overrides the per-record method when given; the lambda/m
-    defaults apply only where a record's params omit them.
+    *method*, when given, overrides the method of every non-atomic record;
+    *params* supplies the lambda and m that a record's params leave out.
     """
     queries = []
     seen: set[str] = set()
@@ -286,11 +279,11 @@ def read_queries(
         if not isinstance(operator, str):
             raise FormatError(f"{where}: missing 'operator'")
         if operator == OP_ATOMIC:
-            method = "atomic"  # a method override never applies to pass-through queries
+            record_method = "atomic"  # a method override never applies to pass-through queries
         else:
-            method = default_method or record.get("method")
-        if not isinstance(method, str):
-            raise FormatError(f"{where}: no method in record and no --method override")
+            record_method = method or record.get("method")
+        if not isinstance(record_method, str):
+            raise FormatError(f"{where}: missing 'method'")
 
         def _side(name: str) -> SparseVector | None:
             ref = record.get(f"{name}_ref")
@@ -312,16 +305,16 @@ def read_queries(
         raw_params = record.get("params", {})
         if not isinstance(raw_params, dict):
             raise FormatError(f"{where}: 'params' must be an object")
-        lambda_ = raw_params.get("lambda", default_lambda)
-        m = raw_params.get("m", default_m)
         try:
             query = CompositionalQuery(
                 qid=qid,
                 operator=operator,
-                method=method,
+                method=record_method,
                 a=a,
                 b=b,
-                params=CompositionParams(lambda_=lambda_, m=m),
+                params=CompositionParams(
+                    lambda_=raw_params.get("lambda", params.lambda_), m=raw_params.get("m", params.m)
+                ),
             )
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{where}: {exc}") from exc

@@ -44,13 +44,7 @@ def min_max_scale(scores: dict[str, float], label: str = "run") -> dict[str, flo
     return {doc: (s - low) / span for doc, s in scores.items()}
 
 
-def fuse(
-    run_a: ScoredRun,
-    run_b: ScoredRun,
-    op: str,
-    scaled: bool = False,
-    qid: str | None = None,
-) -> ScoredRun:
+def fuse(run_a: ScoredRun, run_b: ScoredRun, op: str, scaled: bool = False) -> ScoredRun:
     """Combine two atomic runs into one fused run over the union of their docs."""
     if op not in FUSE_OPS:
         raise ValueError(f"op must be one of {FUSE_OPS}")
@@ -69,4 +63,4 @@ def fuse(
             fused[doc] = sa - sb
         else:
             fused[doc] = sa * sb
-    return ScoredRun(qid=qid if qid is not None else run_a.qid, scores=fused)
+    return ScoredRun(qid=run_a.qid, scores=fused)

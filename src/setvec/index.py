@@ -47,7 +47,7 @@ from typing import Iterable
 import numpy as np
 
 from .cpt import PseudoTermVector, _require_nonnegative
-from .errors import CptDomainError, DuplicateDocError, IndexFormatError, NonFiniteError
+from .errors import DuplicateDocError, IndexFormatError, NonFiniteError
 from .sparse import (
     SparseVector, VectorBatch, Vocabulary, _canonical_rows, _not_increasing, _positive_int, _rank,
     _require_same_vocab, maxpool,
@@ -176,8 +176,8 @@ def search_cpt(
     """
     candidate_pool = _positive_int(candidate_pool, "candidate_pool")
     _require_same_vocab(q_cpt.vocab, idx.vocab, "the pseudo-term query and the index")
-    _require_nonnegative(a, "query side A")
-    _require_nonnegative(b, "query side B")
+    _require_nonnegative(a.weights, "query side A")
+    _require_nonnegative(b.weights, "query side B")
     cand_ids, scores = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     if q_cpt.nnz:
         cand_ids, _ = _search_ids(idx, maxpool(a, b), candidate_pool)
@@ -194,11 +194,7 @@ def _sqrt_factor(idx: InvertedIndex, side: SparseVector) -> np.ndarray:
         if posting is None:
             continue
         doc_ids, weights = posting
-        if float(weights.min()) < 0.0:
-            raise CptDomainError(
-                f"term {idx.vocab.term(tid)!r} has negative document weights; "
-                "pseudo-term scoring needs a nonnegative corpus"
-            )
+        _require_nonnegative(weights, f"the posting of term {idx.vocab.term(tid)!r}")
         np.add.at(acc, doc_ids.astype(np.intp), np.sqrt(qw * weights))
     return acc
 

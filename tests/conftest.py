@@ -42,3 +42,20 @@ def random_lattice_vector(rng, vocab, max_nnz=20, min_nnz=0, lo=1, hi=256):
     ids = rng.choice(len(vocab), size=nnz, replace=False)
     weights = rng.integers(lo, hi, size=nnz).astype(np.float64) / 64.0
     return SparseVector(ids, weights, vocab)
+
+
+def brute_force(doc_dicts, names, query_dict, k):
+    """Independent top-k oracle over ``{term: weight}`` dicts: each touched doc
+    accumulates its shared terms in ascending term order, untouched docs are
+    never returned, and ties break by doc id."""
+    scored = []
+    for doc_id, dd in enumerate(doc_dicts):
+        shared = sorted(query_dict.keys() & dd.keys())
+        if not shared:
+            continue
+        s = 0.0
+        for t in shared:
+            s += query_dict[t] * dd[t]
+        scored.append((doc_id, s))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return [(names[doc_id], s) for doc_id, s in scored[:k]]

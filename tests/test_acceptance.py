@@ -47,7 +47,7 @@ from setvec import (
 from setvec.cli import main
 from setvec.formats import write_search_results
 
-from conftest import random_vector
+from conftest import brute_force, random_vector
 
 
 @contextmanager
@@ -126,21 +126,6 @@ def test_criterion_3_cpt_factorization_oracle():
             assert (fact > 0.0) == (overlaps_a and overlaps_b)
 
 
-def _oracle_topk(doc_dicts, names, query_dict, k):
-    """Brute force: ascending-term-id accumulation over touched docs only."""
-    scored = []
-    for doc_id, dd in enumerate(doc_dicts):
-        shared = sorted(query_dict.keys() & dd.keys())
-        if not shared:
-            continue
-        s = 0.0
-        for t in shared:
-            s += query_dict[t] * dd[t]
-        scored.append((doc_id, s))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return [(names[doc_id], s) for doc_id, s in scored[:k]]
-
-
 def test_criterion_4_retrieval_oracle():
     rng = np.random.default_rng(20260203)
     with criterion(4, "retrieval oracle equivalence", budget_seconds=30.0):
@@ -158,7 +143,7 @@ def test_criterion_4_retrieval_oracle():
                 q = random_vector(rng, vocab, max_nnz=min(n_terms, 30))
                 qd = dict(q.entries())
                 for k in (1, 10, n_docs):
-                    assert search(idx, q, k) == _oracle_topk(doc_dicts, names, qd, k)
+                    assert search(idx, q, k) == brute_force(doc_dicts, names, qd, k)
 
 
 def _lattice(rng, vocab, max_nnz, lo, hi, min_nnz=0):

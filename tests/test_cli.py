@@ -479,7 +479,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("value, shown", [("0", "0"), ("-3", "-3"), ("abc", None), ("1.5", None)])
     @pytest.mark.parametrize("command, flag", [
         ("search", "--k"), ("search", "--candidate-pool"), ("analyze-interference", "--bins"),
-        ("search", "--threads"), ("index", "--threads"),
+        ("search", "--threads"), ("index", "--threads"), ("search", "--m"), ("compose", "--m"),
     ])
     def test_count_flags_share_the_count_rule(self, tmp_path, capsys, indexed_corpus, command, flag, value, shown):
         queries, out = tmp_path / "q.jsonl", tmp_path / "out"
@@ -488,6 +488,8 @@ class TestExitCodes:
             argv = ["search", "--index", str(indexed_corpus), "--queries", str(queries)]
         elif command == "index":
             argv = ["index", "--vectors", str(queries)]
+        elif command == "compose":
+            argv = ["compose", "--queries", str(queries)]
         else:
             argv = ["analyze-interference", "--queries", str(queries), "--per-query-metrics", str(queries)]
         assert main([*argv, flag, value, "--out", str(out)]) == 1
@@ -695,6 +697,17 @@ def test_bad_pair_record_is_located_data_error(tmp_path, capsys, record):
     write_lines(scores, "qa Q0 da 1 2.0 t", "qa Q0 db 2 1.0 t", "qb Q0 db 1 2.0 t", "qb Q0 da 2 1.0 t")
     assert main(["pairwise", "--pairs", str(pairs), "--scores", str(scores)]) == 2
     assert f"{pairs}:2: " in capsys.readouterr().err
+
+
+def test_interference_record_without_method_names_no_flag(tmp_path, capsys):
+    """analyze-interference has no --method, so a record without one is only the file's fault."""
+    queries, metrics = tmp_path / "q.jsonl", tmp_path / "m.tsv"
+    write_lines(queries, json.dumps({"qid": "q1", "operator": "difference", "a": {"x": 1.0}, "b": {"y": 1.0}}))
+    write_lines(metrics, "q1\t0.5")
+    assert main(["analyze-interference", "--queries", str(queries), "--per-query-metrics", str(metrics)]) == 2
+    err = capsys.readouterr().err
+    assert f"{queries}:1: " in err
+    assert "--method" not in err
 
 
 def test_interference_without_difference_queries_is_data_error(tmp_path, capsys):

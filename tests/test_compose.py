@@ -157,6 +157,17 @@ class TestDifference:
         with pytest.raises(ValueError):
             difference_nrf(a, b, -0.5)
 
+    @pytest.mark.parametrize(
+        "lambda_", [True, float("nan"), float("inf"), -0.5, 10**400], ids=["True", "nan", "inf", "-0.5", "10**400"]
+    )
+    def test_nrf_and_params_share_the_lambda_rule(self, birds, lambda_):
+        a, b = birds
+        with pytest.raises(ValueError) as from_nrf:
+            difference_nrf(a, b, lambda_)
+        with pytest.raises(ValueError) as from_params:
+            CompositionParams(lambda_=lambda_)
+        assert str(from_nrf.value) == str(from_params.value) == f"lambda must be a finite number >= 0, got {lambda_!r}"
+
     def test_penalty_guarantee_against_ignore(self):
         # On a lattice (weights k/64) all scores are exact, so the comparison
         # between disentangled and ignore is exact too: penalized iff the doc

@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from setvec import (
+    CompositionParams,
     CptDomainError,
     NonFiniteError,
     PseudoTermVector,
@@ -16,6 +18,7 @@ from setvec import (
     expand_query,
     top_m,
 )
+from setvec import cpt
 
 from conftest import random_vector
 
@@ -61,6 +64,11 @@ class TestExpandQuery:
         b = SparseVector.from_pairs([("y", 1.0)], vocab)
         with pytest.raises(CptDomainError):
             expand_query(a, b)
+
+    def test_default_m_is_the_composition_default(self):
+        """Library callers of expand_query and of CompositionParams truncate to the same m."""
+        default = inspect.signature(expand_query).parameters["m"].default
+        assert default == cpt.DEFAULT_M == CompositionParams().m
 
 
 class TestExpandDoc:

@@ -7,10 +7,13 @@ ordered only by ``sparse._rank``; near-zero weights are dropped only by
 ``sparse._kept``, which only ``sparse._canonical_rows`` calls, for every
 vector and batch row; ids are checked to increase within a row only by
 ``sparse._not_increasing``; counts are checked only by
-``sparse._positive_int``; operands are held to one vocabulary only by
-``sparse._require_same_vocab``; scores are accumulated only by the two
-scoring loops of ``index``, through ``np.add.at``.  And setvec imports
-nothing beyond the standard library and numpy, its one declared dependency.
+``sparse._positive_int`` and nrf's lambda only by ``compose._checked_lambda``;
+lambda's default is stated in ``compose`` and m's in ``cpt``; operands are
+held to one vocabulary only by ``sparse._require_same_vocab``, and
+pseudo-term weights to the sqrt domain only by ``cpt._require_nonnegative``;
+scores are accumulated only by the two scoring loops of ``index``, through
+``np.add.at``.  And setvec imports nothing beyond the standard library and
+numpy, its one declared dependency.
 """
 
 import ast
@@ -143,6 +146,42 @@ def test_same_vocabulary_rule_is_raised_in_one_place():
         and any(getattr(n, NAME_FIELDS.get(type(n), ""), None) == "VocabularyMismatchError" for n in ast.walk(node))
     ]
     assert raisers == [("sparse", "_require_same_vocab")]
+
+
+def test_lambda_rule_is_stated_in_one_place():
+    """``difference_nrf`` and ``CompositionParams`` hold nrf's lambda to one rule and one message."""
+    sayers = [
+        (module, getattr(top, "name", "<module>"))
+        for module, top in _modules()
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "lambda must be" in node.value
+    ]
+    assert sayers == [("compose", "_checked_lambda")]
+
+
+def test_query_setting_defaults_are_stated_once():
+    """lambda's default lives with the nrf rule, m's with the top-m truncation that uses it."""
+    defaults = [
+        (module, target.id)
+        for module, top in _modules()
+        if isinstance(top, ast.Assign)
+        for target in top.targets
+        if isinstance(target, ast.Name) and target.id in {"DEFAULT_LAMBDA", "DEFAULT_M"}
+    ]
+    assert defaults == [("compose", "DEFAULT_LAMBDA"), ("cpt", "DEFAULT_M")]
+
+
+def test_cpt_domain_error_has_one_raiser():
+    """Query sides, factors, documents and index postings reach the sqrt domain rule
+    through ``cpt._require_nonnegative``; nothing else raises ``CptDomainError``."""
+    raisers = [
+        (module, getattr(top, "name", "<module>"))
+        for module, top in _modules()
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise)
+        and any(getattr(n, NAME_FIELDS.get(type(n), ""), None) == "CptDomainError" for n in ast.walk(node))
+    ]
+    assert raisers == [("cpt", "_require_nonnegative")]
 
 
 def test_scores_accumulate_in_one_place():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from setvec import (
+    CompositionParams,
     FormatError,
     PseudoTermVector,
     ScoredRun,
@@ -141,9 +142,7 @@ class TestQueries:
             '"b_ref":"qB","params":{"lambda":0.25}}\n'
             '{"qid":"q2","operator":"atomic","a_ref":"qA"}\n'
         )
-        queries = read_queries(
-            path, self._vectors(vocab), vocab, default_method="nrf", default_m=3
-        )
+        queries = read_queries(path, self._vectors(vocab), vocab, method="nrf", params=CompositionParams(m=3))
         assert queries[0].method == "nrf"
         assert queries[0].params.lambda_ == 0.25
         assert queries[0].params.m == 3

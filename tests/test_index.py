@@ -27,22 +27,7 @@ from setvec.cli import main
 from setvec.index import _rank
 from setvec.sparse import NEAR_ZERO
 
-from conftest import random_lattice_vector, random_vector
-
-
-def brute_force(doc_dicts, names, query_dict, k):
-    """Independent oracle: ascending-term-id accumulation, same tie-break."""
-    scored = []
-    for doc_id, dd in enumerate(doc_dicts):
-        shared = sorted(query_dict.keys() & dd.keys())
-        if not shared:
-            continue
-        s = 0.0
-        for t in shared:
-            s += query_dict[t] * dd[t]
-        scored.append((doc_id, s))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return [(names[doc_id], s) for doc_id, s in scored[:k]]
+from conftest import brute_force, random_lattice_vector, random_vector
 
 
 def _bits(hits):
