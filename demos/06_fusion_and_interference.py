@@ -15,7 +15,6 @@ import numpy as np
 
 from setvec import (
     CompositionalQuery,
-    ScoredRun,
     SparseVector,
     Vocabulary,
     build,
@@ -38,9 +37,7 @@ def main():
     idx = build(docs, vocab)
     a, b = rand_vec(8), rand_vec(8)
 
-    run_a = ScoredRun(qid="q", scores=dict(search(idx, a, 30)))
-    run_b = ScoredRun(qid="q", scores=dict(search(idx, b, 30)))
-    fused = fuse(run_a, run_b, "minus").ranking()
+    fused = fuse(dict(search(idx, a, 30)), dict(search(idx, b, 30)), "minus")
     composed = search(idx, sub(a, b), 30)
     print("fusion(-) vs composed subtraction, top 5 of each:")
     for (fd, fs), (cd, cs) in zip(fused[:5], composed[:5]):

@@ -52,7 +52,7 @@ from .evaluation import (
     pairwise_accuracy,
     recall_at_k,
 )
-from .fusion import ScoredRun, fuse, min_max_scale
+from .fusion import fuse, min_max_scale
 from .index import InvertedIndex, SearchResult, build, load, save, search, search_cpt
 from .lexical import encode_bm25, encode_tf, tokenize
 from .sparse import (
@@ -88,7 +88,6 @@ __all__ = [
     "PairedQueries",
     "PseudoTermVector",
     "Qrels",
-    "ScoredRun",
     "SearchResult",
     "SetvecError",
     "SparseVector",

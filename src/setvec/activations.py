@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseVector, Vocabulary, _not_increasing, _require_in_vocab
+from .sparse import SparseVector, Vocabulary, _not_increasing, _term_ids
 
 NEG_CORRECTED = "corrected"
 NEG_LITERAL = "literal"
@@ -46,7 +46,7 @@ class LogitMatrix:
 
     def __init__(self, values, term_ids, vocab: Vocabulary):
         values = np.asarray(values, dtype=np.float64)
-        term_ids = np.asarray(term_ids, dtype=np.uint32)
+        term_ids = _term_ids(term_ids, vocab)
         if values.ndim != 2 or values.shape[0] < 1:
             raise ValueError("logit matrix must be 2-d with at least one row")
         if not np.all(np.isfinite(values)):
@@ -55,7 +55,6 @@ class LogitMatrix:
             raise ValueError("one term id per column is required")
         if _not_increasing(term_ids).any():
             raise ValueError("column term ids must be strictly increasing")
-        _require_in_vocab(term_ids, vocab)
         self.values = values
         self.term_ids = term_ids
         self.vocab = vocab

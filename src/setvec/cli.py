@@ -25,7 +25,7 @@ from .compose import DEFAULT_LAMBDA, OP_ATOMIC, OP_DIFFERENCE, CompositionalQuer
 from .cpt import DEFAULT_M, PseudoTermVector
 from .errors import SetvecError, UndefinedMetricError, ZeroNormError
 from .evaluation import DEFAULT_BINS, interference_bins, ndcg_at_k, pairwise_accuracy, recall_at_k
-from .fusion import FUSE_OPS, fuse
+from .fusion import FUSE_OPS, fuse, min_max_scale
 from .index import build, load, save, search, search_cpt
 from .lexical import DEFAULT_B, DEFAULT_K1, encode_bm25, encode_tf, tokenize
 from .sparse import Vocabulary, _positive_int
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nrf lambda when a record omits it (default: %(default)s)")
     p.add_argument("--m", type=_count, default=DEFAULT_M,
                    help="cpt top-m when a record omits it (default: %(default)s)")
-    p.add_argument("--out", required=True, help="output vector JSONL (cpt rows use term∩term keys)")
+    p.add_argument("--out", required=True, help="output vector JSONL (cpt rows hold 'pairs' with term∩term keys)")
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("search", help="retrieve top-k documents for queries")
@@ -301,12 +301,16 @@ def cmd_fuse(args) -> int:
     only_b = runs_b.keys() - runs_a.keys()
     for qid in sorted(only_a | only_b):
         log.warning("qid %s present in only one run; skipped", qid)
+
+    def side(runs, name, qid):
+        return min_max_scale(runs[qid], f"run {name} ({qid})") if args.scaled else runs[qid]
+
     fused = [
-        fuse(runs_a[qid], runs_b[qid], args.op, scaled=args.scaled)
-        for qid in runs_a
+        (qid, fuse(side(runs_a, "A", qid), side(runs_b, "B", qid), args.op))
+        for qid in runs_a  # run A's qid order
         if qid in runs_b
     ]
-    formats.write_search_results(args.out, ((r.qid, r.ranking()) for r in fused), tag=args.tag)
+    formats.write_search_results(args.out, fused, tag=args.tag)
     return EXIT_OK
 
 
@@ -319,6 +323,8 @@ def _parse_metrics(arg: str) -> list[tuple[str, int]]:
         name, _, k_str = item.partition("@")
         if name not in ("ndcg", "recall") or not k_str.isdigit() or int(k_str) < 1:
             raise _UsageError(f"bad metric {item!r}; expected ndcg@K or recall@K")
+        if (name, int(k_str)) in metrics:
+            raise _UsageError(f"metric {item!r} is requested twice")
         metrics.append((name, int(k_str)))
     if not metrics:
         raise _UsageError("no metrics requested")
@@ -331,9 +337,8 @@ def cmd_eval(args) -> int:
     qrels = formats.read_qrels(args.qrels)
     per_query: dict[str, dict[str, float]] = {}
     skipped = []
-    for qid, run in runs.items():
-        # The ranking that was written: search's tie order, not ScoredRun.ranking()'s.
-        ranking = list(run.scores)
+    for qid, scores in runs.items():
+        ranking = list(scores)
         row = {}
         try:
             for name, k in metrics:
@@ -374,10 +379,10 @@ def cmd_pairwise(args) -> int:
     runs = formats.read_run(args.scores)
 
     def scorer(qid: str, doc: str) -> float:
-        run = runs.get(qid)
-        if run is None or doc not in run.scores:
+        scores = runs.get(qid, {})
+        if doc not in scores:
             raise UndefinedMetricError(f"no score for ({qid!r}, {doc!r}) in {args.scores}")
-        return run.scores[doc]
+        return scores[doc]
 
     accuracy = pairwise_accuracy(pairs, scorer)
     print(f"pairs: {len(pairs)}")

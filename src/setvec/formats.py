@@ -11,6 +11,7 @@ memory grows with the number of (term, weight) entries; ``write_vectors``
 streams a batch out in blocks of rows.
 
 Vector JSONL     {"id": "...", "vector": {"term": weight, ...}}
+Pseudo-term rows {"id": "...", "pairs": {"termA∩termB": weight, ...}}  (written, never read)
 Text JSONL       {"id": "...", "text": "..."}
 Query JSONL      {"qid": "...", "operator": "...", "method": "...",
                   "a_ref": "..."| "a": {...}, "b_ref"|"b": ...,
@@ -19,7 +20,7 @@ Qrels            qid 0 docid grade
 Run              qid Q0 docid rank score tag      (rank 1-based, 6-decimal scores)
 Logit grid       TSV; first row = term strings, later rows = positions.
 Pairs JSONL      {"qid_a": "...", "qid_b": "...", "doc_a": "...", "doc_b": "..."}
-Per-query TSV    qid<TAB>value (or qid<TAB>metric<TAB>value, one metric per qid)
+Per-query TSV    qid<TAB>value or qid<TAB>metric<TAB>value (one metric per qid)
 Stopwords        one word per line
 """
 
@@ -41,7 +42,6 @@ from .compose import OP_ATOMIC, CompositionalQuery, CompositionParams
 from .cpt import PseudoTermVector
 from .errors import FormatError
 from .evaluation import PairedQueries, Qrels
-from .fusion import ScoredRun
 from .sparse import SparseVector, VectorBatch, Vocabulary
 
 DEFAULT_RUN_TAG = "setvec"
@@ -179,8 +179,10 @@ class _WeightTexts(dict):
         return text
 
 
-def _records(names: list[str], bounds: list[int], keys: Iterable[str], values: Iterable[str]) -> str:
-    """Vector records as ``json.dumps(record, ensure_ascii=False)`` writes them.
+def _records(
+    names: list[str], bounds: list[int], keys: Iterable[str], values: Iterable[str], field: str = "vector"
+) -> str:
+    """Records ``{"id": name, field: {...}}`` as ``json.dumps(record, ensure_ascii=False)`` writes them.
 
     Record ``i`` holds entries ``bounds[i] - bounds[0]`` up to
     ``bounds[i + 1] - bounds[0]`` of *keys* (``'"term": '``) and *values*
@@ -193,7 +195,7 @@ def _records(names: list[str], bounds: list[int], keys: Iterable[str], values: I
     pieces[1::2] = values
     lead = ""  # records without entries that come before every entry
     for name, start, end in zip(names, bounds, bounds[1:]):
-        head = '{"id": ' + json.dumps(name, ensure_ascii=False) + ', "vector": {'
+        head = '{"id": ' + json.dumps(name, ensure_ascii=False) + f', "{field}": {{'
         first, last = 2 * (start - base), 2 * (end - base) - 1
         if last < first:
             if first:
@@ -225,7 +227,8 @@ def _batch_lines(batch: VectorBatch) -> Iterator[str]:
 def _item_lines(items: Iterable[tuple[str, SparseVector | PseudoTermVector]]) -> Iterator[str]:
     for rec_id, vec in items:
         row = vec.to_dict()
-        yield _records([rec_id], [0, len(row)], map(_json_key, row), map(_json_value, row.values()))
+        field = "pairs" if isinstance(vec, PseudoTermVector) else "vector"
+        yield _records([rec_id], [0, len(row)], map(_json_key, row), map(_json_value, row.values()), field)
 
 
 def write_vectors(
@@ -233,8 +236,8 @@ def write_vectors(
 ) -> None:
     """Inverse of :func:`read_vectors`; weights round-trip exactly.
 
-    Pseudo-term vectors serialize with ``termA∩termB`` keys (debug form; they
-    cannot be read back as plain vectors).
+    Pseudo-term vectors serialize under ``"pairs"`` with ``termA∩termB`` keys
+    (debug form); a vector reader refuses such a row as missing ``'vector'``.
     """
     _write(path, _batch_lines(items) if isinstance(items, VectorBatch) else _item_lines(items))
 
@@ -344,12 +347,12 @@ def read_qrels(path) -> Qrels:
     return qrels
 
 
-def read_run(path) -> dict[str, ScoredRun]:
-    """TREC run file grouped by qid, each query's hits in file (rank) order.
+def read_run(path) -> dict[str, dict[str, float]]:
+    """TREC run file as ``{qid: {doc: score}}``, each query's hits in file (rank) order.
 
     Within a query, ranks must increase and scores must not; scores are finite.
     """
-    runs: dict[str, ScoredRun] = {}
+    runs: dict[str, dict[str, float]] = {}
     last_rank: dict[str, int] = {}
     last_score: dict[str, float] = {}
     for line_no, line in _lines(path):
@@ -372,10 +375,10 @@ def read_run(path) -> dict[str, ScoredRun]:
             )
         last_rank[qid] = rank
         last_score[qid] = score
-        run = runs.setdefault(qid, ScoredRun(qid=qid))
-        if doc in run.scores:
+        scores = runs.setdefault(qid, {})
+        if doc in scores:
             raise FormatError(f"{path}:{line_no}: duplicate doc {doc!r} for {qid!r}")
-        run.scores[doc] = score
+        scores[doc] = score
     return runs
 
 
@@ -453,14 +456,14 @@ def read_pairs(path) -> list[PairedQueries]:
 
 
 def read_per_query(path) -> dict[str, float]:
-    """Per-query TSV: qid in the first column, value in the last; a repeated qid keeps its
-    last value, but its ``qid<TAB>metric<TAB>value`` rows must all name one metric."""
+    """Per-query TSV of ``qid<TAB>value`` or ``qid<TAB>metric<TAB>value`` rows; a repeated
+    qid keeps its last value, but its three-column rows must all name one metric."""
     values: dict[str, float] = {}
     metrics: dict[str, str] = {}
     for line_no, line in _lines(path):
         parts = line.split("\t")
-        if len(parts) < 2:
-            raise FormatError(f"{path}:{line_no}: expected qid<TAB>value")
+        if not 2 <= len(parts) <= 3:
+            raise FormatError(f"{path}:{line_no}: expected qid<TAB>value or qid<TAB>metric<TAB>value")
         try:
             value = float(parts[-1])
         except ValueError:

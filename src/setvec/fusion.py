@@ -1,30 +1,22 @@
 """Score-fusion baselines over per-atomic-query runs.
 
 Documents are ranked for the two atomic queries independently and the two
-score maps are fused per document: ``plus`` for union, ``times`` for
-intersection (a probabilistic AND: anything missing from either run scores
-0), ``minus`` for negation.  The scaled variant min-max normalizes each run
-to [0, 1] first.  A document absent from a run contributes score 0.
+``{doc: score}`` maps are fused per document: ``plus`` for union, ``times``
+for intersection (a probabilistic AND: anything missing from either run
+scores 0), ``minus`` for negation.  A document absent from a run contributes
+score 0.  :func:`fuse` returns its hits ranked as :func:`~setvec.index.search`
+returns them; the scaled variant applies :func:`min_max_scale` to each map
+first.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from typing import Mapping
+
+from .index import SearchResult
 
 FUSE_OPS = ("plus", "times", "minus")
-
-
-@dataclass
-class ScoredRun:
-    """Per-query document scores, keyed by doc name."""
-
-    qid: str
-    scores: dict[str, float] = field(default_factory=dict)
-
-    def ranking(self) -> list[tuple[str, float]]:
-        """Docs sorted by descending score, ties broken by doc name."""
-        return sorted(self.scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def min_max_scale(scores: dict[str, float], label: str = "run") -> dict[str, float]:
@@ -44,15 +36,10 @@ def min_max_scale(scores: dict[str, float], label: str = "run") -> dict[str, flo
     return {doc: (s - low) / span for doc, s in scores.items()}
 
 
-def fuse(run_a: ScoredRun, run_b: ScoredRun, op: str, scaled: bool = False) -> ScoredRun:
-    """Combine two atomic runs into one fused run over the union of their docs."""
+def fuse(scores_a: Mapping[str, float], scores_b: Mapping[str, float], op: str) -> SearchResult:
+    """Fuse two runs over the union of their docs: best first, ties broken by doc name."""
     if op not in FUSE_OPS:
         raise ValueError(f"op must be one of {FUSE_OPS}")
-    scores_a = run_a.scores
-    scores_b = run_b.scores
-    if scaled:
-        scores_a = min_max_scale(scores_a, f"run A ({run_a.qid})")
-        scores_b = min_max_scale(scores_b, f"run B ({run_b.qid})")
     fused: dict[str, float] = {}
     for doc in scores_a.keys() | scores_b.keys():
         sa = scores_a.get(doc, 0.0)
@@ -63,4 +50,4 @@ def fuse(run_a: ScoredRun, run_b: ScoredRun, op: str, scaled: bool = False) -> S
             fused[doc] = sa - sb
         else:
             fused[doc] = sa * sb
-    return ScoredRun(qid=run_a.qid, scores=fused)
+    return sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -11,9 +11,10 @@ A :class:`VectorBatch` holds many canonical vectors as CSR columns; the ingest
 path (BM25 encoding, vector files, index build) carries documents that way
 instead of one object per document.
 
-One function, ``_canonical_rows``, puts every vector and every batch row in
-canonical form, and it alone applies the weight rule ``_kept``.  A row may not
-hold an id twice; only :meth:`SparseVector.from_pairs` sums repeated terms.
+``_term_ids`` alone checks the ids given to a vector, a batch or a logit
+matrix.  One function, ``_canonical_rows``, puts every vector and every batch
+row in canonical form, and it alone applies the weight rule ``_kept``.  A row
+may not hold an id twice; only :meth:`SparseVector.from_pairs` sums repeated terms.
 
 The dot product accumulates shared entries sequentially in ascending term-id
 order.  The inverted index accumulates its scores term by term in the same
@@ -114,12 +115,11 @@ class SparseVector:
 
     def __init__(self, ids, weights, vocab: Vocabulary):
         """*ids* are distinct; the vector keeps canonical copies, never the caller's arrays."""
-        ids = np.array(ids, dtype=np.uint32)
+        ids = _term_ids(ids, vocab, copy=True)
         weights = np.array(weights, dtype=np.float64)
         if ids.shape != weights.shape or ids.ndim != 1:
             raise ValueError("ids and weights must be 1-d arrays of equal length")
         _, ids, weights = _canonical_rows(np.array([0, ids.size]), ids, weights)
-        _require_in_vocab(ids, vocab)
         self._bind(ids, weights, vocab)
 
     def _bind(self, ids: np.ndarray, weights: np.ndarray, vocab: Vocabulary) -> "SparseVector":
@@ -222,13 +222,12 @@ class VectorBatch:
         does.  The batch keeps the arrays it can use as given and makes them
         read-only."""
         lengths = np.asarray(lengths, dtype=np.int64)
-        ids = np.asarray(ids, dtype=np.uint32)
+        ids = _term_ids(ids, vocab)
         weights = np.asarray(weights, dtype=np.float64)
         if ids.shape != weights.shape or ids.ndim != 1 or lengths.shape != (len(names),):
             raise ValueError("ids and weights must be 1-d arrays of equal length, with one length per name")
         if lengths.min(initial=0) < 0 or int(lengths.sum()) != ids.size:
             raise ValueError("row lengths must be nonnegative and cover every entry")
-        _require_in_vocab(ids, vocab)
         offsets = np.zeros(len(names) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         offsets, ids, weights = _canonical_rows(offsets, ids, weights)
@@ -308,9 +307,13 @@ def _not_increasing(ids: np.ndarray, offsets: np.ndarray | None = None) -> np.nd
     return mask
 
 
-def _require_in_vocab(ids: np.ndarray, vocab: Vocabulary) -> None:
-    if ids.size and int(ids.max()) >= len(vocab):
-        raise ValueError(f"term id {int(ids.max())} out of range for vocabulary of size {len(vocab)}")
+def _term_ids(ids, vocab: Vocabulary, copy: bool = False) -> np.ndarray:
+    """The one term-id rule: *ids* as ``uint32``, once they are integers (not bools) in
+    ``[0, len(vocab))`` or empty; a ``uint32`` array is kept as is unless *copy* is set."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= len(vocab)):
+        raise ValueError(f"term ids must be integers in [0, {len(vocab)}), the vocabulary's range")
+    return ids.astype(np.uint32, copy=copy)
 
 
 def _positive_int(value, name: str) -> int:

@@ -17,7 +17,6 @@ from setvec import (
     LogitMatrix,
     PairedQueries,
     Qrels,
-    ScoredRun,
     SparseVector,
     Vocabulary,
     add,
@@ -167,10 +166,10 @@ def test_criterion_5_fusion_composition_rank_equivalence():
             idx = build(zip(names, vecs), vocab)
             a = _lattice(rng, vocab, 10, 1, 64, min_nnz=1)
             b = _lattice(rng, vocab, 10, 65, 128, min_nnz=1)
-            run_a = ScoredRun(qid="q", scores=dict(search(idx, a, n_docs)))
-            run_b = ScoredRun(qid="q", scores=dict(search(idx, b, n_docs)))
-            assert fuse(run_a, run_b, "plus").ranking() == search(idx, add(a, b), n_docs)
-            assert fuse(run_a, run_b, "minus").ranking() == search(idx, sub(a, b), n_docs)
+            run_a = dict(search(idx, a, n_docs))
+            run_b = dict(search(idx, b, n_docs))
+            assert fuse(run_a, run_b, "plus") == search(idx, add(a, b), n_docs)
+            assert fuse(run_a, run_b, "minus") == search(idx, sub(a, b), n_docs)
 
 
 class SyntheticCorpus:

@@ -73,7 +73,23 @@ class TestCompose:
             "--out", str(out),
         ]) == 0
         record = json.loads(out.read_text())
-        assert all("∩" in key for key in record["vector"])
+        assert "vector" not in record
+        assert all("∩" in key for key in record["pairs"])
+
+    def test_cpt_rows_are_refused_by_search(self, tmp_path, indexed_corpus, capsys):
+        queries = tmp_path / "iq.jsonl"
+        write_lines(
+            queries,
+            json.dumps({"qid": "q1", "operator": "intersection", "method": "cpt",
+                        "a": {"colombia": 1.0}, "b": {"venezuela": 1.0}}),
+        )
+        composed, run = tmp_path / "composed.jsonl", tmp_path / "run.trec"
+        assert main(["compose", "--queries", str(queries), "--out", str(composed)]) == 0
+        assert main([
+            "search", "--index", str(indexed_corpus), "--queries", str(composed), "--out", str(run),
+        ]) == 2
+        assert f"{composed}:1: missing 'vector'" in capsys.readouterr().err
+        assert not run.exists()
 
     def test_cpt_dump_bytes_pinned(self, tmp_path):
         # Term ids follow first occurrence (colombia 0, birds 1, andes 2, venezuela 3);
@@ -88,7 +104,7 @@ class TestCompose:
         out = tmp_path / "composed.jsonl"
         assert main(["compose", "--queries", str(queries), "--out", str(out)]) == 0
         assert out.read_bytes() == (
-            '{"id": "i1", "vector": {"colombia∩birds": 1.4142135623730951, '
+            '{"id": "i1", "pairs": {"colombia∩birds": 1.4142135623730951, '
             '"colombia∩venezuela": 3.1622776601683795, "birds∩birds": 1.7320508075688772, '
             '"birds∩venezuela": 3.872983346207417}}\n'
         ).encode("utf-8")
@@ -314,6 +330,24 @@ class TestFuseEvalPairwise:
         ]) == 0
         assert out.read_text() == "q1 Q0 d1 1 1.000000 setvec\nq1 Q0 d2 2 -2.000000 setvec\n"
 
+    def test_fuse_scaled_warning_names_the_degenerate_qid(self, tmp_path):
+        run_a = tmp_path / "a.trec"
+        run_b = tmp_path / "b.trec"
+        write_lines(run_a, "q2 Q0 d1 1 1.000000 t", "q2 Q0 d3 2 0.500000 t",
+                    "q1 Q0 d1 1 2.000000 t", "q1 Q0 d2 2 2.000000 t")
+        write_lines(run_b, "q1 Q0 d2 1 3.000000 t", "q1 Q0 d1 2 1.000000 t",
+                    "q2 Q0 d1 1 4.000000 t", "q2 Q0 d3 2 2.000000 t")
+        out = tmp_path / "fused.trec"
+        with pytest.warns(UserWarning, match=r"degenerate min-max scaling for run A \(q1\): all 2 scores"):
+            assert main([
+                "fuse", "--run-a", str(run_a), "--run-b", str(run_b),
+                "--op", "plus", "--scaled", "--out", str(out),
+            ]) == 0
+        assert out.read_text() == (  # run A's qid order; q1's constant run A scales to 0
+            "q2 Q0 d1 1 2.000000 setvec\nq2 Q0 d3 2 0.000000 setvec\n"
+            "q1 Q0 d2 1 1.000000 setvec\nq1 Q0 d1 2 0.000000 setvec\n"
+        )
+
     def test_eval_report(self, tmp_path, capsys):
         run = tmp_path / "run.trec"
         write_lines(
@@ -521,7 +555,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag", [
         ("search", "--m=0"), ("search", "--lambda=-1"), ("search", "--lambda=nan"),
         ("compose", "--m=0"), ("compose", "--lambda=-1"),
-        ("eval", "--metrics=ndcg@x"), ("eval", "--metrics=,"),
+        ("eval", "--metrics=ndcg@x"), ("eval", "--metrics=,"), ("eval", "--metrics=ndcg@10,NDCG@10"),
     ])
     def test_bad_query_default_is_usage_error(self, tmp_path, capsys, indexed_corpus, birds_files, command, flag):
         vectors, queries = birds_files
@@ -537,7 +571,10 @@ class TestExitCodes:
         assert main(argv) == 1
         assert not out.exists()
         if command == "eval":
-            assert "metric" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "metric" in err
+            if flag == "--metrics=ndcg@10,NDCG@10":
+                assert "metric 'ndcg@10' is requested twice" in err
 
 
 HUGE = "1" + "0" * 400  # a JSON integer no float can hold
@@ -569,22 +606,27 @@ def _query(method, params):
     ("eval --run", "q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t", 2),
     ("encode --logits", "a\t\tb\n1.0\t2.0\t3.0", 1),
     ("encode --logits", "a\tb\n1.0\tnan", 2),
+    ("analyze-interference", "q1\tndcg@10\textra\t0.5", 1),
 ], ids=["vector-weight-overflow", "inline-weight-overflow", "m-0", "m-2.7", "m-true", "m-str",
         "lambda-neg", "lambda-true", "lambda-str", "vector-empty-term", "inline-empty-term",
         "not-an-object", "no-operator", "params-not-object", "grade-not-int", "grade-negative",
-        "run-duplicate-doc", "logit-empty-term", "logit-non-finite"])
+        "run-duplicate-doc", "logit-empty-term", "logit-non-finite", "per-query-four-columns"])
 def test_malformed_value_is_located_data_error(tmp_path, capsys, command, line, line_no):
     path = tmp_path / "input.jsonl"
     write_lines(path, line)
     run, qrels = tmp_path / "run.trec", tmp_path / "q.qrels"
     write_lines(run, "q1 Q0 d1 1 1.000000 t")
     write_lines(qrels, "q1 0 d1 1")
+    queries = tmp_path / "queries.jsonl"
+    write_lines(queries, _query("subtract", {}))
     argv = {
         "index": ["index", "--vectors", str(path)],
         "compose": ["compose", "--queries", str(path)],
         "eval --qrels": ["eval", "--run", str(run), "--qrels", str(path)],
         "eval --run": ["eval", "--run", str(path), "--qrels", str(qrels)],
         "encode --logits": ["encode", "--logits", str(path)],
+        "analyze-interference": ["analyze-interference", "--queries", str(queries),
+                                 "--per-query-metrics", str(path)],
     }[command]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert f"{path}:{line_no}: " in capsys.readouterr().err

@@ -5,7 +5,8 @@ Text files are opened only by ``formats._lines`` (read) and ``formats._write``
 orchestrates: it parses no file itself.  Hits, CPT pools and top-m terms are
 ordered only by ``sparse._rank``; near-zero weights are dropped only by
 ``sparse._kept``, which only ``sparse._canonical_rows`` calls, for every
-vector and batch row; ids are checked to increase within a row only by
+vector and batch row; term ids are checked against the vocabulary only by
+``sparse._term_ids`` and to increase within a row only by
 ``sparse._not_increasing``; counts are checked only by
 ``sparse._positive_int`` and nrf's lambda only by ``compose._checked_lambda``;
 lambda's default is stated in ``compose`` and m's in ``cpt``; operands are
@@ -216,6 +217,17 @@ def test_row_order_rule_has_one_implementation():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_not_increasing"
     }
     assert callers == {("sparse", "_canonical_rows"), ("index", "load"), ("activations", "LogitMatrix")}
+
+
+def test_term_id_rule_has_one_implementation():
+    """Vectors, batches and logit columns check their term ids through ``sparse._term_ids``."""
+    callers = {
+        (module, getattr(top, "name", "<module>"))
+        for module, top in _modules()
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_term_ids"
+    }
+    assert callers == {("sparse", "SparseVector"), ("sparse", "VectorBatch"), ("activations", "LogitMatrix")}
 
 
 def test_runtime_imports_are_stdlib_or_numpy():

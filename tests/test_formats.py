@@ -7,7 +7,6 @@ from setvec import (
     CompositionParams,
     FormatError,
     PseudoTermVector,
-    ScoredRun,
     SparseVector,
     Vocabulary,
     splade_activate,
@@ -77,7 +76,7 @@ class TestVectors:
         path = tmp_path / "cpt.jsonl"
         write_vectors(path, [("q", ptv)])
         record = json.loads(path.read_text())
-        assert record["vector"] == {"edu∩intel": 1.5}
+        assert record == {"id": "q", "pairs": {"edu∩intel": 1.5}}
 
 
 class TestTexts:
@@ -182,27 +181,26 @@ class TestQrels:
 
 class TestRuns:
     def test_write_format(self, tmp_path):
-        run = ScoredRun(qid="q1", scores={"d1": 1.25, "d2": -0.5})
         path = tmp_path / "r.trec"
-        write_search_results(path, [(run.qid, run.ranking())], tag="tagged")
+        write_search_results(path, [("q1", [("d1", 1.25), ("d2", -0.5)])], tag="tagged")
         assert path.read_text() == (
             "q1 Q0 d1 1 1.250000 tagged\nq1 Q0 d2 2 -0.500000 tagged\n"
         )
 
     def test_round_trip_lossless_at_six_decimals(self, tmp_path):
         rng = np.random.default_rng(137)
-        runs = [
-            ScoredRun(
-                qid=f"q{i}",
-                scores={f"d{j}": round(float(rng.normal()), 6) for j in range(10)},
+        runs = {
+            f"q{i}": sorted(
+                ((f"d{j}", round(float(rng.normal()), 6)) for j in range(10)), key=lambda kv: (-kv[1], kv[0])
             )
             for i in range(5)
-        ]
+        }
         first = tmp_path / "a.trec"
-        write_search_results(first, ((r.qid, r.ranking()) for r in runs))
+        write_search_results(first, runs.items())
         loaded = read_run(first)
+        assert loaded == {qid: dict(hits) for qid, hits in runs.items()}
         second = tmp_path / "b.trec"
-        write_search_results(second, ((r.qid, r.ranking()) for r in loaded.values()))
+        write_search_results(second, ((qid, list(scores.items())) for qid, scores in loaded.items()))
         assert first.read_bytes() == second.read_bytes()
 
     def test_nonmonotonic_rank_rejected(self, tmp_path):
@@ -214,7 +212,7 @@ class TestRuns:
     def test_hits_keep_file_order_and_scores_must_not_rise(self, tmp_path):
         path = tmp_path / "r.trec"
         path.write_text("q1 Q0 zeta 1 1.0 t\nq1 Q0 alpha 2 1.0 t\nq1 Q0 beta 3 -0.0 t\nq1 Q0 mu 4 0.0 t\n")
-        assert list(read_run(path)["q1"].scores) == ["zeta", "alpha", "beta", "mu"]
+        assert list(read_run(path)["q1"]) == ["zeta", "alpha", "beta", "mu"]
         path.write_text("q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 1.5 t\n")
         with pytest.raises(FormatError, match=":2: score '1.5' is above the previous hit's score for 'q1'"):
             read_run(path)

@@ -1,48 +1,41 @@
 import numpy as np
 import pytest
 
-from setvec import ScoredRun, SparseVector, Vocabulary, add, build, fuse, min_max_scale, search, sub
+from setvec import SparseVector, Vocabulary, add, build, fuse, min_max_scale, search, sub
 
 from conftest import random_lattice_vector
 
 
 @pytest.fixture
 def two_runs():
-    run_a = ScoredRun(qid="q1", scores={"d1": 2.0, "d2": 1.0})
-    run_b = ScoredRun(qid="q1", scores={"d1": 1.0, "d2": 3.0})
-    return run_a, run_b
+    return {"d1": 2.0, "d2": 1.0}, {"d1": 1.0, "d2": 3.0}
 
 
 class TestFuse:
     def test_minus_unscaled(self, two_runs):
         run_a, run_b = two_runs
         fused = fuse(run_a, run_b, "minus")
-        assert fused.scores == {"d1": 1.0, "d2": -2.0}
+        assert fused == [("d1", 1.0), ("d2", -2.0)]
 
     def test_minus_scaled(self, two_runs):
         # after min-max: a = {d1: 1, d2: 0}, b = {d1: 0, d2: 1}
         run_a, run_b = two_runs
-        fused = fuse(run_a, run_b, "minus", scaled=True)
-        assert fused.scores == {"d1": 1.0, "d2": -1.0}
+        fused = fuse(min_max_scale(run_a), min_max_scale(run_b), "minus")
+        assert fused == [("d1", 1.0), ("d2", -1.0)]
 
     def test_times_with_missing_doc(self):
-        run_a = ScoredRun(qid="q", scores={"d1": 2.0, "d2": 3.0})
-        run_b = ScoredRun(qid="q", scores={"d1": 4.0})
-        fused = fuse(run_a, run_b, "times")
-        assert fused.scores == {"d1": 8.0, "d2": 0.0}
+        fused = fuse({"d1": 2.0, "d2": 3.0}, {"d1": 4.0}, "times")
+        assert fused == [("d1", 8.0), ("d2", 0.0)]
 
     def test_plus_over_union_of_docs(self):
-        run_a = ScoredRun(qid="q", scores={"d1": 1.0})
-        run_b = ScoredRun(qid="q", scores={"d2": 2.0})
-        fused = fuse(run_a, run_b, "plus")
-        assert fused.scores == {"d1": 1.0, "d2": 2.0}
+        fused = fuse({"d1": 1.0}, {"d2": 2.0}, "plus")
+        assert fused == [("d2", 2.0), ("d1", 1.0)]
 
     def test_degenerate_scaling_warns_and_zeroes(self):
-        run_a = ScoredRun(qid="q", scores={"d1": 5.0, "d2": 5.0})
-        run_b = ScoredRun(qid="q", scores={"d1": 1.0, "d2": 0.0})
         with pytest.warns(UserWarning, match="degenerate"):
-            fused = fuse(run_a, run_b, "plus", scaled=True)
-        assert fused.scores == {"d1": 1.0, "d2": 0.0}
+            run_a = min_max_scale({"d1": 5.0, "d2": 5.0})
+        fused = fuse(run_a, min_max_scale({"d1": 1.0, "d2": 0.0}), "plus")
+        assert fused == [("d1", 1.0), ("d2", 0.0)]
 
     def test_unknown_op_rejected(self, two_runs):
         run_a, run_b = two_runs
@@ -50,8 +43,8 @@ class TestFuse:
             fuse(run_a, run_b, "divide")
 
     def test_ranking_sorts_by_score_then_name(self):
-        run = ScoredRun(qid="q", scores={"b": 1.0, "a": 1.0, "c": 2.0})
-        assert run.ranking() == [("c", 2.0), ("a", 1.0), ("b", 1.0)]
+        fused = fuse({"b": 1.0, "a": 1.0, "c": 2.0}, {}, "plus")
+        assert fused == [("c", 2.0), ("a", 1.0), ("b", 1.0)]
 
 
 class TestMinMaxScale:
@@ -77,13 +70,7 @@ class TestRankEquivalence:
             idx = build(zip(names, vecs), vocab)
             a = random_lattice_vector(rng, vocab, max_nnz=8, min_nnz=1, lo=1, hi=64)
             b = random_lattice_vector(rng, vocab, max_nnz=8, min_nnz=1, lo=65, hi=128)
-            run_a = ScoredRun(qid="q", scores=dict(search(idx, a, 40)))
-            run_b = ScoredRun(qid="q", scores=dict(search(idx, b, 40)))
-
-            fused_plus = fuse(run_a, run_b, "plus").ranking()
-            composed_plus = search(idx, add(a, b), 40)
-            assert fused_plus == composed_plus
-
-            fused_minus = fuse(run_a, run_b, "minus").ranking()
-            composed_minus = search(idx, sub(a, b), 40)
-            assert fused_minus == composed_minus
+            run_a = dict(search(idx, a, 40))
+            run_b = dict(search(idx, b, 40))
+            assert fuse(run_a, run_b, "plus") == search(idx, add(a, b), 40)
+            assert fuse(run_a, run_b, "minus") == search(idx, sub(a, b), 40)

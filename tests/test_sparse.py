@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setvec import (
+    LogitMatrix,
     NonFiniteError,
     SparseVector,
+    VectorBatch,
     Vocabulary,
     VocabularyMismatchError,
     ZeroNormError,
@@ -90,6 +92,20 @@ class TestConstruction:
             a.ids = None
         with pytest.raises(ValueError):
             a.weights[0] = 5.0
+
+    @pytest.mark.parametrize("ids", [[1.7], [True], [-1], [3]], ids=["float", "bool", "negative", "past-end"])
+    @pytest.mark.parametrize("build", [
+        lambda ids, v: SparseVector(ids, [1.0], v),
+        lambda ids, v: VectorBatch(["x"], [1], ids, [1.0], v),
+        lambda ids, v: LogitMatrix([[1.0]], ids, v),
+    ], ids=["SparseVector", "VectorBatch", "LogitMatrix"])
+    def test_term_ids_must_be_integers_in_the_vocabulary(self, build, ids):
+        with pytest.raises(ValueError, match="term id"):
+            build(ids, Vocabulary(["a", "b", "c"]))
+
+    def test_batch_keeps_a_uint32_id_column_uncopied(self):
+        ids = np.array([0, 2], dtype=np.uint32)  # read_vectors' column: a copy would raise ingest's peak RSS
+        assert VectorBatch(["x"], [2], ids, [1.0, 2.0], Vocabulary(["a", "b", "c"])).ids is ids
 
 
 REPEAT_WEIGHT = st.one_of(
