@@ -16,6 +16,7 @@ import dataclasses
 import logging
 import os
 import sys
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -425,7 +426,11 @@ def main(argv=None) -> int:
             raise _UsageError(f"SETVEC_LOG={level!r} is not one of {', '.join(LOG_LEVELS)}")
         logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         args = parser.parse_args(argv)
-        return args.func(args)
+        # The library's data warnings reach CLI users as log lines, like every
+        # other diagnostic, not as Python warnings with a source line.
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: log.warning("%s", message)
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,14 +3,25 @@
 Scoring is term-at-a-time accumulation with a full accumulator table and no
 pruning: upper-bound tricks are unsound once query or document weights can be
 negative, and exactness is the contract here.  Query terms are taken in
-ascending id order; each posted term adds its contributions with one
-unbuffered ``np.add.at`` over its doc ids cast once to ``np.intp``.  A posting
-list holds each doc once, so every doc receives its terms in that order,
-starting from +0.0, as ``dot()`` sums them.  A document is returned iff at
-least one query term touches it, even when its accumulated score is zero or
-negative; ties break by ascending internal doc id (ingestion order).  Only
-the candidates scoring at least the k-th best score (found by one partition)
-are sorted, which gives the same hits as sorting every touched document.
+ascending id order.  A head term, posted in at least a quarter of the docs,
+is added from its dense row (:meth:`InvertedIndex.head_rows`: its weights at
+its doc ids, 0.0 elsewhere) by a whole-array multiply and add; every other
+posted term adds its contributions with one unbuffered ``np.add.at`` over
+its doc ids cast once to ``np.intp``.  A posting list holds each doc once,
+so every doc receives its terms in that order, starting from +0.0, as
+``dot()`` sums them; a row's 0.0 entries change nothing, because the
+accumulator never holds -0.0.  A document is returned iff at least one query
+term touches it, even when its accumulated score is zero or negative; ties
+break by ascending internal doc id (ingestion order).  Untouched docs hold
+0.0, so when at least k docs score above zero every hit is touched, and all
+docs are ranked without marking any; otherwise the touched docs are marked
+from the postings and ranked.  ``_rank`` sorts only the scores at or above
+the k-th best, found by one partition, after a partition of every 8th score
+has bounded it from below.  The rows are built once per index, on its first
+search and under a lock, so ``build``, ``save`` and ``load`` never hold
+them.  A row takes 8 bytes per doc; its term's postings take 12 bytes each,
+at least 3 bytes per doc, so the rows take at most 8/3 of the memory of the
+postings they copy.
 
 Postings live in one columnar (CSR) layout shared by every layer: term ``t``
 owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending) and the matching
@@ -41,6 +52,7 @@ each list.  Files of versions 1 and 2 are refused; rebuild them with
 from __future__ import annotations
 
 import struct
+import threading
 import zlib
 from typing import Iterable
 
@@ -64,7 +76,9 @@ SearchResult = list[tuple[str, float]]
 class InvertedIndex:
     """Immutable posting-list index over a fixed document collection."""
 
-    __slots__ = ("vocab", "doc_names", "offsets", "doc_ids", "weights")
+    __slots__ = ("vocab", "doc_names", "offsets", "doc_ids", "weights", "_head_rows")
+    # Guards the first build of every index's head rows: search threads share one index.
+    _head_rows_lock = threading.Lock()
 
     def __init__(
         self,
@@ -79,6 +93,7 @@ class InvertedIndex:
         self.offsets = offsets
         self.doc_ids = doc_ids
         self.weights = weights
+        self._head_rows: dict[int, np.ndarray] | None = None
 
     @property
     def doc_count(self) -> int:
@@ -97,6 +112,25 @@ class InvertedIndex:
         if start == end:
             return None
         return self.doc_ids[start:end], self.weights[start:end]
+
+    def head_rows(self) -> dict[int, np.ndarray]:
+        """A dense float64 row per head term (posted in at least a quarter of the docs),
+        keyed by term id: the term's weights at its doc ids, 0.0 elsewhere.
+
+        Built once, on first use; only searches use them.
+        """
+        if self._head_rows is None:
+            with self._head_rows_lock:
+                if self._head_rows is None:
+                    n = self.doc_count
+                    lengths = np.diff(self.offsets)
+                    rows = {}
+                    for tid in np.flatnonzero((lengths > 0) & (lengths * 4 >= n)).tolist():
+                        doc_ids, weights = self.postings(tid)
+                        rows[tid] = row = np.zeros(n, dtype=np.float64)
+                        row[doc_ids] = weights
+                    self._head_rows = rows
+        return self._head_rows
 
     def __repr__(self) -> str:
         return f"InvertedIndex({self.doc_count} docs, {self.term_count} posted terms)"
@@ -136,20 +170,39 @@ def _named(idx: InvertedIndex, doc_ids: np.ndarray, scores: np.ndarray) -> Searc
 def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k (doc ids, scores); internal, shared by search and search_cpt."""
     _require_same_vocab(q.vocab, idx.vocab, "the query and the index")
+    k = _positive_int(k, "k")
     n = idx.doc_count
+    rows = idx.head_rows()
     scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
+    term = np.empty(n, dtype=np.float64) if rows else None
     # An overflow is reported by _rank's finite check, not by a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for tid, qw in zip(q.ids.tolist(), q.weights.tolist()):
+            row = rows.get(tid)
+            if row is not None:
+                # Exact: an accumulator that starts at +0.0 never holds -0.0 (a sum
+                # is -0.0 only when both terms are), so adding the row's +-0.0
+                # entries changes no doc, and each posted doc gets the same
+                # qw * w in the same term order as the scatter below.
+                np.multiply(row, qw, out=term)
+                np.add(scores, term, out=scores)
+                continue
             posting = idx.postings(tid)
             if posting is None:
                 continue
             doc_ids, weights = posting
-            ids = doc_ids.astype(np.intp)
-            np.add.at(scores, ids, qw * weights)
-            touched[ids] = True
-    candidates = np.nonzero(touched)[0]
+            np.add.at(scores, doc_ids.astype(np.intp), qw * weights)
+    # Untouched docs hold +0.0: when k docs score above it, the k-th score is
+    # positive and every hit is touched.  Counting costs less than ranking
+    # every doc only to find that the touched docs must be ranked instead.
+    if np.count_nonzero(scores > 0) >= k:
+        return _rank(None, scores, k)
+    touched = np.zeros(n, dtype=bool)
+    for tid in q.ids.tolist():
+        posting = idx.postings(tid)
+        if posting is not None:
+            touched[posting[0]] = True
+    candidates = np.flatnonzero(touched)
     return _rank(candidates, scores[candidates], k)
 
 
@@ -249,7 +302,10 @@ def _array(data, pos: int, dtype: str, count: int, what: str) -> tuple[np.ndarra
 
 
 def _read_strings(data, pos: int, what: str) -> tuple[list[str], int]:
-    """A string table written by :func:`_string_table`; its strings are distinct and non-empty."""
+    """A string table written by :func:`_string_table`; its strings are distinct and non-empty.
+
+    The blob is decoded once and sliced; one decode per string is slower.
+    """
     (count,) = struct.unpack_from("<I", data, pos)
     lengths, pos = _array(data, pos + 4, "<u4", count, f"{what} lengths")
     (size,) = struct.unpack_from("<Q", data, pos)
@@ -261,9 +317,19 @@ def _read_strings(data, pos: int, what: str) -> tuple[list[str], int]:
     end = pos + size
     if end > len(data):
         raise IndexFormatError(f"truncated {what} blob")
-    blob = bytes(data[pos:end])
+    blob = data[pos:end]
+    text = str(blob, "utf-8")
+    if len(text) != size:
+        # A byte boundary is a character boundary iff it is not on a continuation
+        # byte (0x80-0xbf, below -64 as int8); the continuation bytes before it
+        # give its character offset.
+        continuation = np.flatnonzero(np.frombuffer(blob, np.int8) < -64)
+        before = np.searchsorted(continuation, bounds)
+        if (continuation[np.minimum(before, continuation.size - 1)] == bounds).any():
+            raise IndexFormatError("invalid UTF-8 in a string block")
+        bounds -= before
     bounds = bounds.tolist()
-    strings = [str(blob[start:stop], "utf-8") for start, stop in zip(bounds, bounds[1:])]
+    strings = [text[start:stop] for start, stop in zip(bounds, bounds[1:])]
     if "" in strings or len(set(strings)) != count:
         raise IndexFormatError(f"empty or duplicate {what}")
     return strings, end

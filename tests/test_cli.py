@@ -330,7 +330,7 @@ class TestFuseEvalPairwise:
         ]) == 0
         assert out.read_text() == "q1 Q0 d1 1 1.000000 setvec\nq1 Q0 d2 2 -2.000000 setvec\n"
 
-    def test_fuse_scaled_warning_names_the_degenerate_qid(self, tmp_path):
+    def test_fuse_scaled_warning_names_the_degenerate_qid(self, tmp_path, caplog):
         run_a = tmp_path / "a.trec"
         run_b = tmp_path / "b.trec"
         write_lines(run_a, "q2 Q0 d1 1 1.000000 t", "q2 Q0 d3 2 0.500000 t",
@@ -338,11 +338,12 @@ class TestFuseEvalPairwise:
         write_lines(run_b, "q1 Q0 d2 1 3.000000 t", "q1 Q0 d1 2 1.000000 t",
                     "q2 Q0 d1 1 4.000000 t", "q2 Q0 d3 2 2.000000 t")
         out = tmp_path / "fused.trec"
-        with pytest.warns(UserWarning, match=r"degenerate min-max scaling for run A \(q1\): all 2 scores"):
-            assert main([
-                "fuse", "--run-a", str(run_a), "--run-b", str(run_b),
-                "--op", "plus", "--scaled", "--out", str(out),
-            ]) == 0
+        # The CLI logs the library's warning instead of raising it as a Python warning.
+        assert main([
+            "fuse", "--run-a", str(run_a), "--run-b", str(run_b),
+            "--op", "plus", "--scaled", "--out", str(out),
+        ]) == 0
+        assert "degenerate min-max scaling for run A (q1): all 2 scores" in caplog.text
         assert out.read_text() == (  # run A's qid order; q1's constant run A scales to 0
             "q2 Q0 d1 1 2.000000 setvec\nq2 Q0 d3 2 0.000000 setvec\n"
             "q1 Q0 d2 1 1.000000 setvec\nq1 Q0 d1 2 0.000000 setvec\n"
@@ -495,6 +496,36 @@ class TestFuseEvalPairwise:
         assert main([*eval_one, "--per-query", str(per_query)]) == 0
         assert main(analyze) == 0
         assert "0.6309" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["fuse", "eval", "analyze-interference"])
+    def test_data_warnings_are_log_lines(self, tmp_path, command):
+        """A data warning reaches the CLI user as one ``WARNING setvec:`` line with its
+        text unchanged, not as a Python warning that prints a source path and code."""
+        run, qrels, queries, per_query = (tmp_path / name for name in ("r.trec", "q.qrels", "q.jsonl", "pq.tsv"))
+        write_lines(run, "q1 Q0 d1 1 2.000000 t", "q1 Q0 d2 2 2.000000 t")
+        ranked = tmp_path / "ranked.trec"
+        write_lines(ranked, "q1 Q0 d2 1 3.000000 t", "q1 Q0 d1 2 1.000000 t")
+        write_lines(qrels, "q1 0 d1 1", "q1 0 d1 2")
+        write_lines(queries, json.dumps({"qid": "q1", "operator": "difference", "method": "subtract",
+                                         "a": {"x": 1.0}, "b": {"y": 1.0}}))
+        write_lines(per_query, "q1\t0.5")
+        argv, text = {
+            "fuse": (["fuse", "--run-a", str(run), "--run-b", str(ranked), "--op", "plus", "--scaled",
+                      "--out", str(tmp_path / "f")],
+                     "degenerate min-max scaling for run A (q1): all 2 scores equal; mapping to 0"),
+            "eval": (["eval", "--run", str(run), "--qrels", str(qrels), "--metrics", "ndcg@10"],
+                     f"{qrels}:2: duplicate qrel (q1, d1); last wins"),
+            "analyze-interference": (["analyze-interference", "--queries", str(queries),
+                                      "--per-query-metrics", str(per_query), "--bins", "3"],
+                                     "only 1 queries for 3 bins; using 1"),
+        }[command]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(setvec.__file__)))
+        env.pop("SETVEC_LOG", None)
+        done = subprocess.run([sys.executable, "-m", "setvec.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == f"WARNING setvec: {text}\n"
+        assert ".py:" not in done.stderr
 
 
 class TestExitCodes:

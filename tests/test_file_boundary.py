@@ -13,8 +13,9 @@ lambda's default is stated in ``compose`` and m's in ``cpt``; operands are
 held to one vocabulary only by ``sparse._require_same_vocab``, and
 pseudo-term weights to the sqrt domain only by ``cpt._require_nonnegative``;
 scores are accumulated only by the two scoring loops of ``index``, through
-``np.add.at``.  And setvec imports nothing beyond the standard library and
-numpy, its one declared dependency.
+``np.add.at`` or, for a head term's dense row, ``np.add``.  And setvec
+imports nothing beyond the standard library and numpy, its one declared
+dependency.
 """
 
 import ast
@@ -187,8 +188,10 @@ def test_cpt_domain_error_has_one_raiser():
 
 def test_scores_accumulate_in_one_place():
     """``search`` and CPT stage 2 scatter-add through a numpy ufunc's unbuffered ``at``, and
-    nothing else does; no array accumulates through ``x[ids] += ...`` (the one subscript
-    update left extends a string in ``formats._records``' list of pieces)."""
+    nothing else does; ``search`` adds a head term's dense row (``InvertedIndex.head_rows``)
+    with a whole-array ``np.add``, which needs no ``at``.  No array accumulates through
+    ``x[ids] += ...`` (the one subscript update left extends a string in ``formats._records``'
+    list of pieces)."""
     scatters = [
         (module, getattr(top, "name", "<module>"))
         for module, top in _modules()

@@ -1,4 +1,6 @@
 import struct
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -23,6 +25,7 @@ from setvec import (
     search_cpt,
     top_m,
 )
+from setvec import index as index_module
 from setvec.cli import main
 from setvec.index import _rank
 from setvec.sparse import NEAR_ZERO
@@ -57,6 +60,49 @@ def searches(draw):
         qa = {u: w for u, w in qa.items() if u not in d}
         qa[s], qa[t] = d[t], -d[s]
     return n_terms, late, docs, qa, draw(query), draw(st.integers(1, len(docs) + 2))
+
+
+# The oracle's fixed cases; between them they take every path of the scoring kernel.
+ORACLE_EXAMPLES = [
+    # d0 cancels to exactly 0.0 and must still be returned; t2 is added after build.
+    # Both posted terms are head rows, and k exceeds the docs: the touched fallback.
+    (2, 1, [{0: 1.0, 1: 1.0}, {0: 0.5}], {0: 1.0, 1: -1.0, 2: 3.0}, {1: 2.0}, 4),
+    # t0 (4 of 5 docs) is a head row, t1 (1 of 5) a scatter; the 2nd score is positive.
+    (2, 0, [{0: 1.0}, {0: 1.0}, {0: 0.5}, {0: 0.25}, {1: 2.0}], {0: 1.0, 1: 1.0}, {1: 1.0}, 2),
+]
+
+
+def with_examples(cases):
+    """Apply ``@example(case)`` for every case, in order."""
+    def apply(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+    return apply
+
+
+def signed_case(case):
+    """(names, doc vectors, index, query a) built from a :func:`searches` case."""
+    n_terms, late, docs, qa, _, _ = case
+    vocab = Vocabulary(f"t{i}" for i in range(n_terms))
+    names = [f"d{i:02d}" for i in range(len(docs))]
+    vecs = [SparseVector(list(d), list(d.values()), vocab) for d in docs]
+    idx = build(zip(names, vecs), vocab)
+    for i in range(late):
+        vocab.add(f"late{i}")
+    return names, vecs, idx, SparseVector(list(qa), list(qa.values()), vocab)
+
+
+def assert_matches_brute_force(docs, queries, ks):
+    """search over an index of *docs* equals brute_force bit for bit, for every query and k."""
+    vocab = Vocabulary(f"t{i}" for i in range(1 + max(t for d in docs for t in d)))
+    names = [f"d{i:03d}" for i in range(len(docs))]
+    idx = build(((name, SparseVector(list(d), list(d.values()), vocab)) for name, d in zip(names, docs)), vocab)
+    for qd in queries:
+        q = SparseVector(list(qd), list(qd.values()), vocab)
+        for k in ks:
+            assert _bits(search(idx, q, k)) == _bits(brute_force(docs, names, qd, k))
+    return idx
 
 
 @pytest.fixture
@@ -136,22 +182,16 @@ class TestSearch:
                 search_cpt(idx, expand_query(q, q), q, q, k, candidate_pool=3)
 
     @settings(max_examples=200, deadline=None)
-    # d0 cancels to exactly 0.0 and must still be returned; t2 is added after build.
-    @example((2, 1, [{0: 1.0, 1: 1.0}, {0: 0.5}], {0: 1.0, 1: -1.0, 2: 3.0}, {1: 2.0}, 4))
+    @with_examples(ORACLE_EXAMPLES)
     @given(searches())
     def test_oracle_equivalence_small(self, case):
         """search equals brute_force, and search_cpt with a pool covering the
         corpus equals cpt_score_factorized, bit for bit."""
-        n_terms, late, docs, qa, qb, k = case
-        vocab = Vocabulary(f"t{i}" for i in range(n_terms))
-        names = [f"d{i:02d}" for i in range(len(docs))]
-        vecs = [SparseVector(list(d), list(d.values()), vocab) for d in docs]
-        idx = build(zip(names, vecs), vocab)
+        _, _, docs, qa, qb, k = case
+        names, vecs, idx, q = signed_case(case)
+        vocab = q.vocab
         unsigned = [SparseVector(v.ids, np.abs(v.weights), vocab) for v in vecs]
         unsigned_idx = build(zip(names, unsigned), vocab)
-        for i in range(late):
-            vocab.add(f"late{i}")
-        q = SparseVector(list(qa), list(qa.values()), vocab)
         expected = brute_force([dict(v.entries()) for v in vecs], names, dict(q.entries()), k)
         assert _bits(search(idx, q, k)) == _bits(expected)
 
@@ -164,6 +204,85 @@ class TestSearch:
         )
         hits = search_cpt(unsigned_idx, expand_query(a, b, 3), a, b, k, candidate_pool=len(docs))
         assert _bits(hits) == _bits([(names[i], -s) for s, i in scored[:k]])
+
+    def test_oracle_examples_reach_every_kernel_path(self, monkeypatch):
+        """The oracle's examples add a head row and scatter a term, and return both
+        from the ranking of every doc (k-th score positive) and of the touched docs."""
+        ranked = []
+        real_rank = index_module._rank
+        monkeypatch.setattr(index_module, "_rank", lambda ids, *rest: ranked.append(ids is None) or real_rank(ids, *rest))
+        paths = set()
+        for case in ORACLE_EXAMPLES:
+            _, _, idx, q = signed_case(case)
+            rows = idx.head_rows()
+            posted = [t for t in q.ids.tolist() if idx.postings(t) is not None]
+            paths |= {"head row" if t in rows else "scatter" for t in posted}
+            ranked.clear()
+            search(idx, q, case[-1])
+            paths.add({(True,): "positive k-th", (False,): "touched fallback"}[tuple(ranked)])
+        assert paths == {"head row", "scatter", "positive k-th", "touched fallback"}
+
+    def test_head_row_with_negative_weights(self):
+        # t0 is posted in every doc with signed weights; t1 in one doc of eight.
+        docs = [{0: -1.5}, {0: 2.0}, {0: -0.25, 1: 3.0}, {0: 0.5}, {0: -4.0}, {0: 1.0}, {0: -0.75}, {0: 0.125}]
+        idx = assert_matches_brute_force(docs, [{0: 1.0}, {0: -2.0}, {0: -0.5, 1: 1.0}, {0: 3.0, 1: -1.0}], [1, 3, 8, 9])
+        assert set(idx.head_rows()) == {0}
+
+    def test_head_row_contributions_cancel_to_positive_zero(self):
+        """Head rows that cancel leave +0.0 and the doc is returned; a negative weight times
+        a row's 0.0 gives -0.0 at untouched docs, which the +0.0 accumulator absorbs."""
+        docs = [{0: 1.0, 1: 1.0}, {0: 2.0, 1: 2.0}, {0: 0.5, 1: 0.5}, {2: 1.0}]
+        queries = [{0: 1.0, 1: -1.0}, {0: -1.0, 1: -1.0}, {0: -1.0, 2: 1.0}, {2: -1.0}]
+        idx = assert_matches_brute_force(docs, queries, [1, 2, 4, 5])
+        assert set(idx.head_rows()) == {0, 1, 2}
+        q = SparseVector([0, 1], [1.0, -1.0], idx.vocab)
+        assert _bits(search(idx, q, 10)) == [(name, (0.0).hex()) for name in ("d000", "d001", "d002")]
+
+    def test_every_term_a_head_row(self):
+        # Every term is posted in 12 of the 16 docs, with signed weights.
+        docs = [{t: ((3 * i + t) % 9 - 4 or 5) / 8 for t in range(4) if (i + t) % 4} for i in range(16)]
+        queries = [{0: 1.0, 1: -0.5, 2: 2.0, 3: -1.0}, {1: 1.0}, {0: -1.0, 3: -1.0}]
+        idx = assert_matches_brute_force(docs, queries, [1, 4, 16, 17])
+        assert set(idx.head_rows()) == {0, 1, 2, 3}
+
+    def test_no_head_row(self):
+        # 40 docs, each term in at most 9 of them: every term is scattered.
+        docs = [{i % 5: 1.0 + i / 16, 5 + i % 7: -0.5} for i in range(40)]
+        queries = [{0: 1.0, 5: 1.0}, {1: -1.0, 6: 2.0, 11: 0.25}, {4: 0.5}]
+        idx = assert_matches_brute_force(docs, queries, [1, 5, 40, 41])
+        assert idx.head_rows() == {}
+
+    def test_threads_share_the_first_build_of_head_rows(self):
+        """Threads that each make the first search of a fresh index get the same hits
+        and one set of head rows: a second build would hand some thread other rows."""
+        rng = np.random.default_rng(127)
+        vocab = Vocabulary(f"t{i}" for i in range(20))
+        vecs = [random_vector(rng, vocab, max_nnz=12) for _ in range(3000)]
+        names = [f"d{i:04d}" for i in range(len(vecs))]
+        q = random_vector(rng, vocab, max_nnz=20, min_nnz=20)
+        want = search(build(zip(names, vecs), vocab), q, 50)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                idx = build(zip(names, vecs), vocab)
+                start = threading.Barrier(4)
+                results = [None] * 4
+
+                def first_search(slot):
+                    start.wait()
+                    results[slot] = search(idx, q, 50), idx.head_rows()
+
+                threads = [threading.Thread(target=first_search, args=(slot,)) for slot in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert all(hits == want for hits, _ in results)
+                assert results[0][1] and all(rows is results[0][1] for _, rows in results)
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_negative_term_only_penalizes_docs_containing_it(self):
         # Lattice weights keep every score exact, so the comparison is exact.
@@ -441,6 +560,13 @@ class TestLoaderStructure:
         q = SparseVector.from_pairs([("a", 1.0), ("b", 1.0)], idx.vocab)
         assert search(idx, q, 5) == [("d0", 1.5), ("d1", 0.25), ("d2", -2.0)]
 
+    def test_multibyte_strings_load(self, tmp_path):
+        """Strings of 1- to 4-byte characters are sliced at their character offsets."""
+        path = tmp_path / "utf8.svix"
+        write_raw_index(path, **{**VALID_PARTS, "terms": ["añ", "€b"], "names": ["𝄞", "d", "日本語"]})
+        idx = load(path)
+        assert list(idx.vocab.terms) == ["añ", "€b"] and idx.doc_names == ["𝄞", "d", "日本語"]
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -472,6 +598,8 @@ class TestLoaderStructure:
             ({"name_lengths": [2, 2, 1]}, "doc name lengths do not sum to the string blob size"),
             ({"cut": 56}, "truncated doc name blob"),
             ({"cut": 10}, "truncated index file"),
+            # A valid blob, but the second length splits the 2-byte "é".
+            ({"names": ["d0", "dé", "d2"], "name_lengths": [2, 2, 3]}, "invalid UTF-8 in a string block"),
         ],
     )
     def test_malformed_structure_rejected(self, tmp_path, change, message):
@@ -589,6 +717,19 @@ def ranking_inputs(draw):
     return np.array(ids, dtype=np.int64), scores, k
 
 
+@st.composite
+def sampled_ranking_inputs(draw):
+    """(doc ids or None for positions, scores, k) with at least 8k scores, so that
+    ``_rank`` bounds the k-th best from every 8th score first; ties are dense."""
+    n = draw(st.integers(8, 400))
+    scores = np.array(draw(st.lists(tied_scores, min_size=n, max_size=n)))
+    k = draw(st.integers(1, n // 8))
+    ids = None
+    if draw(st.booleans()):
+        ids = np.array(draw(st.permutations(range(0, 3 * n, 3))), dtype=np.int64)
+    return ids, scores, k
+
+
 class TestRank:
     """``_rank`` preselects by partition; it must equal a full lexsort bit for bit."""
 
@@ -603,4 +744,17 @@ class TestRank:
         order = np.lexsort((ids, -scores))[:k]
         got_ids, got_scores = _rank(ids, scores, k)
         assert got_ids.tolist() == ids[order].tolist()
+        assert got_scores.view(np.int64).tolist() == scores[order].view(np.int64).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @example((None, np.full(64, 2.0), 8))  # every score tied at the sampled bound
+    @example((None, np.array([0.5] * 56 + [1.0] * 7 + [0.0]), 8))  # the sample's k-th is a tie below the cut
+    @example((np.arange(80, 0, -1), np.array([-0.0, 0.0] * 40), 10))  # signed zeros tie at the bound
+    @given(sampled_ranking_inputs())
+    def test_sampled_bound_matches_full_lexsort(self, inputs):
+        ids, scores, k = inputs
+        full_ids = np.arange(scores.size) if ids is None else ids
+        order = np.lexsort((full_ids, -scores))[:k]
+        got_ids, got_scores = _rank(ids, scores, k)
+        assert got_ids.tolist() == full_ids[order].tolist()
         assert got_scores.view(np.int64).tolist() == scores[order].view(np.int64).tolist()
