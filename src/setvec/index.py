@@ -14,20 +14,30 @@ accumulator never holds -0.0.  A document is returned iff at least one query
 term touches it, even when its accumulated score is zero or negative; ties
 break by ascending internal doc id (ingestion order).  Untouched docs hold
 0.0, so when at least k docs score above zero every hit is touched, and all
-docs are ranked without marking any; otherwise the touched docs are marked
-from the postings and ranked.  ``_rank`` sorts only the scores at or above
-the k-th best, found by one partition, after a partition of every 8th score
-has bounded it from below.  The rows are built once per index, on its first
-search and under a lock, so ``build``, ``save`` and ``load`` never hold
-them.  A row takes 8 bytes per doc; its term's postings take 12 bytes each,
-at least 3 bytes per doc, so the rows take at most 8/3 of the memory of the
-postings they copy.
+docs are ranked without marking any; otherwise the touched docs are marked,
+a head term's from its row's nonzero entries (no weight is zero) and every
+other term's from its doc ids, and ranked.  ``_rank`` sorts only the scores
+at or above the k-th best, found by one partition, after a partition of
+every 8th score has bounded it from below.  The rows are built once per
+index, on its first search and under a lock, so ``build``, ``save`` and
+``load`` never hold them.  A row takes 8 bytes per doc; its term's postings
+take at least 5 bytes each, at least 1.25 bytes per doc, so the rows take
+at most 6.4 times the memory of the postings they copy.
 
-Postings live in one columnar (CSR) layout shared by every layer: term ``t``
-owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending) and the matching
-slice of ``weights``.  ``setvec search`` reads queries into ``idx.vocab``,
-which appends each query-only term past the ids ``offsets`` covers: hence
-:meth:`InvertedIndex.postings`' range check and :func:`save`'s padding.
+Postings live in one columnar (CSR) layout shared by every layer and by the
+file: term ``t`` owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending) and
+the matching slice of ``codes``, where a code is its weight's position in
+``table``, the sorted distinct weights.  A posting costs a 4-byte doc id
+plus a 1-, 2- or 4-byte code, and each distinct weight 8 bytes.  The worst
+case is a table of more than 65,536 entries, at about one distinct weight
+per posting: 12 bytes of code and table per posting where a float64 column
+would take 8.  The ingest benchmark's BM25 index (81,429 distinct weights
+over 1,103,072 postings) still takes 4.59 bytes, 42% less.
+:meth:`InvertedIndex.postings` gathers a term's float64 weights from the
+table, so every search multiplies the same floats as ``dot()``.  ``setvec
+search`` reads queries into ``idx.vocab``, which appends each query-only
+term past the ids ``offsets`` covers: hence :meth:`InvertedIndex.postings`'
+range check and :func:`save`'s padding.
 
 The on-disk format (SVIX version 3) is little-endian binary: magic, format
 version, the vocabulary and the doc names as two string tables, the raw
@@ -76,7 +86,7 @@ SearchResult = list[tuple[str, float]]
 class InvertedIndex:
     """Immutable posting-list index over a fixed document collection."""
 
-    __slots__ = ("vocab", "doc_names", "offsets", "doc_ids", "weights", "_head_rows")
+    __slots__ = ("vocab", "doc_names", "offsets", "doc_ids", "table", "codes", "_head_rows")
     # Guards the first build of every index's head rows: search threads share one index.
     _head_rows_lock = threading.Lock()
 
@@ -86,13 +96,15 @@ class InvertedIndex:
         doc_names: list[str],
         offsets: np.ndarray,
         doc_ids: np.ndarray,
-        weights: np.ndarray,
+        table: np.ndarray,
+        codes: np.ndarray,
     ):
         self.vocab = vocab
         self.doc_names = doc_names
         self.offsets = offsets
         self.doc_ids = doc_ids
-        self.weights = weights
+        self.table = table
+        self.codes = codes
         self._head_rows: dict[int, np.ndarray] | None = None
 
     @property
@@ -103,15 +115,20 @@ class InvertedIndex:
     def term_count(self) -> int:
         return int(np.count_nonzero(np.diff(self.offsets)))
 
-    def postings(self, term_id: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """(doc ids, weights) for a term, or None when the term indexes nothing, as a query-only term does."""
+    def _span(self, term_id: int) -> slice | None:
+        """A term's slice of the posting columns, or None when it indexes nothing, as a query-only term does."""
         tid = int(term_id)
         if not 0 <= tid < self.offsets.size - 1:
             return None
         start, end = self.offsets[tid], self.offsets[tid + 1]
-        if start == end:
+        return slice(start, end) if start < end else None
+
+    def postings(self, term_id: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """(doc ids, float64 weights) for a term, or None when the term indexes nothing."""
+        span = self._span(term_id)
+        if span is None:
             return None
-        return self.doc_ids[start:end], self.weights[start:end]
+        return self.doc_ids[span], self.table.take(self.codes[span])
 
     def head_rows(self) -> dict[int, np.ndarray]:
         """A dense float64 row per head term (posted in at least a quarter of the docs),
@@ -154,13 +171,15 @@ def build(
         if name in seen:
             raise DuplicateDocError(f"duplicate document name {name!r}")
         seen.add(name)
+    # Coded first, so the term sort gathers narrow codes rather than float64 weights.
+    table, codes = _weight_codes(batch.weights)
     # A stable sort keeps each list's doc ids in ingestion (ascending) order.
     order = np.argsort(batch.ids, kind="stable")
+    codes = codes[order]
     doc_ids = np.repeat(np.arange(len(names), dtype=np.uint32), np.diff(batch.offsets))[order]
-    weights = batch.weights[order]
     offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(batch.ids, minlength=len(vocab)), out=offsets[1:])
-    return InvertedIndex(vocab, names, offsets, doc_ids, weights)
+    return InvertedIndex(vocab, names, offsets, doc_ids, table, codes)
 
 
 def _named(idx: InvertedIndex, doc_ids: np.ndarray, scores: np.ndarray) -> SearchResult:
@@ -199,9 +218,14 @@ def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray
         return _rank(None, scores, k)
     touched = np.zeros(n, dtype=bool)
     for tid in q.ids.tolist():
-        posting = idx.postings(tid)
-        if posting is not None:
-            touched[posting[0]] = True
+        row = rows.get(tid)
+        if row is not None:
+            # A head term's docs are its row's nonzero entries: no weight is zero.
+            np.logical_or(touched, row != 0, out=touched)
+            continue
+        span = idx._span(tid)
+        if span is not None:
+            touched[idx.doc_ids[span]] = True
     candidates = np.flatnonzero(touched)
     return _rank(candidates, scores[candidates], k)
 
@@ -261,10 +285,11 @@ def _code_dtype(table_size: int) -> np.dtype:
 def _weight_codes(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct *weights*, and each weight's position among them as a code.
 
-    One argsort serves both.  A binary search of every weight is several
-    times slower once the table is large, and np.unique's inverse holds more
-    int64 temporaries at once.  build never keeps a zero weight, so no -0.0
-    is merged into 0.0.
+    build codes a batch's weights with it once, before its term sort, and
+    save writes what it returned.  One argsort serves both.  A binary search
+    of every weight is several times slower once the table is large, and
+    np.unique's inverse holds more int64 temporaries at once.  A batch holds
+    no zero weight, so no -0.0 is merged into 0.0.
     """
     order = np.argsort(weights)
     ordered = weights[order]
@@ -371,11 +396,9 @@ def save(idx: InvertedIndex, path) -> None:
     # Terms added to the vocabulary after build get empty lists.
     offsets = np.pad(idx.offsets, (0, len(terms) + 1 - idx.offsets.size), mode="edge")
     buf += offsets.astype("<i8").tobytes()
-    table, codes = _weight_codes(idx.weights)
-    buf += struct.pack("<I", table.size)
-    buf += _deflate(np.asarray(table, dtype="<f8"))
-    buf += _deflate(codes)
-    del codes
+    buf += struct.pack("<I", idx.table.size)
+    buf += _deflate(np.asarray(idx.table, dtype="<f8"))
+    buf += _deflate(idx.codes)
     # Gaps wrap modulo 2**32 at list starts; a uint32 cumsum undoes that exactly.
     buf += _deflate(np.asarray(np.diff(idx.doc_ids, prepend=np.uint32(0)), dtype="<u4"))
     buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
@@ -424,8 +447,6 @@ def load(path) -> InvertedIndex:
         codes, pos = _inflate(body, pos, _code_dtype(table_size), n_postings, "weight")
         if codes.size and int(codes.max()) >= table_size:
             raise IndexFormatError("weight code out of range")
-        weights = table[codes]
-        del codes
         # The gaps are un-shuffled straight into doc_ids and summed in place:
         # a second array of that size would raise the loader's peak memory.
         doc_ids, pos = _inflate(body, pos, "<u4", n_postings, "doc-id gap")
@@ -442,4 +463,4 @@ def load(path) -> InvertedIndex:
         raise IndexFormatError(f"{path}: truncated index file") from exc
     except UnicodeDecodeError as exc:
         raise IndexFormatError(f"{path}: invalid UTF-8 in a string block") from exc
-    return InvertedIndex(Vocabulary(terms), doc_names, offsets, doc_ids, weights)
+    return InvertedIndex(Vocabulary(terms), doc_names, offsets, doc_ids, table, codes)

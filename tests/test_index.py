@@ -1,6 +1,7 @@
 import struct
 import sys
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -18,6 +19,7 @@ from setvec import (
     VocabularyMismatchError,
     build,
     cpt_score_factorized,
+    dot,
     expand_query,
     load,
     save,
@@ -471,7 +473,8 @@ class TestPersistence:
     @pytest.mark.parametrize("distinct", [256, 257, 65536, 65537])
     def test_round_trip_per_code_width(self, tmp_path, distinct):
         """Tables on each side of the 1-, 2- and 4-byte code limits: save writes the
-        independent encoder's exact bytes, and load returns the built columns bit for bit."""
+        independent encoder's exact bytes, and load returns the built columns, table
+        and codes included, bit for bit."""
         rng = np.random.default_rng(distinct)
         # Signed, nonzero and distinct; term "b" repeats a few of them.
         values = rng.permutation((np.arange(distinct) - distinct // 2 + 0.5) / 8.0)
@@ -486,12 +489,73 @@ class TestPersistence:
         idx = build(VectorBatch(names, lengths, ids, weights, vocab))
         saved, crafted = tmp_path / "saved.svix", tmp_path / "crafted.svix"
         save(idx, saved)
-        write_raw_index(crafted, vocab.terms, names, idx.offsets.tolist(), idx.doc_ids, idx.weights.tolist())
+        # Term "a" lists every doc in order, then term "b" its docs.
+        posted = np.concatenate([weights[ids == 0], weights[ids == 1]]).tolist()
+        write_raw_index(crafted, vocab.terms, names, idx.offsets.tolist(), idx.doc_ids, posted)
         assert saved.read_bytes() == crafted.read_bytes()
         loaded = load(saved)
         assert loaded.doc_names == names and loaded.vocab.terms == vocab.terms
-        for column in ("offsets", "doc_ids", "weights"):
-            assert getattr(loaded, column).tobytes() == getattr(idx, column).tobytes()
+        for column in ("offsets", "doc_ids", "table", "codes"):
+            got, want = getattr(loaded, column), getattr(idx, column)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("distinct, width", [(256, 1), (257, 2), (65536, 2), (65537, 4)])
+    def test_search_per_code_width(self, tmp_path, monkeypatch, distinct, width):
+        """At each code width, built and loaded indexes return the same hits, scored
+        as dot() scores them bit for bit, over a head row, scatters, the positive
+        k-th return and the touched fallback."""
+        rng = np.random.default_rng(distinct)
+        n_docs = distinct // 4 + 1
+        # Every doc holds head term t0 and 3 of the 64 scattered terms t1..t64.
+        picks = np.sort(np.argsort(rng.random((n_docs, 64)), axis=1)[:, :3] + 1, axis=1)
+        ids = np.column_stack([np.zeros(n_docs, dtype=np.int64), picks]).ravel()
+        values = (np.arange(distinct) - distinct // 2 + 0.5) / 8.0
+        weights = rng.permutation(np.concatenate([values, values[: ids.size - distinct]]))
+        vocab = Vocabulary(f"t{i}" for i in range(65))
+        names = [f"d{i}" for i in range(n_docs)]
+        batch = VectorBatch(names, np.full(n_docs, 4), ids, weights, vocab)
+        built = build(batch)
+        assert built.table.size == distinct and built.codes.dtype.itemsize == width
+        save(built, tmp_path / "idx.svix")
+        loaded = load(tmp_path / "idx.svix")
+        # Mixed signs over the head term, all negative with and without it.
+        queries = [{0: 1.5, 5: -2.0, 9: 0.75, 40: 1.25}, {0: -1.0, 7: -0.5}, {7: -0.5, 30: -1.25}]
+        ranked = []
+        real_rank = index_module._rank
+        monkeypatch.setattr(index_module, "_rank", lambda ids, *rest: ranked.append(ids is None) or real_rank(ids, *rest))
+        for qd in queries:
+            q = SparseVector(list(qd), list(qd.values()), vocab)
+            scored = sorted((-dot(q, vec), i) for i, (_, vec) in enumerate(batch) if qd.keys() & set(vec.ids.tolist()))
+            for k in (10, n_docs + 1):
+                expected = [(names[i], -s) for s, i in scored[:k]]
+                assert _bits(search(built, q, k)) == _bits(expected)
+                q_loaded = SparseVector(q.ids, q.weights, loaded.vocab)
+                assert _bits(search(loaded, q_loaded, k)) == _bits(expected)
+        assert set(built.head_rows()) == set(loaded.head_rows()) == {0}
+        assert True in ranked and False in ranked
+
+    def test_load_keeps_no_float64_weight_column(self, tmp_path):
+        """load's traced peak holds the file, 1-byte codes and the doc ids while
+        their gaps inflate (4 + 4 bytes): 9 bytes a posting plus the file.  A
+        float64 weight per posting, kept or passed through, adds 8 more."""
+        rng = np.random.default_rng(17)
+        n_docs, n_terms = 2000, 400
+        present = rng.random((n_docs, n_terms)) < 0.5
+        ids = np.nonzero(present)[1]
+        weights = rng.integers(1, 5, size=ids.size) / 16.0
+        vocab = Vocabulary(f"t{i}" for i in range(n_terms))
+        path = tmp_path / "idx.svix"
+        save(build(VectorBatch([f"d{i}" for i in range(n_docs)], present.sum(axis=1), ids, weights, vocab)), path)
+        assert ids.size >= 100_000
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The strings and offsets take well under the 1 MiB of slack; 8 bytes a posting is 3.2 MB.
+        assert peak < 9 * ids.size + path.stat().st_size + 2**20
+        assert loaded.codes.itemsize == 1
 
     def test_unwritable_path(self, tmp_path, small_corpus):
         idx, _ = small_corpus

@@ -132,7 +132,7 @@ def test_build_from_batch_equals_build_from_pairs(corpus):
     from_pairs = build(pairs, vocab)
     from_batch = build(VectorBatch.stack(pairs, vocab), vocab)
     assert from_batch.doc_names == from_pairs.doc_names
-    for column in ("offsets", "doc_ids", "weights"):
+    for column in ("offsets", "doc_ids", "table", "codes"):
         got, want = getattr(from_batch, column), getattr(from_pairs, column)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
