@@ -207,7 +207,7 @@ def cmd_encode(args) -> int:
             (rec_id, activate(formats.read_logits(grid_path, vocab), cfg))
             for rec_id, grid_path in zip(rec_ids, args.logits)
         ]
-        formats.write_vectors(args.out, records)
+        formats.write_vectors(args.out, _logged(records, vocab))
         return EXIT_OK
 
     if not args.docs:
@@ -222,14 +222,31 @@ def cmd_encode(args) -> int:
             yield rec_id, tokens
 
     if args.tf:
-        vectors = ((rec_id, encode_tf(tokens, vocab)) for rec_id, tokens in doc_tokens())
-    else:
-        try:
-            vectors = encode_bm25(doc_tokens(), vocab, k1=args.k1, b=args.b)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-    formats.write_vectors(args.out, vectors)
+        formats.write_vectors(
+            args.out, _logged(((rec_id, encode_tf(tokens, vocab)) for rec_id, tokens in doc_tokens()), vocab)
+        )
+        return EXIT_OK
+    try:
+        batch = encode_bm25(doc_tokens(), vocab, k1=args.k1, b=args.b)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    formats.write_vectors(args.out, batch)
+    _log_encoded(len(batch), vocab, batch.ids.size)
     return EXIT_OK
+
+
+def _logged(vectors, vocab: Vocabulary):
+    """Pass *vectors* on as they are written; once the last one is, log the counts."""
+    docs = postings = 0
+    for rec_id, vec in vectors:
+        docs += 1
+        postings += vec.nnz
+        yield rec_id, vec
+    _log_encoded(docs, vocab, postings)
+
+
+def _log_encoded(docs: int, vocab: Vocabulary, postings: int) -> None:
+    log.info("encoded %d docs, %d terms, %d postings", docs, len(vocab), postings)
 
 
 def cmd_index(args) -> int:

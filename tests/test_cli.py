@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -315,6 +316,48 @@ class TestEncode:
         ]) == 0
         record = json.loads(out.read_text())
         assert "of" not in record["vector"]
+
+    @pytest.mark.parametrize("mode", ["--tf", "--bm25"])
+    def test_stopwords_are_tokenized_like_text(self, tmp_path, mode):
+        docs = tmp_path / "docs.jsonl"
+        write_lines(docs, json.dumps({"id": "d1", "text": "The birds AND the sea"}))
+        stop = tmp_path / "stop.txt"
+        stop.write_text("The\n  AND \n")
+        out = tmp_path / "vectors.jsonl"
+        assert main(["encode", mode, "--docs", str(docs), "--stopwords", str(stop), "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())["vector"]) == ["birds", "sea"]
+
+    @pytest.mark.parametrize("line, tokens", [("don't", "['don', 't']"), ("--", "[]"), ("birds of", "['birds', 'of']")])
+    def test_stopword_that_is_not_one_token_is_located_data_error(self, tmp_path, capsys, line, tokens):
+        docs = tmp_path / "docs.jsonl"
+        write_lines(docs, json.dumps({"id": "d1", "text": "birds of colombia"}))
+        stop = tmp_path / "stop.txt"
+        stop.write_text(f"of\n\n{line}\n")
+        out = tmp_path / "vectors.jsonl"
+        assert main(["encode", "--bm25", "--docs", str(docs), "--stopwords", str(stop), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {stop}:3: stopword {line!r} is not one token; it reads as {tokens}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["--tf", "--bm25", "--logits"])
+    def test_encode_logs_its_counts_at_info_only(self, tmp_path, caplog, monkeypatch, mode):
+        if mode == "--logits":
+            source = tmp_path / "grid.tsv"
+            source.write_text("birds\tof\tsea\n1.0\t-2.0\t0.5\n")
+            argv, expected = ["encode", "--logits", str(source)], "encoded 1 docs, 3 terms, 2 postings"
+        else:
+            source = tmp_path / "docs.jsonl"
+            write_lines(source, json.dumps({"id": "d1", "text": "birds of colombia"}),
+                        json.dumps({"id": "d2", "text": "birds birds sea"}))
+            argv, expected = ["encode", mode, "--docs", str(source)], "encoded 2 docs, 4 terms, 5 postings"
+        argv += ["--out", str(tmp_path / "vectors.jsonl")]
+        monkeypatch.delenv("SETVEC_LOG", raising=False)
+        assert main(argv) == 0
+        assert not [r for r in caplog.records if r.name == "setvec"]
+        caplog.set_level(logging.INFO, logger="setvec")
+        assert main(argv) == 0
+        assert [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "setvec"] == [
+            (logging.INFO, expected)
+        ]
 
 
 class TestFuseEvalPairwise:

@@ -1,23 +1,28 @@
 """The batch ingest path against the per-record code it replaced.
 
 ``encode --bm25`` and ``index`` carry vectors as one :class:`VectorBatch`.
-These oracles pin that its writer, reader and index build produce exactly
-what per-record ``json.dumps``, ``SparseVector.from_pairs`` and a build over
-``(name, SparseVector)`` pairs produce, and that every bad record keeps its
-located message.
+These oracles pin that its BM25 counter, writer, reader and index build
+produce exactly what a per-document ``Counter``, per-record ``json.dumps``,
+``SparseVector.from_pairs`` and a build over ``(name, SparseVector)`` pairs
+produce, and that every bad record keeps its located message.
 """
 
 import json
+import math
 import sys
 import tempfile
+import tracemalloc
+from array import array
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from setvec import FormatError, NonFiniteError, SparseVector, UnknownTermError, Vocabulary, build
+from setvec import FormatError, NonFiniteError, SparseVector, UnknownTermError, Vocabulary, build, formats, lexical
 from setvec.cli import main
 from setvec.errors import VocabularyMismatchError
 from setvec.formats import is_run_field, read_vectors, write_vectors
@@ -87,13 +92,33 @@ def _read(content: bytes, vocab: Vocabulary) -> VectorBatch:
         return read_vectors(path, vocab)
 
 
+# Corpora drawing from a few weights, so that rows and write blocks share them.
+POOLED = st.lists(WEIGHT, min_size=1, max_size=3).flatmap(lambda pool: corpora(weight=st.sampled_from(pool)))
+
+
 @ORACLE
-@given(corpus=corpora())
-def test_batch_writer_matches_per_record_json_dumps(corpus):
+@given(corpus=st.one_of(corpora(), POOLED), block_rows=st.integers(1, 3))
+def test_batch_writer_matches_per_record_json_dumps(corpus, block_rows):
     vocab, pairs = _pairs(*corpus)
     expected = _old_write(pairs)
     assert _bytes_of(VectorBatch.stack(pairs, vocab)) == expected
+    with mock.patch.object(formats, "WRITE_BLOCK_ROWS", block_rows):
+        assert _bytes_of(VectorBatch.stack(pairs, vocab)) == expected
     assert _bytes_of(pairs) == expected
+
+
+def test_batch_writer_matches_per_record_json_dumps_with_many_distinct_weights():
+    # 600 rows span three write blocks; 900 distinct weights, each in two rows; 401 terms.
+    vocab = Vocabulary(f"t{i}" for i in range(401))
+    pairs = [
+        (f"d{i}", SparseVector.from_pairs(
+            [(f"t{(i + 131 * j) % 401}", (-1) ** j * ((3 * i + j) % 900 + 1) / 7) for j in range(3)], vocab
+        ))
+        for i in range(600)
+    ]
+    batch = VectorBatch.stack(pairs, vocab)
+    assert np.unique(batch.weights).size == 900
+    assert _bytes_of(batch) == _old_write(pairs)
 
 
 @ORACLE
@@ -193,6 +218,99 @@ def test_sum_overflow_alone_is_no_fault(tmp_path):
     path.write_text('{"id": "d0", "vector": {"a": 1e308, "b": 1e308, "c": 3}}\n')
     (name, vec), = read_vectors(path, Vocabulary())
     assert vec.to_dict() == {"a": 1e308, "b": 1e308, "c": 3.0}
+
+
+def _counter_encode_bm25(docs, vocab, k1, b) -> VectorBatch:
+    """The per-document ``Counter`` encoder that the blocked count replaced."""
+    names = []
+    term_ids, tfs, doc_lens, nnzs = array("I"), array("I"), array("I"), array("I")
+    for name, tokens in docs:
+        counts = Counter(vocab.add_all(tokens))
+        row = sorted(counts)
+        names.append(name)
+        term_ids.extend(row)
+        tfs.extend(map(counts.__getitem__, row))
+        doc_lens.append(len(tokens))
+        nnzs.append(len(row))
+    n = len(names)
+    tids = np.frombuffer(term_ids, dtype=np.uint32)
+    tf = np.frombuffer(tfs, dtype=np.uint32)
+    total = sum(doc_lens)
+    avgdl = total / n if total else 1.0
+    dl = np.asarray(doc_lens, dtype=np.float64)
+    df = np.bincount(tids, minlength=len(vocab)).tolist()
+    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df])
+    norm = k1 * (1.0 - b + b * dl / avgdl)
+    weights = idf[tids] * tf * (k1 + 1.0) / (tf + np.repeat(norm, nnzs))
+    return VectorBatch(names, nnzs, tids, weights, vocab)
+
+
+def _assert_same_encoding(docs, known, k1=lexical.DEFAULT_K1, b=lexical.DEFAULT_B):
+    named = [(f"d{i}", tokens) for i, tokens in enumerate(docs)]
+    vocab, oracle_vocab = Vocabulary(known), Vocabulary(known)
+    got = encode_bm25(iter(named), vocab, k1=k1, b=b)
+    want = _counter_encode_bm25(iter(named), oracle_vocab, k1, b)
+    assert vocab.terms == oracle_vocab.terms
+    assert got.names == want.names
+    for column in ("offsets", "ids", "weights"):
+        got_column, want_column = getattr(got, column), getattr(want, column)
+        assert got_column.dtype == want_column.dtype and got_column.tobytes() == want_column.tobytes()
+
+
+TOKEN = st.sampled_from(["a", "b", "c", "dd", "é"])
+
+
+@ORACLE
+@given(
+    docs=st.lists(st.lists(TOKEN, max_size=8), max_size=12),
+    known=st.lists(st.one_of(TOKEN, st.sampled_from(["x", "y"])), unique=True, max_size=3),
+    block=st.integers(1, 4),
+    k1=st.floats(0.0, 5.0),
+    b=st.floats(0.0, 1.0),
+)
+@example(docs=[["a"], [], [], ["b", "a", "a"], [], []], known=[], block=2, k1=0.9, b=0.4)
+@example(docs=[[], [], ["c", "c"], []], known=["c", "x"], block=1, k1=1.2, b=1.0)
+def test_blocked_count_matches_per_document_counter(docs, known, block, k1, b):
+    with mock.patch.object(lexical, "ENCODE_BLOCK_DOCS", block):
+        _assert_same_encoding(docs, known, k1, b)
+
+
+def test_blocked_count_matches_per_document_counter_over_full_blocks():
+    rng = np.random.default_rng(11)
+    terms = [f"w{i}" for i in range(300)]
+    docs = [[terms[t] for t in rng.integers(0, 300, size=rng.integers(0, 30))]
+            for _ in range(2 * lexical.ENCODE_BLOCK_DOCS + 5)]
+    docs[lexical.ENCODE_BLOCK_DOCS - 1] = docs[lexical.ENCODE_BLOCK_DOCS] = []
+    _assert_same_encoding(docs, ["w7", "absent"])
+
+
+def test_ingest_memory_is_bounded_per_block_and_per_weight(tmp_path):
+    """encode_bm25's traced peak is its weighting step, which holds ids and tf
+    (4 bytes a posting each) beside two float64 columns (8 each).  Sorting
+    keys for the whole corpus at once, not a block at a time, adds an int64
+    key and a uint32 id a token: about 24 bytes a posting here, two tokens a
+    posting.  Beyond the batch, the writer holds one sorted copy of the
+    weights (8 bytes a posting) and a mask over it (1 byte); a whole-batch
+    int64 argsort beside that copy adds 8 bytes a posting more."""
+    rng = np.random.default_rng(23)
+    terms = [f"t{i}" for i in range(1000)]
+    # 20 distinct terms a document, each twice: few distinct weights, two tokens a posting.
+    docs = [(f"d{i}", [terms[t] for t in rng.choice(1000, size=20, replace=False)] * 2)
+            for i in range(8 * lexical.ENCODE_BLOCK_DOCS)]
+    tracemalloc.start()
+    try:
+        batch = encode_bm25(docs, Vocabulary())
+        encode_peak = tracemalloc.get_traced_memory()[1]
+        before_write = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_vectors(tmp_path / "v.jsonl", batch)
+        write_peak = tracemalloc.get_traced_memory()[1] - before_write
+    finally:
+        tracemalloc.stop()
+    postings = batch.ids.size
+    assert postings == 20 * len(docs)
+    assert encode_peak < 24 * postings + 3 * 2**20
+    assert write_peak < 10 * postings + 2**20
 
 
 class TestVectorBatch:
