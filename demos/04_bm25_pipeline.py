@@ -38,7 +38,7 @@ def main():
 
     idx = build(encode_bm25(token_docs.items(), vocab), vocab)
 
-    q = encode_tf(tokenize(QUERY), vocab)
+    [(_, q)] = encode_tf([("q1", tokenize(QUERY))], vocab)
     hits = search(idx, q, 5)
     print(f"query: {QUERY!r}")
     for rank, (doc, score) in enumerate(hits, 1):

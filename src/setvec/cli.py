@@ -29,7 +29,7 @@ from .evaluation import DEFAULT_BINS, interference_bins, ndcg_at_k, pairwise_acc
 from .fusion import FUSE_OPS, fuse, min_max_scale
 from .index import build, load, save, search, search_cpt
 from .lexical import DEFAULT_B, DEFAULT_K1, encode_bm25, encode_tf, tokenize
-from .sparse import Vocabulary, _positive_int
+from .sparse import VectorBatch, Vocabulary, _positive_int
 
 log = logging.getLogger("setvec")
 
@@ -203,50 +203,33 @@ def cmd_encode(args) -> int:
         for rec_id, count in Counter(rec_ids).items():
             if count > 1:
                 raise _UsageError(f"--logits files share the stem {rec_id!r}, which names one record")
-        records = [
-            (rec_id, activate(formats.read_logits(grid_path, vocab), cfg))
-            for rec_id, grid_path in zip(rec_ids, args.logits)
-        ]
-        formats.write_vectors(args.out, _logged(records, vocab))
-        return EXIT_OK
-
-    if not args.docs:
+        for rec_id, grid_path in zip(rec_ids, args.logits):
+            if not formats.is_run_field(rec_id):
+                raise _UsageError(f"--logits file {grid_path!r} has the stem {rec_id!r}, which no run file can store")
+        vectors = (activate(formats.read_logits(path, vocab), cfg) for path in args.logits)
+        batch = VectorBatch.stack(zip(rec_ids, vectors), vocab)
+    elif not args.docs:
         raise _UsageError("--tf/--bm25 need --docs")
-    stop = formats.read_stopwords(args.stopwords) if args.stopwords else None
+    else:
+        stop = formats.read_stopwords(args.stopwords) if args.stopwords else None
 
-    def doc_tokens():
-        for rec_id, text in formats.read_texts(args.docs):
-            tokens = tokenize(text)
-            if stop:
-                tokens = [t for t in tokens if t not in stop]
-            yield rec_id, tokens
+        def doc_tokens():
+            for rec_id, text in formats.read_texts(args.docs):
+                tokens = tokenize(text)
+                if stop:
+                    tokens = [t for t in tokens if t not in stop]
+                yield rec_id, tokens
 
-    if args.tf:
-        formats.write_vectors(
-            args.out, _logged(((rec_id, encode_tf(tokens, vocab)) for rec_id, tokens in doc_tokens()), vocab)
-        )
-        return EXIT_OK
-    try:
-        batch = encode_bm25(doc_tokens(), vocab, k1=args.k1, b=args.b)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        if args.tf:
+            batch = encode_tf(doc_tokens(), vocab)
+        else:
+            try:
+                batch = encode_bm25(doc_tokens(), vocab, k1=args.k1, b=args.b)
+            except ValueError as exc:
+                raise _UsageError(str(exc)) from exc
     formats.write_vectors(args.out, batch)
-    _log_encoded(len(batch), vocab, batch.ids.size)
+    log.info("encoded %d docs, %d terms, %d postings", len(batch), len(vocab), batch.ids.size)
     return EXIT_OK
-
-
-def _logged(vectors, vocab: Vocabulary):
-    """Pass *vectors* on as they are written; once the last one is, log the counts."""
-    docs = postings = 0
-    for rec_id, vec in vectors:
-        docs += 1
-        postings += vec.nnz
-        yield rec_id, vec
-    _log_encoded(docs, vocab, postings)
-
-
-def _log_encoded(docs: int, vocab: Vocabulary, postings: int) -> None:
-    log.info("encoded %d docs, %d terms, %d postings", docs, len(vocab), postings)
 
 
 def cmd_index(args) -> int:
@@ -339,7 +322,7 @@ def _parse_metrics(arg: str) -> list[tuple[str, int]]:
         if not item:
             continue
         name, _, k_str = item.partition("@")
-        if name not in ("ndcg", "recall") or not k_str.isdigit() or int(k_str) < 1:
+        if name not in ("ndcg", "recall") or not k_str.isdecimal() or int(k_str) < 1:
             raise _UsageError(f"bad metric {item!r}; expected ndcg@K or recall@K")
         if (name, int(k_str)) in metrics:
             raise _UsageError(f"metric {item!r} is requested twice")

@@ -44,7 +44,7 @@ from .cpt import PseudoTermVector
 from .errors import FormatError
 from .evaluation import PairedQueries, Qrels
 from .lexical import tokenize
-from .sparse import SparseVector, VectorBatch, Vocabulary
+from .sparse import SparseVector, VectorBatch, Vocabulary, _distinct
 
 DEFAULT_RUN_TAG = "setvec"
 PAIR_FIELDS = ("qid_a", "qid_b", "doc_a", "doc_b")
@@ -210,10 +210,7 @@ def _batch_lines(batch: VectorBatch) -> Iterator[str]:
     gathered from object arrays, faster than one list lookup per entry.
     """
     keys = np.array([_json_key(term) for term in batch.vocab.terms], dtype=object)
-    # np.unique would first import numpy.ma, about 20 ms of every encode.
-    ordered = np.sort(batch.weights)
-    table = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-    del ordered
+    table = _distinct(batch.weights)
     values = np.array([_json_value(weight) for weight in table.tolist()], dtype=object)
     bounds = batch.offsets.tolist()
     for lo in range(0, len(batch), WRITE_BLOCK_ROWS):
@@ -240,6 +237,8 @@ def write_vectors(
 ) -> None:
     """Inverse of :func:`read_vectors`; weights round-trip exactly.
 
+    A :class:`VectorBatch`, what ``encode`` builds, is written in blocks of rows, and
+    ``(id, vector)`` pairs, what ``compose`` yields, one at a time in the same bytes.
     Pseudo-term vectors serialize under ``"pairs"`` with ``termA∩termB`` keys
     (debug form); a vector reader refuses such a row as missing ``'vector'``.
     """

@@ -177,6 +177,7 @@ def build(
     order = np.argsort(batch.ids, kind="stable")
     codes = codes[order]
     doc_ids = np.repeat(np.arange(len(names), dtype=np.uint32), np.diff(batch.offsets))[order]
+    del order  # before bincount takes an int64 copy of the ids: 8 bytes a posting each
     offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(batch.ids, minlength=len(vocab)), out=offsets[1:])
     return InvertedIndex(vocab, names, offsets, doc_ids, table, codes)

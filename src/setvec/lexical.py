@@ -1,8 +1,10 @@
 """Text to sparse vectors without a neural encoder: raw TF and Okapi BM25.
 
-BM25 impact weights are placed on the *document* side, so that
-``dot(encode_tf(query), doc_vector)`` with a vector from
-:func:`encode_bm25` reproduces the classic query-document BM25 score.
+Both encoders read a tokenized corpus of ``(id, tokens)`` pairs once, count
+it in one shared pass and return one :class:`VectorBatch`.  BM25 impact
+weights are placed on the *document* side, so that ``dot(q, doc_vector)``,
+with ``[(_, q)] = encode_tf([("q", query_tokens)], vocab)`` and a vector from
+:func:`encode_bm25`, reproduces the classic query-document BM25 score.
 """
 
 from __future__ import annotations
@@ -10,12 +12,11 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from collections import Counter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .sparse import SparseVector, VectorBatch, Vocabulary
+from .sparse import VectorBatch, Vocabulary
 
 # Runs of word characters, minus the underscore; splits on any Unicode
 # whitespace or punctuation.
@@ -31,12 +32,10 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def encode_tf(tokens: Sequence[str], vocab: Vocabulary) -> SparseVector:
-    """Raw term-frequency vector (weight = token multiplicity)."""
-    counts = Counter(tokens)
-    return SparseVector.from_pairs(
-        ((term, float(tf)) for term, tf in counts.items()), vocab
-    )
+def encode_tf(docs: Iterable[tuple[str, Sequence[str]]], vocab: Vocabulary) -> VectorBatch:
+    """Raw term-frequency vectors (weight = token multiplicity); reads *docs* as :func:`encode_bm25` does."""
+    names, _, tids, tf, nnzs = _count_terms(docs, vocab)
+    return VectorBatch(names, nnzs, tids, tf, vocab)
 
 
 def encode_bm25(
@@ -50,36 +49,15 @@ def encode_bm25(
     weight(t) = idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl/avgdl)),
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))   (Lucene's nonnegative idf)
 
-    Reads *docs* once, in full, and returns every vector in one
-    :class:`VectorBatch`, built without a per-document vector object.
-    Unseen tokens are added to *vocab* in first-occurrence order, so term ids
-    do not depend on the interpreter's hash seed.  The token ids of one block
-    of :data:`ENCODE_BLOCK_DOCS` documents are held flat until
-    :func:`_count_block` turns them into count columns; the tokens themselves
-    are never kept.  The rows arrive canonical.  The parameters are checked
+    Reads *docs* once, in full, through :func:`_count_terms`, and returns
+    every vector in one :class:`VectorBatch`.  The parameters are checked
     before *docs* is read.
     """
     if not (math.isfinite(k1) and k1 >= 0.0):
         raise ValueError("k1 must be a finite number >= 0")
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must be in [0, 1]")
-    names: list[str] = []
-    doc_lens, block = array("I"), array("I")
-    # Distinct ids, their tf and nnz per document.  Growing buffers leave the
-    # heap unfragmented; one numpy piece per block, kept among the freed sort
-    # temporaries, raised the encode child's peak RSS by about 4 MB.
-    columns = array("I"), array("I"), array("I")
-    for name, tokens in docs:
-        names.append(name)
-        doc_lens.append(len(tokens))
-        block.extend(vocab.add_all(tokens))
-        if len(names) % ENCODE_BLOCK_DOCS == 0:
-            _count_block(block, doc_lens[-ENCODE_BLOCK_DOCS:], len(vocab), columns)
-            block = array("I")
-    # The documents after the last full block, if any.
-    _count_block(block, doc_lens[len(names) - len(names) % ENCODE_BLOCK_DOCS :], len(vocab), columns)
-    tids, tf, nnzs = (np.frombuffer(column, dtype=np.uint32) for column in columns)
-    del columns  # each view keeps its own buffer alive, so deleting tf frees tf's
+    names, doc_lens, tids, tf, nnzs = _count_terms(docs, vocab)
 
     n = len(names)
     total = sum(doc_lens)
@@ -98,6 +76,34 @@ def encode_bm25(
     weights /= denominators
     del tf, denominators  # before the batch's checks take a float64 temporary of their own
     return VectorBatch(names, nnzs, tids, weights, vocab)
+
+
+def _count_terms(docs: Iterable[tuple[str, Sequence[str]]], vocab: Vocabulary):
+    """``(names, doc_lens, tids, tf, nnzs)`` of ``(id, tokens)`` pairs, all but *names* ``uint32``
+    columns: each document's distinct ids, ascending, and their counts, back to back, as CSR rows.
+
+    Unseen tokens are added to *vocab* in first-occurrence order, so term ids
+    do not depend on the interpreter's hash seed.  The token ids of one block
+    of :data:`ENCODE_BLOCK_DOCS` documents are held flat until :func:`_count_block`
+    counts them; the tokens themselves are never kept.
+    """
+    names: list[str] = []
+    doc_lens, block = array("I"), array("I")
+    # Distinct ids, their tf and nnz per document.  Growing buffers leave the
+    # heap unfragmented; one numpy piece per block, kept among the freed sort
+    # temporaries, raised the encode child's peak RSS by about 4 MB.
+    columns = array("I"), array("I"), array("I")
+    for name, tokens in docs:
+        names.append(name)
+        doc_lens.append(len(tokens))
+        block.extend(vocab.add_all(tokens))
+        if len(names) % ENCODE_BLOCK_DOCS == 0:
+            _count_block(block, doc_lens[-ENCODE_BLOCK_DOCS:], len(vocab), columns)
+            block = array("I")
+    # The documents after the last full block, if any.
+    _count_block(block, doc_lens[len(names) - len(names) % ENCODE_BLOCK_DOCS :], len(vocab), columns)
+    # Each view keeps only its own buffer alive, so a caller that drops tf frees tf's.
+    return (names, doc_lens, *(np.frombuffer(column, dtype=np.uint32) for column in columns))
 
 
 def _count_block(token_ids: array, doc_lens: array, n_terms: int, columns: tuple[array, array, array]) -> None:

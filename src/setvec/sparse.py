@@ -333,7 +333,7 @@ def _require_same_vocab(vocab: Vocabulary, other: Vocabulary, what: str = "opera
 def _elementwise(a: SparseVector, b: SparseVector, op) -> SparseVector:
     """``op`` over both weight arrays aligned to the union of supports (missing = 0)."""
     _require_same_vocab(a.vocab, b.vocab)
-    union = np.union1d(a.ids, b.ids)
+    union = _distinct(np.concatenate((a.ids, b.ids)))
     wa = np.zeros(union.size, dtype=np.float64)
     wb = np.zeros(union.size, dtype=np.float64)
     wa[np.searchsorted(union, a.ids)] = a.weights
@@ -342,6 +342,12 @@ def _elementwise(a: SparseVector, b: SparseVector, op) -> SparseVector:
     with np.errstate(over="ignore", invalid="ignore"):
         weights = op(wa, wb)
     return SparseVector(union, weights, a.vocab)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct *values*, as ``np.unique`` returns them, without its import of numpy.ma."""
+    ordered = np.sort(values)
+    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
 
 
 def _kept(weights: np.ndarray) -> np.ndarray | None:

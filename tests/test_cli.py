@@ -630,6 +630,7 @@ class TestExitCodes:
         ("search", "--m=0"), ("search", "--lambda=-1"), ("search", "--lambda=nan"),
         ("compose", "--m=0"), ("compose", "--lambda=-1"),
         ("eval", "--metrics=ndcg@x"), ("eval", "--metrics=,"), ("eval", "--metrics=ndcg@10,NDCG@10"),
+        ("eval", "--metrics=ndcg@²"),  # a digit to str.isdigit, not to int()
     ])
     def test_bad_query_default_is_usage_error(self, tmp_path, capsys, indexed_corpus, birds_files, command, flag):
         vectors, queries = birds_files
@@ -649,6 +650,8 @@ class TestExitCodes:
             assert "metric" in err
             if flag == "--metrics=ndcg@10,NDCG@10":
                 assert "metric 'ndcg@10' is requested twice" in err
+            if flag == "--metrics=ndcg@²":
+                assert "bad metric 'ndcg@²'" in err
 
 
 HUGE = "1" + "0" * 400  # a JSON integer no float can hold
@@ -740,14 +743,22 @@ def test_bad_utf8_is_located_data_error(tmp_path, capsys, kind):
 
 
 def test_failed_encode_leaves_no_output(tmp_path, capsys):
-    # --tf streams: line 1's vector is produced before line 3 fails.
+    # Every mode reads all its input before it opens --out, so a failure on
+    # line 3 leaves an earlier run's file as it was.
     docs = tmp_path / "docs.jsonl"
     docs.write_bytes(b'{"id": "d1", "text": "birds"}\n\n{"id": "d2", "text": "caf\xe9"}\n')
-    out = tmp_path / "tf.jsonl"
+    grid = tmp_path / "grid.tsv"
+    grid.write_bytes(b"birds\tcolombia\n1.0\t2.0\n0.5\tnan\n")
+    out = tmp_path / "vectors.jsonl"
     out.write_text("stale output of an earlier run\n")
-    assert main(["encode", "--tf", "--docs", str(docs), "--out", str(out)]) == 2
-    assert f"{docs}:3: " in capsys.readouterr().err
-    assert not out.exists()
+    for argv, bad in (
+        (["--tf", "--docs", str(docs)], docs),
+        (["--bm25", "--docs", str(docs)], docs),
+        (["--logits", str(grid)], grid),
+    ):
+        assert main(["encode", *argv, "--out", str(out)]) == 2
+        assert f"{bad}:3: " in capsys.readouterr().err
+        assert out.read_text() == "stale output of an earlier run\n"
 
 
 @pytest.mark.parametrize("command", ["compose", "search"])
@@ -991,6 +1002,19 @@ def test_logits_with_a_shared_stem_are_usage_error(tmp_path, capsys):
     out = tmp_path / "vectors.jsonl"
     assert main(["encode", "--logits", *map(str, grids), "--out", str(out)]) == 1
     assert "--logits files share the stem 'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stem", ["my grid", "tab\tgrid", "no-break\u00a0space"])
+def test_logits_with_a_stem_no_run_can_store_are_usage_error(tmp_path, capsys, stem):
+    # index would refuse the id the stem names, so encode refuses it first.
+    (tmp_path / "g").mkdir()
+    grid = tmp_path / "g" / f"{stem}.tsv"
+    write_lines(grid, "t1\tt2", "1.0\t2.0")
+    out = tmp_path / "vectors.jsonl"
+    assert main(["encode", "--logits", str(grid), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"--logits file {str(grid)!r} has the stem" in err
     assert not out.exists()
 
 

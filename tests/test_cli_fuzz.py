@@ -1,13 +1,16 @@
-"""Property: no malformed input file makes the CLI report an internal error.
+"""Property: no malformed input file or flag value makes the CLI report an internal error.
 
 Each input kind has a valid file and a command that reads it beside other
 valid inputs.  Hypothesis replaces the file with random bytes, with a few
 byte mutations of the valid one, or (for the JSON kinds) with the valid one
 after JSON string escapes are spliced into its keys and string values.  The
 command must succeed or fail with a data error (exit 2, never 3), and a
-failed command must leave no output file.
+failed command must leave no output file.  A last property gives random
+text to one value-taking flag of a command that succeeds as given: the
+command may succeed or fail with a usage or data error, never exit 3.
 """
 
+import argparse
 import json
 import tempfile
 from pathlib import Path
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from setvec.cli import main
+from setvec.cli import build_parser, main
 
 
 def _jsonl(*records) -> bytes:
@@ -79,6 +82,13 @@ def base(tmp_path_factory):
     (base / "vectors").write_bytes(_jsonl({"id": "d1", "vector": {"birds": 1.0, "colombia": 0.5}},
                                           {"id": "d2", "vector": {"birds": 2.0, "venezuela": 1.5}}))
     assert main(["index", "--vectors", str(base / "vectors"), "--out", str(base / "index")]) == 0
+    # The other inputs of the flag-value properties.
+    (base / "grid.tsv").write_bytes(VALID["logits"])
+    (base / "stopwords").write_bytes(VALID["stopwords"])
+    (base / "pairs").write_bytes(VALID["pairs"])
+    (base / "per-query").write_bytes(b"q1\t0.5\nq2\t0.25\n")
+    # Difference queries only, which every difference --method can override.
+    (base / "differences").write_bytes(b"".join(VALID["queries"].splitlines(keepends=True)[:2]))
     return base
 
 
@@ -177,3 +187,87 @@ def test_valid_input_succeeds(base, kind):
         out = Path(tmp) / "out"
         assert main(_command(kind, str(good), base, str(out))) == 0
         assert out.exists()
+
+
+# One command per subcommand (two for encode's modes) that succeeds as given;
+# between them they take every value-taking flag of the parser.
+def _valid_argv(name: str, base: Path, out: str) -> list[str]:
+    b = {kind: str(base / kind) for kind in ("docs", "atomic", "queries", "run", "qrels", "index", "vectors")}
+    return {
+        "encode-docs": ["encode", "--bm25", "--docs", b["docs"], "--k1", "0.9", "--b", "0.4",
+                        "--stopwords", str(base / "stopwords")],
+        "encode-logits": ["encode", "--logits", str(base / "grid.tsv"), "--epsilon", "0.1",
+                          "--neg-formula", "corrected", "--aggregation", "absmax"],
+        "index": ["index", "--vectors", b["vectors"], "--threads", "2"],
+        "compose": ["compose", "--queries", str(base / "differences"), "--vectors", b["atomic"], "--method", "nrf",
+                    "--lambda", "0.5", "--m", "3"],
+        "search": ["search", "--index", b["index"], "--queries", b["queries"], "--vectors", b["atomic"],
+                   "--k", "2", "--lambda", "0.5", "--m", "2", "--candidate-pool", "10", "--tag", "t",
+                   "--threads", "1"],
+        "fuse": ["fuse", "--run-a", b["run"], "--run-b", b["run"], "--op", "plus", "--tag", "t"],
+        "eval": ["eval", "--run", b["run"], "--qrels", b["qrels"], "--metrics", "ndcg@2",
+                 "--per-query", str(Path(out).with_suffix(".tsv"))],
+        "pairwise": ["pairwise", "--pairs", str(base / "pairs"), "--scores", b["run"]],
+        "analyze-interference": ["analyze-interference", "--queries", str(base / "differences"),
+                                 "--vectors", b["atomic"],
+                                 "--per-query-metrics", str(base / "per-query"), "--bins", "2"],
+    }[name] + ["--out", out]
+
+
+def _value_flags(command: str) -> list[str]:
+    parser = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(a.option_strings[0] for a in parser.choices[command]._actions
+                  if a.option_strings and a.nargs != 0 and not isinstance(a, argparse._HelpAction))
+
+
+# Flags whose value names a file.  Their text becomes a file name inside the
+# example's own folder, so that no example reads or writes anywhere else.
+PATH_FLAGS = {"--docs", "--logits", "--out", "--stopwords", "--vectors", "--queries", "--index", "--run-a",
+              "--run-b", "--run", "--qrels", "--per-query", "--pairs", "--scores", "--per-query-metrics"}
+# Values that number and metric parsers react to: superscript and
+# Arabic-Indic digits, overflows, signs, spaces and an option.
+SPECIAL_VALUES = ["", " ", "0", "-1", "1e400", "-1e400", "nan", "inf", "9" * 40, "²", "١٢", "0x10",
+                  "ndcg@²", "recall@0", "ndcg@1,", "1_0", "+3", "3.", ".5e-3", "--help"]
+# Besides those, any text an argv can hold: no NUL, and no lone surrogate.
+FLAG_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=12),
+    st.sampled_from(SPECIAL_VALUES),
+)
+COMMANDS = ["encode-docs", "encode-logits", "index", "compose", "search", "fuse", "eval", "pairwise",
+            "analyze-interference"]
+
+
+def _run_with(name: str, base: Path, tmp: str, flag: str, value: str) -> int:
+    """The valid command *name* with *flag* given *value* instead, or in addition."""
+    argv = _valid_argv(name, base, str(Path(tmp) / "out"))
+    if flag in PATH_FLAGS:
+        value = str(Path(tmp) / value.replace("/", "_"))
+    if flag in argv:
+        del argv[argv.index(flag) : argv.index(flag) + 2]
+    return main([*argv, f"{flag}={value}"])
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_valid_flag_values_succeed(base, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "out")
+        assert main(_valid_argv(name, base, out)) == 0
+        assert Path(out).exists()
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_special_flag_values_never_exit_3(base, name):
+    flags = [flag for flag in _value_flags(_valid_argv(name, base, "out")[0]) if flag not in PATH_FLAGS]
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag in flags:
+            for value in SPECIAL_VALUES:
+                assert _run_with(name, base, tmp, flag, value) in (0, 1, 2), (flag, value)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+@FUZZ
+@given(data=st.data())
+def test_random_flag_value_never_exits_3(base, name, data):
+    flag = data.draw(st.sampled_from(_value_flags(_valid_argv(name, base, "out")[0])), label="flag")
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _run_with(name, base, tmp, flag, data.draw(FLAG_TEXT, label="value")) in (0, 1, 2)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import setvec
 from setvec import (
     CompositionalQuery,
     CompositionParams,
@@ -272,3 +277,36 @@ class TestComposeDispatch:
             qid="q", operator="difference", method="subtract", a=empty, b=empty
         )
         assert compose(q).nnz == 0
+
+
+# Every (operator, method) pair composed, then searched; prints whether
+# numpy.ma was loaded before and after.
+_COMPOSE_ALL = """
+import sys
+from setvec import SparseVector, VectorBatch, Vocabulary, build, search, search_cpt
+from setvec.compose import COMPOSITIONS, CompositionalQuery, compose
+from setvec.cpt import PseudoTermVector
+vocab = Vocabulary()
+a = SparseVector.from_dict({"birds": 1.0, "colombia": 2.0, "andes": 0.5}, vocab)
+b = SparseVector.from_dict({"birds": 1.0, "venezuela": 3.0}, vocab)
+idx = build(VectorBatch.stack([("d1", a), ("d2", b)], vocab))
+before = "numpy.ma" in sys.modules
+for operator, method in COMPOSITIONS:
+    q = CompositionalQuery(qid="q", operator=operator, method=method, a=a, b=None if operator == "atomic" else b)
+    rep = compose(q)
+    if isinstance(rep, PseudoTermVector):
+        search_cpt(idx, rep, a, b, 2, 10)
+    else:
+        search(idx, rep, 2)
+print(before, "numpy.ma" in sys.modules)
+"""
+
+
+def test_composing_queries_does_not_import_numpy_ma():
+    """np.union1d imports numpy.ma, about 20 ms of every search process.  numpy
+    1.x may load numpy.ma with numpy itself, so only what composing adds counts."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(setvec.__file__)))
+    done = subprocess.run([sys.executable, "-c", _COMPOSE_ALL], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    before, after = done.stdout.split()
+    assert after == before

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from setvec import Vocabulary, dot, encode_bm25, encode_tf, tokenize
+from setvec import Vocabulary, dot, encode_bm25, encode_tf, lexical, tokenize
 
 
 class TestTokenize:
@@ -20,25 +21,58 @@ class TestTokenize:
         assert tokenize("café au,lait") == ["café", "au", "lait"]
 
 
+def tf(tokens, vocab):
+    """The TF vector of one token list, as a one-row batch's only row."""
+    [(_, vec)] = encode_tf([("q", tokens)], vocab)
+    return vec
+
+
+def reference_tf(docs):
+    """Per-document ``{term: count}`` dicts, counted without the library."""
+    return [{term: float(count) for term, count in Counter(tokens).items()} for _, tokens in docs]
+
+
 class TestEncodeTf:
     def test_counts_multiplicity(self, vocab):
-        assert encode_tf(["a", "b", "a"], vocab).to_dict() == {"a": 2.0, "b": 1.0}
+        assert tf(["a", "b", "a"], vocab).to_dict() == {"a": 2.0, "b": 1.0}
 
     def test_empty(self, vocab):
-        assert encode_tf([], vocab).nnz == 0
+        assert tf([], vocab).nnz == 0
+        assert len(encode_tf([], vocab)) == 0
 
     def test_single(self, vocab):
-        assert encode_tf(["x"], vocab).to_dict() == {"x": 1.0}
+        assert tf(["x"], vocab).to_dict() == {"x": 1.0}
 
     def test_weights_are_positive_integers(self, vocab):
         rng = np.random.default_rng(3)
         alphabet = [f"w{i}" for i in range(20)]
         for _ in range(50):
             tokens = list(rng.choice(alphabet, size=rng.integers(0, 60)))
-            vec = encode_tf(tokens, vocab)
+            vec = tf(tokens, vocab)
             for tid, w in vec.entries():
                 assert w == int(w) and w >= 1.0
                 assert tokens.count(vocab.term(tid)) == int(w)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_counter_reference(self, seed, monkeypatch):
+        """Random corpora, some spanning several counting blocks, with empty
+        documents and a vocabulary that already holds some of their terms."""
+        monkeypatch.setattr(lexical, "ENCODE_BLOCK_DOCS", 7)
+        rng = np.random.default_rng(seed)
+        alphabet = [f"w{i}" for i in range(int(rng.integers(1, 40)))] + ["café", "日本"]
+        docs = [
+            (f"d{i}", [str(t) for t in rng.choice(alphabet, size=rng.integers(0, 25))])
+            for i in range(int(rng.integers(0, 30)))
+        ]
+        vocab = Vocabulary(alphabet[: int(rng.integers(0, 5))])
+        known = vocab.terms
+        batch = encode_tf(iter(docs), vocab)
+        assert batch.names == [name for name, _ in docs]
+        assert [vec.to_dict() for _, vec in batch] == reference_tf(docs)
+        # Unseen terms follow the known ones in first-occurrence order.
+        seen = dict.fromkeys(known)
+        seen.update(dict.fromkeys(t for _, tokens in docs for t in tokens))
+        assert vocab.terms == tuple(seen)
 
 
 def reference_bm25(query_tokens, doc_tokens, all_docs, k1, b):
@@ -109,7 +143,7 @@ class TestBm25:
         for _ in range(40):
             query = list(rng.choice(alphabet, size=rng.integers(1, 6)))
             i = int(rng.integers(0, len(docs)))
-            ours = dot(encode_tf(query, vocab), vecs[i])
+            ours = dot(tf(query, vocab), vecs[i])
             ref = reference_bm25(query, docs[i], docs, k1, b)
             assert ours == pytest.approx(ref, rel=1e-9, abs=1e-12)
 

@@ -258,6 +258,37 @@ class TestMaxpool:
             assert maxpool(maxpool(a, b), c) == maxpool(a, maxpool(b, c))
 
 
+def _union1d_elementwise(a, b, op):
+    """``op`` over both weight arrays aligned on ``np.union1d`` of the supports:
+    the union the library built before it sorted and masked its own."""
+    union = np.union1d(a.ids, b.ids)
+    wa = np.zeros(union.size)
+    wb = np.zeros(union.size)
+    wa[np.searchsorted(union, a.ids)] = a.weights
+    wb[np.searchsorted(union, b.ids)] = b.weights
+    return SparseVector(union, op(wa, wb), a.vocab)
+
+
+# Rows over 12 terms; weights drawn partly from a pool, so that shared terms cancel or tie.
+ROW = st.dictionaries(
+    st.integers(0, 11),
+    st.one_of(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 1e-13]), st.floats(-1e6, 1e6, allow_nan=False)),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a_row=ROW, b_row=ROW)
+def test_elementwise_matches_a_union1d_reference(a_row, b_row):
+    vocab = Vocabulary(f"t{i}" for i in range(12))
+    a = SparseVector(list(a_row), list(a_row.values()), vocab)
+    b = SparseVector(list(b_row), list(b_row.values()), vocab)
+    for fn, op in ((add, np.add), (sub, np.subtract), (maxpool, np.maximum)):
+        ours = fn(a, b)
+        assert ours == _union1d_elementwise(a, b, op)
+        assert ours.ids.dtype == np.uint32
+
+
 class TestMaskRemove:
     def test_birds_example(self, birds):
         a, b = birds

@@ -1,6 +1,6 @@
 """The batch ingest path against the per-record code it replaced.
 
-``encode --bm25`` and ``index`` carry vectors as one :class:`VectorBatch`.
+Every ``encode`` mode and ``index`` carry vectors as one :class:`VectorBatch`.
 These oracles pin that its BM25 counter, writer, reader and index build
 produce exactly what a per-document ``Counter``, per-record ``json.dumps``,
 ``SparseVector.from_pairs`` and a build over ``(name, SparseVector)`` pairs
@@ -98,13 +98,17 @@ POOLED = st.lists(WEIGHT, min_size=1, max_size=3).flatmap(lambda pool: corpora(w
 
 @ORACLE
 @given(corpus=st.one_of(corpora(), POOLED), block_rows=st.integers(1, 3))
+@example(corpus=(["a", 'é\\"q'], [("d1", {}), ("d2", {"a": -1e300, 'é\\"q': NEAR_ZERO}), ("d3", {})]), block_rows=2)
 def test_batch_writer_matches_per_record_json_dumps(corpus, block_rows):
     vocab, pairs = _pairs(*corpus)
     expected = _old_write(pairs)
-    assert _bytes_of(VectorBatch.stack(pairs, vocab)) == expected
+    batch = VectorBatch.stack(pairs, vocab)
+    assert _bytes_of(batch) == expected
     with mock.patch.object(formats, "WRITE_BLOCK_ROWS", block_rows):
-        assert _bytes_of(VectorBatch.stack(pairs, vocab)) == expected
+        assert _bytes_of(batch) == expected
     assert _bytes_of(pairs) == expected
+    # encode writes a batch; compose writes its vectors one record at a time.
+    assert _bytes_of(iter(batch)) == expected
 
 
 def test_batch_writer_matches_per_record_json_dumps_with_many_distinct_weights():
