@@ -362,16 +362,8 @@ def cmd_eval(args) -> int:
     print(f"queries evaluated: {len(per_query)} (skipped: {len(skipped)})")
     for label in labels:
         print(f"{label:<{width}}  {means[label]:.4f}")
-    if args.out:
-        report = {
-            "query_count": len(per_query),
-            "skipped_qids": skipped,
-            "metrics": means,
-            "per_query": per_query,
-        }
-        formats.write_json(args.out, report, sort_keys=True)
-    if args.per_query:
-        formats.write_per_query(args.per_query, per_query)
+    report = {"query_count": len(per_query), "skipped_qids": skipped, "metrics": means, "per_query": per_query}
+    formats.write_eval(args.out, report, args.per_query, per_query)
     return EXIT_OK
 
 

@@ -761,6 +761,23 @@ def test_failed_encode_leaves_no_output(tmp_path, capsys):
         assert out.read_text() == "stale output of an earlier run\n"
 
 
+@pytest.mark.parametrize("unwritable", ["--out", "--per-query"])
+def test_failed_eval_leaves_neither_output(tmp_path, capsys, unwritable):
+    # --out and --per-query are written as one unit: whichever of them cannot
+    # be written, the other one is not left behind either.
+    run, qrels = tmp_path / "run.trec", tmp_path / "q.qrels"
+    write_lines(run, "q1 Q0 d1 1 1.000000 t")
+    write_lines(qrels, "q1 0 d1 1")
+    outputs = {"--out": tmp_path / "rep.json", "--per-query": tmp_path / "pq.tsv"}
+    outputs[unwritable] = tmp_path / "missing-dir" / outputs[unwritable].name
+    argv = ["eval", "--run", str(run), "--qrels", str(qrels), "--metrics", "ndcg@1"]
+    for flag, path in outputs.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.qrels", "run.trec"]
+
+
 @pytest.mark.parametrize("command", ["compose", "search"])
 def test_failed_query_is_named_and_leaves_no_output(tmp_path, capsys, indexed_corpus, command):
     queries = tmp_path / "q.jsonl"

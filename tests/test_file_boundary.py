@@ -14,11 +14,13 @@ held to one vocabulary only by ``sparse._require_same_vocab``, and
 pseudo-term weights to the sqrt domain only by ``cpt._require_nonnegative``;
 scores are accumulated only by the two scoring loops of ``index``, through
 ``np.add.at`` or, for a head term's dense row, ``np.add``.  And setvec
-imports nothing beyond the standard library and numpy, its one declared
-dependency.
+imports nothing beyond the standard library and the dependencies that
+``pyproject.toml`` declares, numpy and orjson; only ``formats.read_vectors``
+imports orjson.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -233,17 +235,40 @@ def test_term_id_rule_has_one_implementation():
     assert callers == {("sparse", "SparseVector"), ("sparse", "VectorBatch"), ("activations", "LogitMatrix")}
 
 
-def test_runtime_imports_are_stdlib_or_numpy():
-    """A module outside the standard library, numpy and setvec itself would be an undeclared dependency."""
-    allowed = set(sys.stdlib_module_names) | {"numpy"}
-    foreign = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(_tree(path.stem)):
+def _declared_dependencies() -> set[str]:
+    """The import names of ``pyproject.toml``'s ``[project] dependencies``, one line of TOML
+    that is also a Python list literal (Python 3.10 has no ``tomllib``)."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    [line] = [line for line in pyproject.read_text(encoding="utf-8").splitlines() if line.startswith("dependencies =")]
+    requirements = ast.literal_eval(line.partition("=")[2].strip())
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_") for req in requirements}
+
+
+def _imports():
+    """``(module, enclosing top-level name, imported module)`` for every absolute import in setvec."""
+    for module, top in _modules():
+        for node in ast.walk(top):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module]
             else:
                 continue
-            foreign += [(path.stem, name) for name in names if name.split(".")[0] not in allowed]
+            yield from ((module, getattr(top, "name", "<module>"), name) for name in names)
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    """A module outside the standard library, the declared dependencies and setvec itself
+    would be an undeclared dependency."""
+    declared = _declared_dependencies()
+    assert declared == {"numpy", "orjson"}
+    allowed = set(sys.stdlib_module_names) | declared
+    foreign = [(module, name) for module, _, name in _imports() if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_only_the_vector_reader_imports_orjson():
+    """orjson parses vector files and nothing else, and is imported where it is used, so a
+    child that reads no vectors file (``eval``, ``search`` of a query file) never loads it."""
+    importers = [(module, where) for module, where, name in _imports() if name.split(".")[0] == "orjson"]
+    assert importers == [("formats", "read_vectors")]
