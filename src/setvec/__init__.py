@@ -24,13 +24,7 @@ from .compose import (
     difference_nrf,
     difference_orthogonal,
 )
-from .cpt import (
-    PseudoTermVector,
-    cpt_score,
-    cpt_score_factorized,
-    expand_doc,
-    expand_query,
-)
+from .cpt import PseudoTermVector, expand_query
 from .errors import (
     CptDomainError,
     DuplicateDocError,
@@ -39,7 +33,6 @@ from .errors import (
     NonFiniteError,
     SetvecError,
     UndefinedMetricError,
-    UnknownTermError,
     VocabularyMismatchError,
     ZeroNormError,
 )
@@ -92,7 +85,6 @@ __all__ = [
     "SetvecError",
     "SparseVector",
     "UndefinedMetricError",
-    "UnknownTermError",
     "VectorBatch",
     "Vocabulary",
     "VocabularyMismatchError",
@@ -102,15 +94,12 @@ __all__ = [
     "build",
     "compose",
     "cosine",
-    "cpt_score",
-    "cpt_score_factorized",
     "difference_disentangled",
     "difference_nrf",
     "difference_orthogonal",
     "dot",
     "encode_bm25",
     "encode_tf",
-    "expand_doc",
     "expand_query",
     "fuse",
     "interference_bins",

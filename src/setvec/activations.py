@@ -71,19 +71,12 @@ class LogitMatrix:
         order = np.argsort(ids)
         return cls(values[:, order], ids[order], vocab)
 
-    @property
-    def positions(self) -> int:
-        return int(self.values.shape[0])
-
-    def __neg__(self) -> "LogitMatrix":
-        return LogitMatrix(-self.values, self.term_ids, self.vocab)
-
 
 @dataclass(frozen=True)
 class ActivationConfig:
     epsilon: float = 0.25
     neg_formula: str = NEG_CORRECTED
-    aggregation: str = AGG_SUM
+    aggregation: str = AGG_SPLADE_MAX
 
     def __post_init__(self):
         if not np.isfinite(self.epsilon) or self.epsilon < 0.0:

@@ -21,7 +21,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 from . import formats
-from .activations import AGGREGATIONS, NEG_CORRECTED, NEG_FORMULAS, ActivationConfig, activate
+from .activations import AGGREGATIONS, NEG_FORMULAS, ActivationConfig, activate
 from .compose import DEFAULT_LAMBDA, OP_ATOMIC, OP_DIFFERENCE, CompositionalQuery, CompositionParams, compose
 from .cpt import DEFAULT_M, PseudoTermVector
 from .errors import SetvecError, UndefinedMetricError, ZeroNormError
@@ -90,11 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="dead-zone half-width for signed activations (default: %(default)s)",
     )
     p.add_argument(
-        "--neg-formula", choices=NEG_FORMULAS, default=NEG_CORRECTED,
+        "--neg-formula", choices=NEG_FORMULAS, default=ActivationConfig.neg_formula,
         help="negative-half spelling for signed activations (default: %(default)s)",
     )
     p.add_argument(
-        "--aggregation", choices=AGGREGATIONS, default="splade_max",
+        "--aggregation", choices=AGGREGATIONS, default=ActivationConfig.aggregation,
         help="pooling for --logits: splade_max (positive only), absmax, or sum "
         "(default: %(default)s)",
     )

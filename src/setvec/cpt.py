@@ -1,21 +1,22 @@
 """Combined pseudo-terms: quadratic term-pair expansions for intersections.
 
 An intersection query over atomic vectors A and B is expanded into weighted
-term *pairs* ``(i, j)`` with weight ``sqrt(a_i * b_j)``; documents expand into
-pairs over their own support with weight ``sqrt(d_i * d_j)``.  The score is
-the inner product over matching pairs, which factorizes:
+term *pairs* ``(i, j)`` with weight ``sqrt(a_i * b_j)``; a document's pairs
+over its own support weigh ``sqrt(d_i * d_j)``.  The score is the inner
+product over matching pairs, which factorizes:
 
     sum_ij sqrt(a_i b_j) sqrt(d_i d_j) = (sum_i sqrt(a_i d_i)) (sum_j sqrt(b_j d_j))
 
-so an expansion is stored as its two factors (the truncated sides, or the
-document twice) and its pairs are enumerated only on demand: retrieval reads
-the factors and never materializes a pair.  A document scores above zero only
-when it overlaps *both* truncated sides.  Each side keeps its top
-:data:`DEFAULT_M` terms unless told otherwise.  All weights must be
-nonnegative (sqrt domain): :func:`_require_nonnegative` raises
-:class:`CptDomainError` for query sides, factors, documents and postings
-alike rather than clamping, since negative input signals a misconfigured
-encoder.
+so an expansion is stored as its two factors, the truncated sides, and its
+pairs are enumerated only for the ``compose`` dump.  The library scores CPT
+in one place, :func:`setvec.index.search_cpt`, which reads the factors'
+posting lists and never materializes a pair; the pair-by-pair formula lives
+on as the test oracle ``pair_score`` in ``tests/conftest.py``.  A document
+scores above zero only when it overlaps *both* truncated sides.  Each side
+keeps its top :data:`DEFAULT_M` terms unless told otherwise.  All weights
+must be nonnegative (sqrt domain): :func:`_require_nonnegative` raises
+:class:`CptDomainError` for query sides, factors and postings alike rather
+than clamping, since negative input signals a misconfigured encoder.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ class PseudoTermVector:
     @property
     def nnz(self) -> int:
         return self.x.nnz * self.y.nnz
-
-    def weight(self, i: int, j: int) -> float:
-        return math.sqrt(self.x.get(i) * self.y.get(j))
 
     def entries(self) -> Iterator[tuple[tuple[int, int], float]]:
         for i, wi in self.x.entries():
@@ -102,44 +100,3 @@ def expand_query(a: SparseVector, b: SparseVector, m: int = DEFAULT_M) -> Pseudo
     _require_nonnegative(a.weights, "query side A")
     _require_nonnegative(b.weights, "query side B")
     return PseudoTermVector(top_m(a, m), top_m(b, m))
-
-
-def expand_doc(d: SparseVector) -> PseudoTermVector:
-    """Pairs over the document's own support with weight ``sqrt(d_i d_j)``."""
-    return PseudoTermVector(d, d)
-
-
-def cpt_score(q: PseudoTermVector, d_exp: PseudoTermVector) -> float:
-    """Inner product over matching pairs, accumulated in pair order."""
-    _require_same_vocab(q.vocab, d_exp.vocab, "pseudo-term operands")
-    total = 0.0
-    for pair, qw in q.entries():
-        dw = d_exp.weight(*pair)
-        if dw != 0.0:
-            total += qw * dw
-    return total
-
-
-def cpt_score_factorized(a_top: SparseVector, b_top: SparseVector, d: SparseVector) -> float:
-    """Equivalent score without expanding the document.
-
-    ``(sum_i sqrt(a_i d_i)) * (sum_j sqrt(b_j d_j))`` over shared supports;
-    *a_top* and *b_top* are expected to be truncated already.
-    """
-    _require_same_vocab(a_top.vocab, d.vocab)
-    _require_same_vocab(b_top.vocab, d.vocab)
-    _require_nonnegative(a_top.weights, "query side A")
-    _require_nonnegative(b_top.weights, "query side B")
-    _require_nonnegative(d.weights, "document")
-    return _sqrt_overlap(a_top, d) * _sqrt_overlap(b_top, d)
-
-
-def _sqrt_overlap(q: SparseVector, d: SparseVector) -> float:
-    """``sum_i sqrt(q_i * d_i)`` over shared ids, ascending."""
-    if q.nnz == 0 or d.nnz == 0:
-        return 0.0
-    _, iq, id_ = np.intersect1d(q.ids, d.ids, assume_unique=True, return_indices=True)
-    total = 0.0
-    for wq, wd in zip(q.weights[iq], d.weights[id_]):
-        total += math.sqrt(float(wq) * float(wd))
-    return total

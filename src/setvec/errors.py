@@ -9,10 +9,6 @@ class SetvecError(Exception):
     """Base class for all domain errors raised by setvec."""
 
 
-class UnknownTermError(SetvecError):
-    """A term string looked up with ``Vocabulary.id_of`` is not in the vocabulary."""
-
-
 class VocabularyMismatchError(SetvecError):
     """Two operands are bound to different Vocabulary objects (``sparse._require_same_vocab``)."""
 

@@ -25,11 +25,11 @@ order, one unbuffered ``np.add.at`` per query term over its posting's doc ids
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, UnknownTermError, VocabularyMismatchError, ZeroNormError
+from .errors import NonFiniteError, VocabularyMismatchError, ZeroNormError
 
 # Magnitudes below this are dropped during canonicalization so that results
 # of float arithmetic that *should* cancel to zero actually disappear.
@@ -53,7 +53,7 @@ class Vocabulary:
     """Bidirectional mapping between term strings and dense integer ids.
 
     Looking up an unknown term through :meth:`add` or :meth:`add_all` appends
-    it; :meth:`id_of`, :meth:`get` and ``in`` never do.
+    it; :meth:`get` and ``in`` never do.
     """
 
     __slots__ = ("_terms", "_ids")
@@ -80,13 +80,6 @@ class Vocabulary:
         Every known term costs one dict lookup that stays in C.
         """
         return list(map(self._ids.__getitem__, terms))
-
-    def id_of(self, term: str) -> int:
-        """Return the id of a known term; raise :class:`UnknownTermError` otherwise."""
-        term_id = self._ids.get(term)
-        if term_id is None:
-            raise UnknownTermError(f"unknown term {term!r}")
-        return term_id
 
     def get(self, term: str) -> int | None:
         return self._ids.get(term)
@@ -156,10 +149,6 @@ class SparseVector:
         for term_id, weight in zip(ids, np.asarray(weights, dtype=np.float64).tolist()):
             summed[term_id] = summed.get(term_id, 0.0) + weight
         return cls(list(summed), list(summed.values()), vocab)
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[str, float], vocab: Vocabulary) -> "SparseVector":
-        return cls.from_pairs(mapping.items(), vocab)
 
     @classmethod
     def empty(cls, vocab: Vocabulary) -> "SparseVector":

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,26 @@ def brute_force(doc_dicts, names, query_dict, k):
         scored.append((doc_id, s))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return [(names[doc_id], s) for doc_id, s in scored[:k]]
+
+
+def pair_score(q, d):
+    """The paper's CPT score written out pair by pair: ``sum qw * sqrt(d_i * d_j)``
+    over the pseudo-term query *q*'s pairs ``((i, j), qw)``, accumulated in pair order."""
+    total = 0.0
+    for (i, j), qw in q.entries():
+        total += qw * math.sqrt(d.get(i) * d.get(j))
+    return total
+
+
+def factorized_score(a_top, b_top, d):
+    """The same score from its two factors, ``sum_i sqrt(a_i d_i) * sum_j sqrt(b_j d_j)``;
+    each factor adds its shared ids in ascending order, as ``search_cpt``'s stage 2 does."""
+
+    def factor(side):
+        _, iq, id_ = np.intersect1d(side.ids, d.ids, assume_unique=True, return_indices=True)
+        total = 0.0
+        for wq, wd in zip(side.weights[iq].tolist(), d.weights[id_].tolist()):
+            total += math.sqrt(wq * wd)
+        return total
+
+    return factor(a_top) * factor(b_top)

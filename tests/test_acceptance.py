@@ -21,13 +21,10 @@ from setvec import (
     Vocabulary,
     add,
     build,
-    cpt_score,
-    cpt_score_factorized,
     difference_disentangled,
     difference_nrf,
     difference_orthogonal,
     dot,
-    expand_doc,
     expand_query,
     fuse,
     load,
@@ -46,7 +43,7 @@ from setvec import (
 from setvec.cli import main
 from setvec.formats import write_search_results
 
-from conftest import brute_force, random_vector
+from conftest import brute_force, factorized_score, pair_score, random_vector
 
 
 @contextmanager
@@ -117,8 +114,8 @@ def test_criterion_3_cpt_factorization_oracle():
             b = random_vector(rng, vocab, max_nnz=50, low=0.05, high=3.0)
             d = random_vector(rng, vocab, max_nnz=50, low=0.05, high=3.0)
             m = int(rng.integers(1, 7))
-            full = cpt_score(expand_query(a, b, m), expand_doc(d))
-            fact = cpt_score_factorized(top_m(a, m), top_m(b, m), d)
+            full = pair_score(expand_query(a, b, m), d)
+            fact = factorized_score(top_m(a, m), top_m(b, m), d)
             assert full == pytest.approx(fact, rel=1e-9, abs=1e-12)
             overlaps_a = bool(set(top_m(a, m).ids.tolist()) & set(d.ids.tolist()))
             overlaps_b = bool(set(top_m(b, m).ids.tolist()) & set(d.ids.tolist()))
@@ -307,7 +304,7 @@ def test_criterion_8_snrelu_properties():
         for _ in range(20):
             m = LogitMatrix(rng.normal(scale=2.0, size=(5, 12)), range(12), vocab)
             pos_vec = snrelu_activate(m, cfg)
-            neg_vec = snrelu_activate(-m, cfg)
+            neg_vec = snrelu_activate(LogitMatrix(-m.values, m.term_ids, m.vocab), cfg)
             assert np.array_equal(pos_vec.ids, neg_vec.ids)
             assert np.array_equal(pos_vec.weights, -neg_vec.weights)
 

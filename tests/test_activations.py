@@ -126,7 +126,7 @@ class TestSnreluActivate:
         for _ in range(25):
             m = matrix(rng.normal(scale=2.0, size=(5, 10)), grid_vocab)
             pos_vec = snrelu_activate(m, cfg)
-            neg_vec = snrelu_activate(-m, cfg)
+            neg_vec = snrelu_activate(LogitMatrix(-m.values, m.term_ids, m.vocab), cfg)
             assert np.array_equal(pos_vec.ids, neg_vec.ids)
             assert np.array_equal(pos_vec.weights, -neg_vec.weights)
 

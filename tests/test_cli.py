@@ -13,6 +13,8 @@ import setvec
 from setvec import cli
 from setvec.cli import main
 
+from conftest import factorized_score
+
 
 def write_lines(path, *lines):
     path.write_text("".join(line + "\n" for line in lines))
@@ -259,6 +261,12 @@ class TestEncode:
         ]) == 0
         assert "european" not in json.loads(positive_only.read_text())["vector"]
 
+    def test_encode_activation_defaults_are_the_library_defaults(self):
+        """encode --logits without activation flags activates as ``ActivationConfig()`` does."""
+        args = cli.build_parser().parse_args(["encode", "--logits", "g.tsv", "--out", "v.jsonl"])
+        cfg = setvec.ActivationConfig(args.epsilon, args.neg_formula, args.aggregation)
+        assert cfg == setvec.ActivationConfig()
+
     def test_bm25_output_independent_of_hash_seed(self, tmp_path):
         rng = np.random.default_rng(5)
         words = [f"w{i}" for i in range(300)]
@@ -449,14 +457,14 @@ class TestFuseEvalPairwise:
         grades = data.draw(st.lists(st.integers(0, 2), min_size=n_docs, max_size=n_docs).filter(any))
 
         vocab = setvec.Vocabulary()
-        idx = setvec.build([(n, setvec.SparseVector.from_dict(d, vocab)) for n, d in zip(names, docs)], vocab)
+        idx = setvec.build([(n, setvec.SparseVector.from_pairs(d.items(), vocab)) for n, d in zip(names, docs)], vocab)
         qrels = setvec.Qrels()
         for name, grade in zip(names, grades):
             for qid in range(len(queries)):
                 qrels.set(f"q{qid}", name, grade)
         expected = {}
         for qid, q in enumerate(queries):
-            hits = setvec.search(idx, setvec.SparseVector.from_dict(q, vocab), n_docs)
+            hits = setvec.search(idx, setvec.SparseVector.from_pairs(q.items(), vocab), n_docs)
             if hits:
                 expected[f"q{qid}"] = f"{setvec.ndcg_at_k([n for n, _ in hits], qrels, f'q{qid}', 3):.6f}"
         assume(expected)
@@ -927,7 +935,7 @@ def test_run_field_with_whitespace_is_data_error(tmp_path, capsys, field, name):
     vocab = setvec.Vocabulary()
     index = tmp_path / "corpus.svix"
     rows = [("d0", {"x": 2.0}), (doc, {"x": 1.0})]
-    setvec.save(setvec.build([(n, setvec.SparseVector.from_dict(v, vocab)) for n, v in rows], vocab), index)
+    setvec.save(setvec.build([(n, setvec.SparseVector.from_pairs(v.items(), vocab)) for n, v in rows], vocab), index)
     run = tmp_path / "run.txt"
     if field == "doc name":
         queries = tmp_path / "q.jsonl"
@@ -1055,14 +1063,14 @@ def _oracle_run(doc_rows, query_rows, k=10):
     """The expected run, scored in process over a vocabulary that holds every term: ``dot``,
     or for cpt the factorized pseudo-term score over every doc that ``maxpool(a, b)`` touches."""
     vocab = setvec.Vocabulary()
-    docs = [(name, setvec.SparseVector.from_dict(vec, vocab)) for name, vec in doc_rows]
+    docs = [(name, setvec.SparseVector.from_pairs(vec.items(), vocab)) for name, vec in doc_rows]
     lines = []
     for row in query_rows:
-        a, b = (setvec.SparseVector.from_dict(row[side], vocab) for side in "ab")
+        a, b = (setvec.SparseVector.from_pairs(row[side].items(), vocab) for side in "ab")
         params = setvec.CompositionParams(m=row.get("params", {}).get("m", 5))
         rep = setvec.compose(setvec.CompositionalQuery(row["qid"], row["operator"], row["method"], a, b, params))
         if isinstance(rep, setvec.PseudoTermVector):
-            reach, score = setvec.maxpool(a, b), lambda d: setvec.cpt_score_factorized(rep.x, rep.y, d)
+            reach, score = setvec.maxpool(a, b), lambda d: factorized_score(rep.x, rep.y, d)
         else:
             reach, score = rep, lambda d: setvec.dot(rep, d)
         scored = sorted((-score(d), i) for i, (_, d) in enumerate(docs) if np.intersect1d(reach.ids, d.ids).size)

@@ -287,8 +287,8 @@ from setvec import SparseVector, VectorBatch, Vocabulary, build, search, search_
 from setvec.compose import COMPOSITIONS, CompositionalQuery, compose
 from setvec.cpt import PseudoTermVector
 vocab = Vocabulary()
-a = SparseVector.from_dict({"birds": 1.0, "colombia": 2.0, "andes": 0.5}, vocab)
-b = SparseVector.from_dict({"birds": 1.0, "venezuela": 3.0}, vocab)
+a = SparseVector.from_pairs([("birds", 1.0), ("colombia", 2.0), ("andes", 0.5)], vocab)
+b = SparseVector.from_pairs([("birds", 1.0), ("venezuela", 3.0)], vocab)
 idx = build(VectorBatch.stack([("d1", a), ("d2", b)], vocab))
 before = "numpy.ma" in sys.modules
 for operator, method in COMPOSITIONS:

@@ -12,26 +12,12 @@ from setvec import (
     SparseVector,
     Vocabulary,
     VocabularyMismatchError,
-    cpt_score,
-    cpt_score_factorized,
-    expand_doc,
     expand_query,
     top_m,
 )
 from setvec import cpt
 
-from conftest import random_vector
-
-
-def enumerate_score(a_top, b_top, d):
-    """Independent full enumeration of sum_ij sqrt(a_i b_j) * sqrt(d_i d_j)."""
-    total = 0.0
-    dd = dict(d.entries())
-    for i, wi in a_top.entries():
-        for j, wj in b_top.entries():
-            if i in dd and j in dd:
-                total += math.sqrt(wi * wj) * math.sqrt(dd[i] * dd[j])
-    return total
+from conftest import factorized_score, pair_score, random_vector
 
 
 class TestExpandQuery:
@@ -72,34 +58,36 @@ class TestExpandQuery:
 
 
 class TestExpandDoc:
+    """A document's own pairs, ``sqrt(d_i * d_j)``, are the expansion with *d* as both factors."""
+
     def test_support_squared(self, vocab):
         d = SparseVector.from_pairs(
             [("birds", 1.0), ("colombia", 1.0), ("venezuela", 1.0)], vocab
         )
-        out = expand_doc(d)
+        out = PseudoTermVector(d, d)
         assert out.nnz == 9
         assert set(out.to_dict().values()) == {1.0}
 
     def test_diagonal_weight_equals_entry(self, vocab):
         d = SparseVector.from_pairs([("a", 2.0), ("b", 0.5)], vocab)
-        out = expand_doc(d)
-        ia, ib = vocab.id_of("a"), vocab.id_of("b")
-        assert out.weight(ia, ia) == 2.0
-        assert out.weight(ib, ib) == 0.5
+        pairs = dict(PseudoTermVector(d, d).entries())
+        ia, ib = vocab.get("a"), vocab.get("b")
+        assert pairs[ia, ia] == 2.0
+        assert pairs[ib, ib] == 0.5
 
     def test_symmetry_exact(self, vocab):
         rng = np.random.default_rng(73)
         v = Vocabulary(f"t{i}" for i in range(30))
         for _ in range(20):
             d = random_vector(rng, v, max_nnz=10, low=0.05, high=3.0)
-            out = expand_doc(d)
-            for (i, j), w in out.entries():
-                assert out.weight(j, i) == w
+            pairs = dict(PseudoTermVector(d, d).entries())
+            for (i, j), w in pairs.items():
+                assert pairs[j, i] == w
 
     def test_rejects_negative_weights(self, vocab):
         d = SparseVector.from_pairs([("a", -0.5)], vocab)
         with pytest.raises(CptDomainError):
-            expand_doc(d)
+            PseudoTermVector(d, d)
 
 
 class TestScores:
@@ -110,29 +98,29 @@ class TestScores:
             [("birds", 1.0), ("colombia", 1.0), ("venezuela", 1.0)], vocab
         )
         q = expand_query(a, b, m=2)
-        assert cpt_score(q, expand_doc(d)) == 4.0
-        assert cpt_score_factorized(top_m(a, 2), top_m(b, 2), d) == 4.0
+        assert pair_score(q, d) == 4.0
+        assert factorized_score(top_m(a, 2), top_m(b, 2), d) == 4.0
 
     def test_single_shared_term(self, vocab):
         a = SparseVector.from_pairs([("colombia", 1.0), ("birds", 1.0)], vocab)
         b = SparseVector.from_pairs([("venezuela", 1.0), ("birds", 1.0)], vocab)
         d = SparseVector.from_pairs([("birds", 1.0)], vocab)
         q = expand_query(a, b, m=2)
-        assert cpt_score(q, expand_doc(d)) == 1.0
+        assert pair_score(q, d) == 1.0
 
     def test_one_sided_doc_scores_zero(self, vocab):
         a = SparseVector.from_pairs([("colombia", 1.0)], vocab)
         b = SparseVector.from_pairs([("venezuela", 1.0)], vocab)
         d = SparseVector.from_pairs([("colombia", 3.0), ("andes", 1.0)], vocab)
         q = expand_query(a, b)
-        assert cpt_score(q, expand_doc(d)) == 0.0
-        assert cpt_score_factorized(a, b, d) == 0.0
+        assert pair_score(q, d) == 0.0
+        assert factorized_score(a, b, d) == 0.0
 
     def test_factorized_binary_square(self, vocab):
         terms = [(f"t{i}", 1.0) for i in range(4)]
         a = SparseVector.from_pairs(terms, vocab)
         d = SparseVector.from_pairs(terms, vocab)
-        assert cpt_score_factorized(a, a, d) == 16.0
+        assert factorized_score(a, a, d) == 16.0
 
     def test_factorization_identity_random(self):
         v = Vocabulary(f"t{i}" for i in range(40))
@@ -142,9 +130,11 @@ class TestScores:
             b = random_vector(rng, v, max_nnz=15, low=0.05, high=3.0)
             d = random_vector(rng, v, max_nnz=15, low=0.05, high=3.0)
             m = int(rng.integers(1, 8))
-            full = cpt_score(expand_query(a, b, m), expand_doc(d))
-            fact = cpt_score_factorized(top_m(a, m), top_m(b, m), d)
-            ref = enumerate_score(top_m(a, m), top_m(b, m), d)
+            q = expand_query(a, b, m)
+            full = pair_score(q, d)
+            fact = factorized_score(top_m(a, m), top_m(b, m), d)
+            doc_pairs = dict(PseudoTermVector(d, d).entries())
+            ref = math.fsum(qw * doc_pairs.get(pair, 0.0) for pair, qw in q.entries())
             assert full == pytest.approx(fact, rel=1e-9, abs=1e-12)
             assert full == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
@@ -156,7 +146,7 @@ class TestScores:
             b = random_vector(rng, v, max_nnz=8, low=0.05, high=3.0)
             d = random_vector(rng, v, max_nnz=8, low=0.05, high=3.0)
             m = int(rng.integers(1, 6))
-            score = cpt_score_factorized(top_m(a, m), top_m(b, m), d)
+            score = factorized_score(top_m(a, m), top_m(b, m), d)
             overlaps_a = bool(set(top_m(a, m).ids.tolist()) & set(d.ids.tolist()))
             overlaps_b = bool(set(top_m(b, m).ids.tolist()) & set(d.ids.tolist()))
             assert (score > 0.0) == (overlaps_a and overlaps_b)
@@ -169,7 +159,7 @@ class TestScores:
             b = random_vector(rng, v, max_nnz=10, min_nnz=1, low=0.05, high=3.0)
             d = random_vector(rng, v, max_nnz=10, min_nnz=1, low=0.05, high=3.0)
             scores = [
-                cpt_score_factorized(top_m(a, m), top_m(b, m), d) for m in range(1, 11)
+                factorized_score(top_m(a, m), top_m(b, m), d) for m in range(1, 11)
             ]
             assert all(s2 >= s1 for s1, s2 in zip(scores, scores[1:]))
 
@@ -184,7 +174,8 @@ class TestPseudoTermVector:
             ((0, 1), 6.0), ((0, 5), 2.0), ((2, 1), 3.0), ((2, 5), 1.0),
         ]
         assert ptv.nnz == 4
-        assert ptv.weight(0, 5) == 2.0 and ptv.weight(5, 0) == 0.0
+        pairs = dict(ptv.entries())
+        assert pairs[0, 5] == 2.0 and (5, 0) not in pairs
 
     def test_rejects_negative_and_overflowing_factors(self):
         v = Vocabulary(["a", "b"])

@@ -235,6 +235,21 @@ def test_term_id_rule_has_one_implementation():
     assert callers == {("sparse", "SparseVector"), ("sparse", "VectorBatch"), ("activations", "LogitMatrix")}
 
 
+def test_every_export_has_a_user():
+    """Each name that ``setvec.__all__`` exports is read by a setvec module other than
+    ``__init__``, a demo or the benchmark; a name only the tests read belongs in the tests."""
+    root = Path(__file__).resolve().parents[1]
+    users = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    users += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
+    read = {
+        getattr(node, NAME_FIELDS[type(node)])
+        for path in users
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(set(setvec.__all__) - read) == []
+
+
 def _declared_dependencies() -> set[str]:
     """The import names of ``pyproject.toml``'s ``[project] dependencies``, one line of TOML
     that is also a Python list literal (Python 3.10 has no ``tomllib``)."""

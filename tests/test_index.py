@@ -18,7 +18,6 @@ from setvec import (
     Vocabulary,
     VocabularyMismatchError,
     build,
-    cpt_score_factorized,
     dot,
     expand_query,
     load,
@@ -32,7 +31,7 @@ from setvec.cli import main
 from setvec.index import _rank
 from setvec.sparse import NEAR_ZERO
 
-from conftest import brute_force, random_lattice_vector, random_vector
+from conftest import brute_force, factorized_score, random_lattice_vector, random_vector
 
 
 def _bits(hits):
@@ -188,7 +187,7 @@ class TestSearch:
     @given(searches())
     def test_oracle_equivalence_small(self, case):
         """search equals brute_force, and search_cpt with a pool covering the
-        corpus equals cpt_score_factorized, bit for bit."""
+        corpus equals factorized_score, bit for bit."""
         _, _, docs, qa, qb, k = case
         names, vecs, idx, q = signed_case(case)
         vocab = q.vocab
@@ -201,7 +200,7 @@ class TestSearch:
         at, bt = top_m(a, 3), top_m(b, 3)
         sides = set(a.ids.tolist()) | set(b.ids.tolist())
         scored = sorted(
-            (-cpt_score_factorized(at, bt, v), i)
+            (-factorized_score(at, bt, v), i)
             for i, v in enumerate(unsigned) if sides & set(v.ids.tolist())
         )
         hits = search_cpt(unsigned_idx, expand_query(a, b, 3), a, b, k, candidate_pool=len(docs))
@@ -360,7 +359,7 @@ class TestSearchCpt:
                 (set(a.ids.tolist()) | set(b.ids.tolist())) & set(vec.ids.tolist())
             )
             if touched:
-                expected.append((doc_id, cpt_score_factorized(at, bt, vec)))
+                expected.append((doc_id, factorized_score(at, bt, vec)))
         expected.sort(key=lambda pair: (-pair[1], pair[0]))
         assert hits == [(names[d], s) for d, s in expected]
 
@@ -394,7 +393,7 @@ class TestSearchCpt:
         pseudo-term query built over another one, as search does for a vector."""
         vocab = Vocabulary()
         rows = [("d1", {"a": 1.0, "b": 4.0}), ("d2", {"a": 4.0, "b": 1.0}), ("d3", {"a": 1.0, "c": 9.0})]
-        idx = build([(name, SparseVector.from_dict(vec, vocab)) for name, vec in rows], vocab)
+        idx = build([(name, SparseVector.from_pairs(vec.items(), vocab)) for name, vec in rows], vocab)
         a, b = (SparseVector.from_pairs([(t, 1.0)], vocab) for t in "ab")
         assert search_cpt(idx, expand_query(a, b), a, b, 10, 10) == [("d1", 2.0), ("d2", 2.0), ("d3", 0.0)]
         other = Vocabulary(["c", "a", "b"])
@@ -643,7 +642,7 @@ class TestLoaderStructure:
         write_raw_index(path, **VALID_PARTS)
         idx = load(path)
         assert idx.doc_names == ["d0", "d1", "d2"]
-        ids, weights = idx.postings(idx.vocab.id_of("a"))
+        ids, weights = idx.postings(idx.vocab.get("a"))
         assert ids.tolist() == [0, 2] and weights.tolist() == [1.5, -2.0]
         q = SparseVector.from_pairs([("a", 1.0), ("b", 1.0)], idx.vocab)
         assert search(idx, q, 5) == [("d0", 1.5), ("d1", 0.25), ("d2", -2.0)]

@@ -107,11 +107,11 @@ class TestBm25:
         # N=2, df=2, tf=1, dl=avgdl: the tf factor is (k1+1)/(1+k1) = 1, so
         # the weight is just idf = ln(1 + 0.5/2.5) = ln(1.2).
         vec = bm25([["x", "a"], ["x", "b"]], vocab)[0]
-        assert vec.get(vocab.id_of("x")) == pytest.approx(math.log(1.2), rel=1e-12)
+        assert vec.get(vocab.get("x")) == pytest.approx(math.log(1.2), rel=1e-12)
 
     def test_absent_term_absent(self, vocab):
         vec = bm25([["x"], ["y"]], vocab)[0]
-        assert vec.get(vocab.id_of("y")) == 0.0
+        assert vec.get(vocab.get("y")) == 0.0
 
     def test_single_doc_corpus_idf(self, vocab):
         # N=df=1 gives idf = ln(1 + 0.5/1.5) = ln(4/3) for every term.
@@ -125,12 +125,12 @@ class TestBm25:
         docs = [["t"] * (i + 1) + ["pad"] for i in range(6)]
         probes = [["t"] * tf + ["pad"] * 3 for tf in range(1, 6)]
         vecs = bm25(docs + probes, vocab)[len(docs):]
-        weights = [vec.get(vocab.id_of("t")) for vec in vecs]
+        weights = [vec.get(vocab.get("t")) for vec in vecs]
         assert all(b >= a for a, b in zip(weights, weights[1:]))
 
         vocab2 = Vocabulary()
         vec = bm25([["rare", "x"], ["x"], ["x"], ["x"]], vocab2)[0]
-        assert vec.get(vocab2.id_of("rare")) > vec.get(vocab2.id_of("x"))
+        assert vec.get(vocab2.get("rare")) > vec.get(vocab2.get("x"))
 
     def test_scoring_equivalence_with_reference(self, vocab):
         rng = np.random.default_rng(31)

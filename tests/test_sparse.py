@@ -30,7 +30,7 @@ from conftest import random_vector
 class TestVocabulary:
     def test_ids_are_dense_and_bijective(self):
         v = Vocabulary(["a", "b", "c"])
-        assert [v.id_of(t) for t in "abc"] == [0, 1, 2]
+        assert [v.get(t) for t in "abc"] == [0, 1, 2]
         assert [v.term(i) for i in range(3)] == ["a", "b", "c"]
         assert len(v) == 3
 
@@ -46,7 +46,7 @@ class TestVocabulary:
     def test_repeated_term_keeps_its_first_id(self):
         v = Vocabulary(["b", "a", "b", "c", "a"])
         assert v.terms == ("b", "a", "c")
-        assert [v.id_of(t) for t in "bac"] == [0, 1, 2]
+        assert [v.get(t) for t in "bac"] == [0, 1, 2]
         assert v.add("d") == 3
 
     @pytest.mark.parametrize("terms", [["a", 1], [None], ["a", b"b"], ["a", "a", ""]])
