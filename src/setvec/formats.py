@@ -57,7 +57,7 @@ from .cpt import PseudoTermVector
 from .errors import FormatError
 from .evaluation import PairedQueries, Qrels
 from .lexical import tokenize
-from .sparse import SparseVector, VectorBatch, Vocabulary, _distinct
+from .sparse import SparseVector, VectorBatch, Vocabulary
 
 DEFAULT_RUN_TAG = "setvec"
 PAIR_FIELDS = ("qid_a", "qid_b", "doc_a", "doc_b")
@@ -276,25 +276,18 @@ def _records(
 def _batch_lines(batch: VectorBatch) -> Iterator[str]:
     """The records of *batch* in blocks of rows; each term and each distinct weight is formatted once.
 
-    A weight's text is found by its code, its position in the sorted distinct
-    weights (the table an index file stores): one binary search per weight,
-    made in ascending order within a block, which is about twice as fast.  A
-    batch holds no zero weight, so no -0.0 takes 0.0's text.  Texts are
+    A weight's text is found by its code, its position in the batch's table
+    of sorted distinct weights (the table an index file stores).  Texts are
     gathered from object arrays, faster than one list lookup per entry.
     """
     keys = np.array([_json_key(term) for term in batch.vocab.terms], dtype=object)
-    table = _distinct(batch.weights)
-    values = np.array([_json_value(weight) for weight in table.tolist()], dtype=object)
+    values = np.array([_json_value(weight) for weight in batch.table.tolist()], dtype=object)
     bounds = batch.offsets.tolist()
     for lo in range(0, len(batch), WRITE_BLOCK_ROWS):
         hi = min(lo + WRITE_BLOCK_ROWS, len(batch))
         rows = slice(bounds[lo], bounds[hi])
-        weights = batch.weights[rows]
-        order = np.argsort(weights)
-        codes = np.empty_like(order)
-        codes[order] = np.searchsorted(table, weights[order])
         yield _records(
-            batch.names[lo:hi], bounds[lo : hi + 1], keys[batch.ids[rows]].tolist(), values[codes].tolist()
+            batch.names[lo:hi], bounds[lo : hi + 1], keys[batch.ids[rows]].tolist(), values[batch.codes[rows]].tolist()
         )
 
 

@@ -27,7 +27,9 @@ at most 6.4 times the memory of the postings they copy.
 Postings live in one columnar (CSR) layout shared by every layer and by the
 file: term ``t`` owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending) and
 the matching slice of ``codes``, where a code is its weight's position in
-``table``, the sorted distinct weights.  A posting costs a 4-byte doc id
+``table``, the sorted distinct weights.  A :class:`VectorBatch` holds the
+same table and codes with a row per document, so :func:`build` sorts the
+codes by term and keeps the table.  A posting costs a 4-byte doc id
 plus a 1-, 2- or 4-byte code, and each distinct weight 8 bytes.  The worst
 case is a table of more than 65,536 entries, at about one distinct weight
 per posting: 12 bytes of code and table per posting where a float64 column
@@ -71,8 +73,8 @@ import numpy as np
 from .cpt import PseudoTermVector, _require_nonnegative
 from .errors import DuplicateDocError, IndexFormatError, NonFiniteError
 from .sparse import (
-    SparseVector, VectorBatch, Vocabulary, _canonical_rows, _not_increasing, _positive_int, _rank,
-    _require_same_vocab, maxpool,
+    SparseVector, VectorBatch, Vocabulary, _canonical_rows, _code_dtype, _not_increasing, _positive_int,
+    _rank, _require_same_vocab, maxpool,
 )
 
 MAGIC = b"SVIX"
@@ -171,16 +173,15 @@ def build(
         if name in seen:
             raise DuplicateDocError(f"duplicate document name {name!r}")
         seen.add(name)
-    # Coded first, so the term sort gathers narrow codes rather than float64 weights.
-    table, codes = _weight_codes(batch.weights)
+    # The batch's table and codes are the index's: only the codes take the term order.
     # A stable sort keeps each list's doc ids in ingestion (ascending) order.
     order = np.argsort(batch.ids, kind="stable")
-    codes = codes[order]
+    codes = batch.codes[order]
     doc_ids = np.repeat(np.arange(len(names), dtype=np.uint32), np.diff(batch.offsets))[order]
     del order  # before bincount takes an int64 copy of the ids: 8 bytes a posting each
     offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(batch.ids, minlength=len(vocab)), out=offsets[1:])
-    return InvertedIndex(vocab, names, offsets, doc_ids, table, codes)
+    return InvertedIndex(vocab, names, offsets, doc_ids, batch.table, codes)
 
 
 def _named(idx: InvertedIndex, doc_ids: np.ndarray, scores: np.ndarray) -> SearchResult:
@@ -275,34 +276,6 @@ def _sqrt_factor(idx: InvertedIndex, side: SparseVector) -> np.ndarray:
         _require_nonnegative(weights, f"the posting of term {idx.vocab.term(tid)!r}")
         np.add.at(acc, doc_ids.astype(np.intp), np.sqrt(qw * weights))
     return acc
-
-
-def _code_dtype(table_size: int) -> np.dtype:
-    """The narrowest unsigned width whose codes reach every entry of a table of *table_size*."""
-    width = 1 if table_size <= 1 << 8 else 2 if table_size <= 1 << 16 else 4
-    return np.dtype(f"<u{width}")
-
-
-def _weight_codes(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct *weights*, and each weight's position among them as a code.
-
-    build codes a batch's weights with it once, before its term sort, and
-    save writes what it returned.  One argsort serves both.  A binary search
-    of every weight is several times slower once the table is large, and
-    np.unique's inverse holds more int64 temporaries at once.  A batch holds
-    no zero weight, so no -0.0 is merged into 0.0.
-    """
-    order = np.argsort(weights)
-    ordered = weights[order]
-    first = np.empty(ordered.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    table = ordered[first]
-    del ordered
-    first[:1] = False
-    codes = np.empty(weights.size, dtype=_code_dtype(table.size))
-    codes[order] = np.cumsum(first, dtype=codes.dtype)
-    return table, codes
 
 
 def _deflate(values: np.ndarray) -> bytes:

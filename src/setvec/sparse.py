@@ -9,7 +9,9 @@ All operations are pure and return vectors in canonical form: strictly
 increasing term ids, no stored weight with magnitude below :data:`NEAR_ZERO`.
 A :class:`VectorBatch` holds many canonical vectors as CSR columns; the ingest
 path (BM25 encoding, vector files, index build) carries documents that way
-instead of one object per document.
+instead of one object per document.  Its weights are the index file's two
+columns: ``table``, the sorted distinct weights, and ``codes``, each weight's
+position in it.  ``_weight_codes`` alone derives them, once per batch.
 
 ``_term_ids`` alone checks the ids given to a vector, a batch or a logit
 matrix.  One function, ``_canonical_rows``, puts every vector and every batch
@@ -34,6 +36,7 @@ from .errors import NonFiniteError, VocabularyMismatchError, ZeroNormError
 # Magnitudes below this are dropped during canonicalization so that results
 # of float arithmetic that *should* cancel to zero actually disappear.
 NEAR_ZERO = 1e-12
+WEIGHT_CODE_BLOCK = 1 << 16  # weights binary-searched per block by _weight_codes
 
 
 class _TermIds(dict):
@@ -197,19 +200,21 @@ class VectorBatch:
     """Many vectors over one vocabulary in one CSR layout.
 
     Row ``i`` is named ``names[i]`` and holds ``ids[offsets[i]:offsets[i + 1]]``
-    with the matching slice of ``weights``: the layout of the inverted index's
-    columns, with a row per document instead of per term.  Every row is
-    canonical, as a :class:`SparseVector` is.  Iterating yields
-    ``(name, SparseVector)`` pairs whose arrays are views of the columns.
+    with the matching slice of ``codes``, each a position in ``table``, the
+    sorted distinct weights: the layout of the inverted index's columns, with
+    a row per document instead of per term.  Every row is canonical, as a
+    :class:`SparseVector` is.  Iterating yields ``(name, SparseVector)`` pairs
+    whose ids are views of the column and whose weights are gathered from the
+    table.
     """
 
-    __slots__ = ("names", "offsets", "ids", "weights", "vocab")
+    __slots__ = ("names", "offsets", "ids", "table", "codes", "vocab")
 
     def __init__(self, names: list[str], lengths, ids, weights, vocab: Vocabulary):
         """Rows are *lengths* consecutive entries of *ids*/*weights*; a row's ids
         must be distinct.  Rows are sorted by id and pruned as :func:`_kept`
-        does.  The batch keeps the arrays it can use as given and makes them
-        read-only."""
+        does, then the weights are coded.  The batch keeps the arrays it can
+        use as given and makes them read-only."""
         lengths = np.asarray(lengths, dtype=np.int64)
         ids = _term_ids(ids, vocab)
         weights = np.asarray(weights, dtype=np.float64)
@@ -220,12 +225,14 @@ class VectorBatch:
         offsets = np.zeros(len(names) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         offsets, ids, weights = _canonical_rows(offsets, ids, weights)
-        for column in (offsets, ids, weights):
+        table, codes = _weight_codes(weights)
+        for column in (offsets, ids, table, codes):
             column.setflags(write=False)
         self.names = names
         self.offsets = offsets
         self.ids = ids
-        self.weights = weights
+        self.table = table
+        self.codes = codes
         self.vocab = vocab
 
     @classmethod
@@ -259,7 +266,7 @@ class VectorBatch:
     def __iter__(self) -> Iterator[tuple[str, SparseVector]]:
         bounds = self.offsets.tolist()
         for name, start, end in zip(self.names, bounds, bounds[1:]):
-            yield name, SparseVector._trusted(self.ids[start:end], self.weights[start:end], self.vocab)
+            yield name, SparseVector._trusted(self.ids[start:end], self.table.take(self.codes[start:end]), self.vocab)
 
 
 def _canonical_rows(offsets: np.ndarray, ids: np.ndarray, weights: np.ndarray):
@@ -337,6 +344,30 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct *values*, as ``np.unique`` returns them, without its import of numpy.ma."""
     ordered = np.sort(values)
     return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+
+
+def _code_dtype(table_size: int) -> np.dtype:
+    """The narrowest unsigned width whose codes reach every entry of a table of *table_size*."""
+    width = 1 if table_size <= 1 << 8 else 2 if table_size <= 1 << 16 else 4
+    return np.dtype(f"<u{width}")
+
+
+def _weight_codes(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one weight coding: the sorted distinct *weights* (the table) and each
+    weight's position in it, as codes of :func:`_code_dtype`'s width.
+
+    A block of :data:`WEIGHT_CODE_BLOCK` weights at a time is sorted and
+    binary-searched in order, about twice as fast as in file order; one
+    whole-column argsort would hold 8 bytes a weight more.  Weights obey the
+    weight rule, so no -0.0 is merged into 0.0.
+    """
+    table = _distinct(weights)
+    codes = np.empty(weights.size, dtype=_code_dtype(table.size))
+    for start in range(0, weights.size, WEIGHT_CODE_BLOCK):
+        block = weights[start : start + WEIGHT_CODE_BLOCK]
+        order = np.argsort(block)
+        codes[start : start + block.size][order] = np.searchsorted(table, block[order])
+    return table, codes
 
 
 def _kept(weights: np.ndarray) -> np.ndarray | None:

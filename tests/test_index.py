@@ -558,10 +558,10 @@ class TestPersistence:
 
     def test_build_frees_the_term_order_before_counting(self):
         """build's traced peak is 17 bytes a posting with 1-byte codes: the
-        weight coding's int64 argsort and float64 gather (8 + 8 + 1), or the
         term sort's int64 order beside the codes and two uint32 doc-id columns
-        (8 + 1 + 4 + 4).  Keeping that order while bincount takes an int64 copy
-        of the term ids raised it to 21."""
+        (8 + 1 + 4 + 4); the batch arrives with its weights coded.  Keeping
+        that order while bincount takes an int64 copy of the term ids raised it
+        to 21."""
         rng = np.random.default_rng(17)
         n_docs, n_terms = 2000, 400
         present = rng.random((n_docs, n_terms)) < 0.5

@@ -22,7 +22,7 @@ from setvec import (
     sub,
     top_m,
 )
-from setvec.sparse import NEAR_ZERO
+from setvec.sparse import NEAR_ZERO, WEIGHT_CODE_BLOCK, _code_dtype, _weight_codes
 
 from conftest import random_vector
 
@@ -287,6 +287,35 @@ def test_elementwise_matches_a_union1d_reference(a_row, b_row):
         ours = fn(a, b)
         assert ours == _union1d_elementwise(a, b, op)
         assert ours.ids.dtype == np.uint32
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    table_size=st.sampled_from([256, 257, 65_536, 65_537]),
+    extra=st.integers(0, WEIGHT_CODE_BLOCK),
+    edges=st.lists(st.floats(allow_nan=False, allow_infinity=False).filter(bool), max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weight_codes_match_a_unique_oracle(table_size, extra, edges, seed):
+    """Finite nonzero columns of more than one block, over tables at each side of
+    the 1- and 2-byte code widths' limits."""
+    rng = np.random.default_rng(seed)
+    edges = np.unique(np.array(edges, dtype=np.float64))
+    drawn = rng.standard_normal(2 * table_size) * 10.0 ** rng.integers(-300, 300, 2 * table_size)
+    others = rng.choice(np.setdiff1d(drawn[drawn != 0], edges), table_size - edges.size, replace=False)
+    distinct = np.concatenate((edges, others))
+    repeats = rng.choice(distinct, WEIGHT_CODE_BLOCK + 1 + extra - table_size)
+    weights = rng.permutation(np.concatenate((distinct, repeats)))
+    table, codes = _weight_codes(weights)
+    assert (table[1:] > table[:-1]).all()
+    # Bit for bit, compared as integers: pytest's diff of two failing byte strings this long takes minutes.
+    assert np.array_equal(table.take(codes).view(np.uint64), weights.view(np.uint64))
+    assert codes.dtype == _code_dtype(table.size)
+    assert codes.itemsize == (1 if table_size <= 2**8 else 2 if table_size <= 2**16 else 4)
+    oracle_table, oracle_codes = np.unique(weights, return_inverse=True)
+    assert table.size == table_size
+    assert np.array_equal(table.view(np.uint64), oracle_table.view(np.uint64))
+    assert np.array_equal(codes, oracle_codes)
 
 
 class TestMaskRemove:

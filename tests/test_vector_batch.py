@@ -121,7 +121,7 @@ def test_batch_writer_matches_per_record_json_dumps_with_many_distinct_weights()
         for i in range(600)
     ]
     batch = VectorBatch.stack(pairs, vocab)
-    assert np.unique(batch.weights).size == 900
+    assert batch.table.size == 900
     assert _bytes_of(batch) == _old_write(pairs)
 
 
@@ -256,7 +256,7 @@ def _assert_same_encoding(docs, known, k1=lexical.DEFAULT_K1, b=lexical.DEFAULT_
     want = _counter_encode_bm25(iter(named), oracle_vocab, k1, b)
     assert vocab.terms == oracle_vocab.terms
     assert got.names == want.names
-    for column in ("offsets", "ids", "weights"):
+    for column in ("offsets", "ids", "table", "codes"):
         got_column, want_column = getattr(got, column), getattr(want, column)
         assert got_column.dtype == want_column.dtype and got_column.tobytes() == want_column.tobytes()
 
@@ -293,9 +293,11 @@ def test_ingest_memory_is_bounded_per_block_and_per_weight(tmp_path):
     (4 bytes a posting each) beside two float64 columns (8 each).  Sorting
     keys for the whole corpus at once, not a block at a time, adds an int64
     key and a uint32 id a token: about 24 bytes a posting here, two tokens a
-    posting.  Beyond the batch, the writer holds one sorted copy of the
-    weights (8 bytes a posting) and a mask over it (1 byte); a whole-batch
-    int64 argsort beside that copy adds 8 bytes a posting more."""
+    posting.  The batch codes its weights below that peak, and the writer
+    then holds only the texts of a block and of each distinct weight, about
+    3 bytes a posting.  A sorted copy of the weights in the writer (8 bytes
+    a posting) with a whole-batch int64 argsort beside it (8 more) passes
+    the writer's bound."""
     rng = np.random.default_rng(23)
     terms = [f"t{i}" for i in range(1000)]
     # 20 distinct terms a document, each twice: few distinct weights, two tokens a posting.
@@ -317,20 +319,50 @@ def test_ingest_memory_is_bounded_per_block_and_per_weight(tmp_path):
     assert write_peak < 10 * postings + 2**20
 
 
+def test_index_path_memory_holds_no_float64_column_beside_an_argsort(tmp_path):
+    """The ``index`` command's path is read_vectors, then build.  The reader
+    peaks in the batch's weight rule: the ids and float64 weights it read
+    (4 + 8 bytes a posting), their magnitudes (8) and two masks (1 + 1).
+    build peaks in its term sort: ids and 1-byte codes (4 + 1), the int64
+    order (8), the gathered codes (1) and two uint32 doc-id columns (4 + 4).
+    Both are 22 bytes a posting, plus the names.  A batch that kept its
+    float64 weights for build to code with a whole-column int64 argsort
+    would hold ids, weights, the argsort and its sorted copy at once:
+    4 + 8 + 8 + 8 = 28 bytes a posting."""
+    rng = np.random.default_rng(29)
+    n_docs, per_doc, n_terms = 5000, 80, 2000
+    ids = np.concatenate([rng.choice(n_terms, size=per_doc, replace=False) for _ in range(n_docs)])
+    weights = rng.integers(1, 200, size=ids.size) / 16.0
+    path = tmp_path / "v.jsonl"
+    write_vectors(path, VectorBatch([f"d{i}" for i in range(n_docs)], [per_doc] * n_docs, ids, weights,
+                                    Vocabulary(f"t{i}" for i in range(n_terms))))
+    # Written again from what the reader made, every row's ids ascend, as in a file encode writes.
+    write_vectors(path, read_vectors(path, Vocabulary()))
+    tracemalloc.start()
+    try:
+        idx = build(read_vectors(path, Vocabulary()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.doc_ids.size == ids.size == 400_000
+    assert idx.codes.itemsize == 1
+    assert peak < 27 * ids.size + 2**20
+
+
 class TestVectorBatch:
     def test_rows_are_sorted_and_pruned(self):
         vocab = Vocabulary(["a", "b", "c"])
         batch = VectorBatch(["x", "y", "z"], [3, 0, 2], [2, 0, 1, 1, 0], [3.0, 1e-13, 2.0, -1.0, 4.0], vocab)
         assert batch.offsets.tolist() == [0, 2, 2, 4]
         assert batch.ids.tolist() == [1, 2, 0, 1]
-        assert batch.weights.tolist() == [2.0, 3.0, 4.0, -1.0]
+        assert batch.table.take(batch.codes).tolist() == [2.0, 3.0, 4.0, -1.0]
         assert [(n, v.to_dict()) for n, v in batch] == [
             ("x", {"b": 2.0, "c": 3.0}), ("y", {}), ("z", {"a": 4.0, "b": -1.0})
         ]
 
     def test_columns_are_read_only(self):
         batch = VectorBatch(["x"], [1], [0], [1.0], Vocabulary(["a"]))
-        for column in (batch.offsets, batch.ids, batch.weights):
+        for column in (batch.offsets, batch.ids, batch.table, batch.codes):
             assert not column.flags.writeable
 
     def test_inputs_are_not_modified(self):

@@ -61,7 +61,8 @@ def _outcome(reader, content: bytes) -> tuple:
             batch = reader(path, vocab)
         except FormatError as exc:
             return "error", str(exc).replace(str(path), "v.jsonl"), vocab.terms
-    columns = (batch.names, batch.offsets.tolist(), batch.ids.tolist(), [w.hex() for w in batch.weights.tolist()])
+    weights = [w.hex() for w in batch.table.take(batch.codes).tolist()]
+    columns = (batch.names, batch.offsets.tolist(), batch.ids.tolist(), weights)
     return "batch", columns, vocab.terms
 
 
