@@ -9,9 +9,10 @@ product over matching pairs, which factorizes:
 
 so an expansion is stored as its two factors, the truncated sides, and its
 pairs are enumerated only for the ``compose`` dump.  The library scores CPT
-in one place, :func:`setvec.index.search_cpt`, which reads the factors'
-posting lists and never materializes a pair; the pair-by-pair formula lives
-on as the test oracle ``pair_score`` in ``tests/conftest.py``.  A document
+in one place, :func:`setvec.index.search_cpt`, which accumulates each factor
+through the index's one scoring loop, head rows included, and never
+materializes a pair; the pair-by-pair formula lives on as the test oracle
+``pair_score`` in ``tests/conftest.py``.  A document
 scores above zero only when it overlaps *both* truncated sides.  Each side
 keeps its top :data:`DEFAULT_M` terms unless told otherwise.  All weights
 must be nonnegative (sqrt domain): :func:`_require_nonnegative` raises

@@ -146,8 +146,11 @@ def _unique_id(record: dict, key: str, seen: set[str], where: str) -> str:
     return rec_id
 
 
-def _check_pairs(mapping: dict, where: str) -> None:
-    """Raise the located error for the first unusable ``(term, weight)`` pair, if any."""
+def _screened(mapping, where: str) -> dict:
+    """*mapping*, once it is an object of usable ``(term, weight)`` pairs; otherwise
+    the located error for its first unusable pair."""
+    if not isinstance(mapping, dict):
+        raise FormatError(f"{where}: 'vector' must be an object")
     for term, weight in mapping.items():
         if not term:
             raise FormatError(f"{where}: empty term")
@@ -156,21 +159,6 @@ def _check_pairs(mapping: dict, where: str) -> None:
         # An integer too large for a float is as unusable as inf.
         if not -sys.float_info.max <= weight <= sys.float_info.max:
             raise FormatError(f"{where}: weight for {term!r} is not finite")
-
-
-def _screened(mapping, where: str) -> dict:
-    """*mapping*, once it is known to be an object of usable ``(term, weight)`` pairs.
-
-    Bulk screens pass a mapping of float weights with a finite sum (NaN and
-    inf poison a sum) and no empty term.  Only when one trips does the
-    per-pair check run: it raises the located error, or passes integer
-    weights and finite weights whose sum overflows.
-    """
-    if not isinstance(mapping, dict):
-        raise FormatError(f"{where}: 'vector' must be an object")
-    values = mapping.values()
-    if "" in mapping or set(map(type, values)) - {float} or not math.isfinite(sum(values, 0.0)):
-        _check_pairs(mapping, where)
     return mapping
 
 

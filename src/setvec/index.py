@@ -2,27 +2,29 @@
 
 Scoring is term-at-a-time accumulation with a full accumulator table and no
 pruning: upper-bound tricks are unsound once query or document weights can be
-negative, and exactness is the contract here.  Query terms are taken in
-ascending id order.  A head term, posted in at least a quarter of the docs,
-is added from its dense row (:meth:`InvertedIndex.head_rows`: its weights at
-its doc ids, 0.0 elsewhere) by a whole-array multiply and add; every other
-posted term adds its contributions with one unbuffered ``np.add.at`` over
-its doc ids cast once to ``np.intp``.  A posting list holds each doc once,
-so every doc receives its terms in that order, starting from +0.0, as
-``dot()`` sums them; a row's 0.0 entries change nothing, because the
-accumulator never holds -0.0.  A document is returned iff at least one query
-term touches it, even when its accumulated score is zero or negative; ties
-break by ascending internal doc id (ingestion order).  Untouched docs hold
-0.0, so when at least k docs score above zero every hit is touched, and all
-docs are ranked without marking any; otherwise the touched docs are marked,
-a head term's from its row's nonzero entries (no weight is zero) and every
-other term's from its doc ids, and ranked.  ``_rank`` sorts only the scores
-at or above the k-th best, found by one partition, after a partition of
-every 8th score has bounded it from below.  The rows are built once per
-index, on its first search and under a lock, so ``build``, ``save`` and
-``load`` never hold them.  A row takes 8 bytes per doc; its term's postings
-take at least 5 bytes each, at least 1.25 bytes per doc, so the rows take
-at most 6.4 times the memory of the postings they copy.
+negative, and exactness is the contract here.  One loop, ``_accumulate``,
+adds postings into per-doc scores.  It takes the query terms in ascending id
+order and adds a term's ``contribution(q_t, weights)``: a head term's, posted
+in at least a quarter of the docs, over its dense row
+(:meth:`InvertedIndex.head_rows`: its weights at its doc ids, 0.0 elsewhere)
+by a whole-array add; every other posted term's with one unbuffered
+``np.add.at`` over its doc ids cast once to ``np.intp``.  A search adds
+``q_t * d_t``.  A posting list holds each doc once, so every doc receives its
+terms in that order, starting from +0.0, as ``dot()`` sums them; a row's 0.0
+entries change nothing, because the accumulator never holds -0.0.  A document
+is returned iff at least one query term touches it, even when its accumulated
+score is zero or negative; ties break by ascending internal doc id (ingestion
+order).  Untouched docs hold 0.0, so when at least k docs score above zero
+every hit is touched, and all docs are ranked without marking any; otherwise
+the same loop adds 1.0 per posting (no weight is zero, so a row is nonzero
+exactly at its postings), and the docs it leaves nonzero are ranked.  CPT's
+two factors are the same loop adding ``sqrt(q_t * d_t)`` (:func:`search_cpt`).
+``_rank`` sorts only the scores at or above the k-th best, found by one
+partition, after a partition of every 8th score has bounded it from below.
+The rows are built once per index, on its first search and under a lock, so
+``build``, ``save`` and ``load`` never hold them.  A row takes 8 bytes per
+doc; its term's postings take at least 5 bytes each, at least 1.25 bytes per
+doc, so the rows take at most 6.4 times the memory of the postings they copy.
 
 Postings live in one columnar (CSR) layout shared by every layer and by the
 file: term ``t`` owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending) and
@@ -117,20 +119,16 @@ class InvertedIndex:
     def term_count(self) -> int:
         return int(np.count_nonzero(np.diff(self.offsets)))
 
-    def _span(self, term_id: int) -> slice | None:
-        """A term's slice of the posting columns, or None when it indexes nothing, as a query-only term does."""
+    def postings(self, term_id: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """(doc ids, float64 weights) for a term, or None when the term indexes nothing,
+        as a query-only term does."""
         tid = int(term_id)
         if not 0 <= tid < self.offsets.size - 1:
             return None
         start, end = self.offsets[tid], self.offsets[tid + 1]
-        return slice(start, end) if start < end else None
-
-    def postings(self, term_id: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """(doc ids, float64 weights) for a term, or None when the term indexes nothing."""
-        span = self._span(term_id)
-        if span is None:
+        if start == end:
             return None
-        return self.doc_ids[span], self.table.take(self.codes[span])
+        return self.doc_ids[start:end], self.table.take(self.codes[start:end])
 
     def head_rows(self) -> dict[int, np.ndarray]:
         """A dense float64 row per head term (posted in at least a quarter of the docs),
@@ -188,47 +186,46 @@ def _named(idx: InvertedIndex, doc_ids: np.ndarray, scores: np.ndarray) -> Searc
     return [(idx.doc_names[d], s) for d, s in zip(doc_ids.tolist(), scores.tolist())]
 
 
-def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k (doc ids, scores); internal, shared by search and search_cpt."""
-    _require_same_vocab(q.vocab, idx.vocab, "the query and the index")
-    k = _positive_int(k, "k")
-    n = idx.doc_count
+def _accumulate(idx: InvertedIndex, q: SparseVector, contribution) -> np.ndarray:
+    """Per-doc sums, from +0.0, of ``contribution(q_t, weights)`` over *q*'s terms in
+    ascending id order: a head term's from its dense row, every other posted term's
+    scattered over its doc ids.  The one loop that adds postings into per-doc scores."""
     rows = idx.head_rows()
-    scores = np.zeros(n, dtype=np.float64)
-    term = np.empty(n, dtype=np.float64) if rows else None
-    # An overflow is reported by _rank's finite check, not by a numpy warning.
+    scores = np.zeros(idx.doc_count, dtype=np.float64)
+    # An overflow or a sqrt of a negative is reported by the caller, not by a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for tid, qw in zip(q.ids.tolist(), q.weights.tolist()):
             row = rows.get(tid)
             if row is not None:
                 # Exact: an accumulator that starts at +0.0 never holds -0.0 (a sum
-                # is -0.0 only when both terms are), so adding the row's +-0.0
+                # is -0.0 only when both terms are), so adding a row's +-0.0
                 # entries changes no doc, and each posted doc gets the same
-                # qw * w in the same term order as the scatter below.
-                np.multiply(row, qw, out=term)
-                np.add(scores, term, out=scores)
+                # contribution in the same term order as the scatter below.
+                np.add(scores, contribution(qw, row), out=scores)
                 continue
             posting = idx.postings(tid)
-            if posting is None:
-                continue
-            doc_ids, weights = posting
-            np.add.at(scores, doc_ids.astype(np.intp), qw * weights)
+            if posting is not None:
+                doc_ids, weights = posting
+                np.add.at(scores, doc_ids.astype(np.intp), contribution(qw, weights))
+    return scores
+
+
+def _touches(qw: float, weights: np.ndarray) -> np.ndarray:
+    """1.0 per posting, since no posted weight is zero; 0.0 at a head row's other docs."""
+    return (weights != 0.0).astype(np.float64)
+
+
+def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k (doc ids, scores); internal, shared by search and search_cpt."""
+    _require_same_vocab(q.vocab, idx.vocab, "the query and the index")
+    k = _positive_int(k, "k")
+    scores = _accumulate(idx, q, np.multiply)
     # Untouched docs hold +0.0: when k docs score above it, the k-th score is
     # positive and every hit is touched.  Counting costs less than ranking
     # every doc only to find that the touched docs must be ranked instead.
     if np.count_nonzero(scores > 0) >= k:
         return _rank(None, scores, k)
-    touched = np.zeros(n, dtype=bool)
-    for tid in q.ids.tolist():
-        row = rows.get(tid)
-        if row is not None:
-            # A head term's docs are its row's nonzero entries: no weight is zero.
-            np.logical_or(touched, row != 0, out=touched)
-            continue
-        span = idx._span(tid)
-        if span is not None:
-            touched[idx.doc_ids[span]] = True
-    candidates = np.flatnonzero(touched)
+    candidates = np.flatnonzero(_accumulate(idx, q, _touches))
     return _rank(candidates, scores[candidates], k)
 
 
@@ -249,9 +246,10 @@ def search_cpt(
 
     Stage 1 pulls *candidate_pool* docs with ``maxpool(a, b)`` over the
     standard index; stage 2 rescores them with the factorized pseudo-term
-    score, reading only the posting lists of the expansion's two factors (the
-    document side is never materialized).  With a pool at least the corpus
-    size this is exhaustive.
+    score, each factor's per-doc ``sum_i sqrt(w_i * d_i)`` accumulated like a
+    search, head rows included, over only the posting lists of the
+    expansion's two factors (the document side is never materialized).  With
+    a pool at least the corpus size this is exhaustive.
     """
     candidate_pool = _positive_int(candidate_pool, "candidate_pool")
     _require_same_vocab(q_cpt.vocab, idx.vocab, "the pseudo-term query and the index")
@@ -260,22 +258,17 @@ def search_cpt(
     cand_ids, scores = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     if q_cpt.nnz:
         cand_ids, _ = _search_ids(idx, maxpool(a, b), candidate_pool)
+        x, y = (_accumulate(idx, side, lambda qw, w: np.sqrt(qw * w)) for side in (q_cpt.x, q_cpt.y))
+        # The factor weights are positive and no |q_t * d_t| underflows (the weight
+        # rule), so a factor holds NaN iff one of its postings is negative: name it.
+        if np.isnan(x).any() or np.isnan(y).any():
+            for tid in q_cpt.x.ids.tolist() + q_cpt.y.ids.tolist():
+                posting = idx.postings(tid)
+                if posting is not None:
+                    _require_nonnegative(posting[1], f"the posting of term {idx.vocab.term(tid)!r}")
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = _sqrt_factor(idx, q_cpt.x)[cand_ids] * _sqrt_factor(idx, q_cpt.y)[cand_ids]
+            scores = x[cand_ids] * y[cand_ids]
     return _named(idx, *_rank(cand_ids, scores, k))
-
-
-def _sqrt_factor(idx: InvertedIndex, side: SparseVector) -> np.ndarray:
-    """Per-doc ``sum_i sqrt(w_i * d_i)`` over one factor of the expansion."""
-    acc = np.zeros(idx.doc_count, dtype=np.float64)
-    for tid, qw in zip(side.ids.tolist(), side.weights.tolist()):
-        posting = idx.postings(tid)
-        if posting is None:
-            continue
-        doc_ids, weights = posting
-        _require_nonnegative(weights, f"the posting of term {idx.vocab.term(tid)!r}")
-        np.add.at(acc, doc_ids.astype(np.intp), np.sqrt(qw * weights))
-    return acc
 
 
 def _deflate(values: np.ndarray) -> bytes:

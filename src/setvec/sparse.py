@@ -278,7 +278,7 @@ def _canonical_rows(offsets: np.ndarray, ids: np.ndarray, weights: np.ndarray):
     unordered = _not_increasing(ids, offsets)
     if unordered.any():
         ids, weights = ids.copy(), weights.copy()
-        rows = np.unique(np.searchsorted(offsets, np.flatnonzero(unordered), side="right") - 1)
+        rows = _distinct(np.searchsorted(offsets, np.flatnonzero(unordered), side="right") - 1)
         for start, end in zip(offsets[rows].tolist(), offsets[rows + 1].tolist()):
             order = np.argsort(ids[start:end], kind="stable")
             ids[start:end] = ids[start:end][order]

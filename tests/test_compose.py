@@ -279,8 +279,8 @@ class TestComposeDispatch:
         assert compose(q).nnz == 0
 
 
-# Every (operator, method) pair composed, then searched; prints whether
-# numpy.ma was loaded before and after.
+# Every (operator, method) pair composed, then searched, and a vector whose ids
+# arrive out of order; prints whether numpy.ma was loaded before and after.
 _COMPOSE_ALL = """
 import sys
 from setvec import SparseVector, VectorBatch, Vocabulary, build, search, search_cpt
@@ -298,6 +298,8 @@ for operator, method in COMPOSITIONS:
         search_cpt(idx, rep, a, b, 2, 10)
     else:
         search(idx, rep, 2)
+# Ids out of order ("birds" is the lower id), as an inline query side of `setvec search` may list them.
+search(idx, SparseVector.from_pairs([("colombia", 1.0), ("birds", 1.0)], vocab), 2)
 print(before, "numpy.ma" in sys.modules)
 """
 

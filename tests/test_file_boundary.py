@@ -12,8 +12,8 @@ vector and batch row; term ids are checked against the vocabulary only by
 lambda's default is stated in ``compose`` and m's in ``cpt``; operands are
 held to one vocabulary only by ``sparse._require_same_vocab``, and
 pseudo-term weights to the sqrt domain only by ``cpt._require_nonnegative``;
-scores are accumulated only by the two scoring loops of ``index``, through
-``np.add.at`` or, for a head term's dense row, ``np.add``.  And setvec
+scores are accumulated only by ``index._accumulate``, the one scoring loop,
+through ``np.add.at`` or, for a head term's dense row, ``np.add``.  And setvec
 imports nothing beyond the standard library and the dependencies that
 ``pyproject.toml`` declares, numpy and orjson; only ``formats.read_vectors``
 imports orjson.
@@ -189,11 +189,11 @@ def test_cpt_domain_error_has_one_raiser():
 
 
 def test_scores_accumulate_in_one_place():
-    """``search`` and CPT stage 2 scatter-add through a numpy ufunc's unbuffered ``at``, and
-    nothing else does; ``search`` adds a head term's dense row (``InvertedIndex.head_rows``)
-    with a whole-array ``np.add``, which needs no ``at``.  No array accumulates through
-    ``x[ids] += ...`` (the one subscript update left extends a string in ``formats._records``'
-    list of pieces)."""
+    """Only ``index._accumulate``, which ``search``, its touched fallback and both CPT
+    factors call, scatter-adds through a numpy ufunc's unbuffered ``at``; it adds a head
+    term's dense row (``InvertedIndex.head_rows``) with a whole-array ``np.add``, which
+    needs no ``at``.  No array accumulates through ``x[ids] += ...`` (the one subscript
+    update left extends a string in ``formats._records``' list of pieces)."""
     scatters = [
         (module, getattr(top, "name", "<module>"))
         for module, top in _modules()
@@ -203,7 +203,7 @@ def test_scores_accumulate_in_one_place():
         and isinstance(node.value, ast.Attribute)
         and getattr(node.value.value, "id", None) == "np"
     ]
-    assert scatters == [("index", "_search_ids"), ("index", "_sqrt_factor")]
+    assert scatters == [("index", "_accumulate")]
     updates = [
         (module, getattr(top, "name", "<module>"))
         for module, top in _modules()

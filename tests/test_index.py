@@ -94,6 +94,16 @@ def signed_case(case):
     return names, vecs, idx, SparseVector(list(qa), list(qa.values()), vocab)
 
 
+def unsigned_case(case):
+    """(unsigned doc vectors, their index, CPT sides a and b) from a :func:`searches`
+    case: the docs and both query sides with their weights' magnitudes."""
+    _, _, _, qa, qb, _ = case
+    names, vecs, _, q = signed_case(case)
+    unsigned = [SparseVector(v.ids, np.abs(v.weights), q.vocab) for v in vecs]
+    a, b = (SparseVector(list(d), np.abs(list(d.values())), q.vocab) for d in (qa, qb))
+    return unsigned, build(zip(names, unsigned), q.vocab), a, b
+
+
 def assert_matches_brute_force(docs, queries, ks):
     """search over an index of *docs* equals brute_force bit for bit, for every query and k."""
     vocab = Vocabulary(f"t{i}" for i in range(1 + max(t for d in docs for t in d)))
@@ -188,15 +198,12 @@ class TestSearch:
     def test_oracle_equivalence_small(self, case):
         """search equals brute_force, and search_cpt with a pool covering the
         corpus equals factorized_score, bit for bit."""
-        _, _, docs, qa, qb, k = case
+        _, _, docs, _, _, k = case
         names, vecs, idx, q = signed_case(case)
-        vocab = q.vocab
-        unsigned = [SparseVector(v.ids, np.abs(v.weights), vocab) for v in vecs]
-        unsigned_idx = build(zip(names, unsigned), vocab)
         expected = brute_force([dict(v.entries()) for v in vecs], names, dict(q.entries()), k)
         assert _bits(search(idx, q, k)) == _bits(expected)
 
-        a, b = (SparseVector(list(d), np.abs(list(d.values())), vocab) for d in (qa, qb))
+        unsigned, unsigned_idx, a, b = unsigned_case(case)
         at, bt = top_m(a, 3), top_m(b, 3)
         sides = set(a.ids.tolist()) | set(b.ids.tolist())
         scored = sorted(
@@ -207,21 +214,30 @@ class TestSearch:
         assert _bits(hits) == _bits([(names[i], -s) for s, i in scored[:k]])
 
     def test_oracle_examples_reach_every_kernel_path(self, monkeypatch):
-        """The oracle's examples add a head row and scatter a term, and return both
-        from the ranking of every doc (k-th score positive) and of the touched docs."""
+        """The oracle's examples add a head row and scatter a term, for a search and for
+        a CPT factor, and return search hits both from the ranking of every doc (k-th
+        score positive) and of the touched docs."""
         ranked = []
         real_rank = index_module._rank
         monkeypatch.setattr(index_module, "_rank", lambda ids, *rest: ranked.append(ids is None) or real_rank(ids, *rest))
+
+        def kernel_paths(idx, term_ids, kind):
+            rows = idx.head_rows()
+            return {f"{kind} {'head row' if t in rows else 'scatter'}" for t in term_ids if idx.postings(t) is not None}
+
         paths = set()
         for case in ORACLE_EXAMPLES:
             _, _, idx, q = signed_case(case)
-            rows = idx.head_rows()
-            posted = [t for t in q.ids.tolist() if idx.postings(t) is not None]
-            paths |= {"head row" if t in rows else "scatter" for t in posted}
+            paths |= kernel_paths(idx, q.ids.tolist(), "search")
             ranked.clear()
             search(idx, q, case[-1])
             paths.add({(True,): "positive k-th", (False,): "touched fallback"}[tuple(ranked)])
-        assert paths == {"head row", "scatter", "positive k-th", "touched fallback"}
+            _, unsigned_idx, a, b = unsigned_case(case)
+            x, y = expand_query(a, b, 3).side_ids()
+            paths |= kernel_paths(unsigned_idx, x + y, "cpt")
+        assert paths == {
+            "search head row", "search scatter", "cpt head row", "cpt scatter", "positive k-th", "touched fallback",
+        }
 
     def test_head_row_with_negative_weights(self):
         # t0 is posted in every doc with signed weights; t1 in one doc of eight.
@@ -373,11 +389,35 @@ class TestSearchCpt:
     def test_negative_corpus_weights_rejected(self, vocab):
         docs = [("neg", SparseVector.from_pairs([("colombia", -1.0)], vocab))]
         idx = build(docs, vocab)
+        assert set(idx.head_rows()) == {vocab.get("colombia")}
         a = SparseVector.from_pairs([("colombia", 1.0)], vocab)
         b = SparseVector.from_pairs([("colombia", 1.0)], vocab)
         q = expand_query(a, b)
-        with pytest.raises(CptDomainError):
+        with pytest.raises(CptDomainError, match="^the posting of term 'colombia' carries negative weights"):
             search_cpt(idx, q, a, b, k=5, candidate_pool=5)
+
+    @pytest.mark.parametrize(
+        "a_term, b_term, named",
+        [
+            ("andes", "colombia", "andes"),  # a scattered posting of the first factor
+            ("colombia", "venezuela", "venezuela"),  # the second factor only
+            ("andes", "venezuela", "andes"),  # both factors: the first's term, though its id is higher
+        ],
+    )
+    def test_negative_posting_named_in_factor_order(self, vocab, a_term, b_term, named):
+        """A factor term's negative posting weight is a domain error naming that term; the
+        first factor's terms are checked before the second's."""
+        docs = [(f"d{i}", SparseVector.from_pairs([("colombia", 1.0 + i)], vocab)) for i in range(6)]
+        docs.append(("v", SparseVector.from_pairs([("colombia", 1.0), ("venezuela", -1.0)], vocab)))
+        docs.append(("a", SparseVector.from_pairs([("colombia", 1.0), ("andes", -2.0)], vocab)))
+        idx = build(docs, vocab)
+        # colombia (8 of 8 docs) is a head row; venezuela and andes (1 of 8) are scattered.
+        assert set(idx.head_rows()) == {vocab.get("colombia")}
+        assert vocab.get("venezuela") < vocab.get("andes")
+        a = SparseVector.from_pairs([(a_term, 1.0)], vocab)
+        b = SparseVector.from_pairs([(b_term, 1.0)], vocab)
+        with pytest.raises(CptDomainError, match=f"^the posting of term '{named}' carries negative weights"):
+            search_cpt(idx, expand_query(a, b), a, b, k=5, candidate_pool=8)
 
     def test_negative_query_side_rejected(self, vocab):
         docs = [("d", SparseVector.from_pairs([("colombia", 1.0)], vocab))]
