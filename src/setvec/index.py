@@ -192,7 +192,7 @@ def _accumulate(idx: InvertedIndex, q: SparseVector, contribution) -> np.ndarray
     scattered over its doc ids.  The one loop that adds postings into per-doc scores."""
     rows = idx.head_rows()
     scores = np.zeros(idx.doc_count, dtype=np.float64)
-    # An overflow or a sqrt of a negative is reported by the caller, not by a numpy warning.
+    # An overflow is reported by _rank's finite check, not by a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for tid, qw in zip(q.ids.tolist(), q.weights.tolist()):
             row = rows.get(tid)
@@ -258,14 +258,14 @@ def search_cpt(
     cand_ids, scores = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     if q_cpt.nnz:
         cand_ids, _ = _search_ids(idx, maxpool(a, b), candidate_pool)
-        x, y = (_accumulate(idx, side, lambda qw, w: np.sqrt(qw * w)) for side in (q_cpt.x, q_cpt.y))
-        # The factor weights are positive and no |q_t * d_t| underflows (the weight
-        # rule), so a factor holds NaN iff one of its postings is negative: name it.
-        if np.isnan(x).any() or np.isnan(y).any():
+        # The table is sorted, so only an index holding a negative weight can give
+        # a factor term a negative posting; scanning the factors for NaN costs more.
+        if idx.table.size and idx.table[0] < 0:
             for tid in q_cpt.x.ids.tolist() + q_cpt.y.ids.tolist():
                 posting = idx.postings(tid)
                 if posting is not None:
                     _require_nonnegative(posting[1], f"the posting of term {idx.vocab.term(tid)!r}")
+        x, y = (_accumulate(idx, side, lambda qw, w: np.sqrt(qw * w)) for side in (q_cpt.x, q_cpt.y))
         with np.errstate(over="ignore", invalid="ignore"):
             scores = x[cand_ids] * y[cand_ids]
     return _named(idx, *_rank(cand_ids, scores, k))
