@@ -19,9 +19,9 @@ row in canonical form, and it alone applies the weight rule ``_kept``.  A row
 may not hold an id twice; only :meth:`SparseVector.from_pairs` sums repeated terms.
 
 The dot product accumulates shared entries sequentially in ascending term-id
-order.  The inverted index accumulates its scores term by term in the same
-order, one unbuffered ``np.add.at`` per query term over its posting's doc ids
-(as ``np.intp``), so index scores and ``dot()`` agree bit for bit.
+order.  The inverted index's one scoring loop, ``index._accumulate``, adds its
+scores term by term in the same order from +0.0, so index scores and
+``dot()`` agree bit for bit.
 """
 
 from __future__ import annotations
@@ -383,9 +383,9 @@ def dot(a: SparseVector, b: SparseVector) -> float:
     """Dot product over shared term ids.
 
     Accumulates in ascending term-id order from +0.0.  The inverted index
-    adds each query term's contributions with an unbuffered ``np.add.at`` over
-    intp doc ids, in the same ascending order, so it reproduces exactly this
-    summation and the two never disagree.
+    adds each query term's contributions in the same ascending order, from a
+    head term's dense row or by an unbuffered ``np.add.at`` over intp doc ids,
+    so it reproduces exactly this summation and the two never disagree.
     """
     _require_same_vocab(a.vocab, b.vocab)
     if a.nnz == 0 or b.nnz == 0:

@@ -419,6 +419,17 @@ class TestSearchCpt:
         with pytest.raises(CptDomainError, match=f"^the posting of term '{named}' carries negative weights"):
             search_cpt(idx, expand_query(a, b), a, b, k=5, candidate_pool=8)
 
+    def test_negative_weight_outside_the_factors_allowed(self, vocab):
+        """Only the factor terms' postings need the sqrt domain; other terms may be negative."""
+        docs = [
+            ("d1", SparseVector.from_pairs([("colombia", 1.0), ("venezuela", 4.0), ("andes", -1.0)], vocab)),
+            ("d2", SparseVector.from_pairs([("colombia", 4.0), ("venezuela", 1.0)], vocab)),
+        ]
+        idx = build(docs, vocab)
+        a = SparseVector.from_pairs([("colombia", 1.0)], vocab)
+        b = SparseVector.from_pairs([("venezuela", 1.0)], vocab)
+        assert search_cpt(idx, expand_query(a, b), a, b, k=5, candidate_pool=5) == [("d1", 2.0), ("d2", 2.0)]
+
     def test_negative_query_side_rejected(self, vocab):
         docs = [("d", SparseVector.from_pairs([("colombia", 1.0)], vocab))]
         idx = build(docs, vocab)
