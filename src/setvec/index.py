@@ -53,14 +53,18 @@ weight's position in it as a code of the narrowest unsigned width the table
 size allows (1 byte up to 256 entries, 2 up to 65,536, else 4).  The table,
 the codes and the uint32 gaps are each one zlib stream of byte planes (byte 0
 of every value, then byte 1, and so on), which compress better than the
-interleaved values.  Besides the checksum, :func:`load` checks structure:
-each string table's lengths sum exactly to its blob, the strings are valid,
-distinct and non-empty, the offsets partition the postings, every stream
-holds exactly the values the offsets imply, the table is finite, strictly
-increasing and obeys the weight rule (so no zero weight), every code is
-below the table size, and doc ids are in range and strictly increasing within
-each list.  Files of versions 1 and 2 are refused; rebuild them with
-``setvec index``.
+interleaved values.  :func:`load` inflates each stream at most ``PIECE``
+bytes at a time straight into the byte planes of its array, so it never
+holds a whole inflated stream; it allocates that array only for a count the
+bytes left could inflate to at zlib's maximum expansion (1032:1), so its
+memory stays linear in the file's size.  Besides the checksum, :func:`load`
+checks structure: each string table's lengths sum exactly to its blob, the
+strings are valid, distinct and non-empty, the offsets partition the
+postings, every stream holds exactly the values the offsets imply, the table
+is finite, strictly increasing and obeys the weight rule (so no zero
+weight), every code is below the table size, and doc ids are in range and
+strictly increasing within each list.  Files of versions 1 and 2 are
+refused; rebuild them with ``setvec index``.
 """
 
 from __future__ import annotations
@@ -82,6 +86,10 @@ from .sparse import (
 MAGIC = b"SVIX"
 FORMAT_VERSION = 3
 ZLIB_LEVEL = 1
+# The most bytes _inflate reads or inflates in one step.
+PIECE = 1 << 16
+# A deflate stream inflates to at most 1032 times its size.
+_MAX_EXPANSION = 1032
 
 # Ranked (doc name, score) pairs, best first.
 SearchResult = list[tuple[str, float]]
@@ -329,27 +337,47 @@ def _read_strings(data, pos: int, what: str) -> tuple[list[str], int]:
 
 def _inflate(data, pos: int, dtype: str, count: int, what: str) -> tuple[np.ndarray, int]:
     """The *count* values of *dtype* in the zlib stream of byte planes at *pos*, and the
-    position after the stream.  The values are allocated only once the stream holds them."""
+    position after the stream.
+
+    The stream is read and inflated at most ``PIECE`` bytes at a time, each
+    piece copied straight into its byte plane of the values, so the whole
+    inflated stream is never held.  The values are allocated before the stream
+    proves it holds them, but only for a count that the bytes left could
+    inflate to, at zlib's maximum expansion of 1032:1.
+    """
     dtype = np.dtype(dtype)
     expected = count * dtype.itemsize
-    stream = zlib.decompressobj()
-    try:
-        # One byte over the expected size catches an overlong stream without
-        # inflating it further; a limit of 0 would mean no limit at all.
-        raw = stream.decompress(data[pos:], expected + 1)
-    except zlib.error as exc:
-        raise IndexFormatError(f"corrupt {what} stream ({exc})") from exc
-    if len(raw) != expected or not stream.eof:
+    if expected > _MAX_EXPANSION * (len(data) - pos):
         raise IndexFormatError(f"{what} stream does not hold {count} values")
-    # Only the position is kept: the copy of the bytes after the stream goes now.
-    end = len(data) - len(stream.unused_data)
-    del stream
     values = np.empty(count, dtype=dtype)
     columns = values.view(np.uint8).reshape(count, dtype.itemsize)
-    # A copy per plane runs about 4x faster than one transposed copy of all of them.
-    for byte, plane in enumerate(np.frombuffer(raw, dtype=np.uint8).reshape(dtype.itemsize, count)):
-        columns[:, byte] = plane
-    return values, end
+    stream = zlib.decompressobj()
+    done = 0
+    while not stream.eof:
+        chunk = data[pos:pos + PIECE]
+        try:
+            # At most one byte over the expected size in all catches an overlong
+            # stream without inflating it further; a limit of 0 means no limit.
+            piece = stream.decompress(chunk, min(PIECE, expected - done + 1))
+        except zlib.error as exc:
+            raise IndexFormatError(f"corrupt {what} stream ({exc})") from exc
+        if done + len(piece) > expected or not (piece or chunk):
+            raise IndexFormatError(f"{what} stream does not hold {count} values")
+        # A piece may end one plane and start the next: each part is copied into its column.
+        at = 0
+        while at < len(piece):
+            byte, row = divmod(done, count)
+            n = min(count - row, len(piece) - at)
+            columns[row:row + n, byte] = np.frombuffer(piece, np.uint8, n, at)
+            at += n
+            done += n
+        # At the stream's end the bytes after it are in unused_data; CPython may
+        # also leave them in unconsumed_tail, which otherwise holds what the
+        # output limit left unread.
+        pos += len(chunk) - len(stream.unused_data if stream.eof else stream.unconsumed_tail)
+    if done != expected:
+        raise IndexFormatError(f"{what} stream does not hold {count} values")
+    return values, pos
 
 
 def save(idx: InvertedIndex, path) -> None:

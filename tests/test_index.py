@@ -607,6 +607,31 @@ class TestPersistence:
         assert peak < 9 * ids.size + path.stat().st_size + 2**20
         assert loaded.codes.itemsize == 1
 
+    def test_load_inflates_no_whole_stream(self, tmp_path):
+        """load's traced peak holds the file, the 1-byte codes, the doc ids (1 + 4
+        bytes a posting) and one piece of a stream: the streams inflate piece by
+        piece into their arrays.  Inflating the whole gap stream before copying
+        it into the doc ids adds 4 bytes a posting."""
+        rng = np.random.default_rng(17)
+        n_docs, n_terms = 2000, 400
+        present = rng.random((n_docs, n_terms)) < 0.5
+        ids = np.nonzero(present)[1]
+        weights = rng.integers(1, 5, size=ids.size) / 16.0
+        vocab = Vocabulary(f"t{i}" for i in range(n_terms))
+        path = tmp_path / "idx.svix"
+        save(build(VectorBatch([f"d{i}" for i in range(n_docs)], present.sum(axis=1), ids, weights, vocab)), path)
+        assert ids.size >= 400_000
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The order check's mask (1 byte a posting, 400 KB here), the strings and the
+        # offsets fit in the 1 MiB of slack; a whole inflated gap stream would add 1.6 MB.
+        assert peak < 5 * ids.size + path.stat().st_size + 2**20
+        assert loaded.codes.itemsize == 1
+
     def test_build_frees_the_term_order_before_counting(self):
         """build's traced peak is 17 bytes a posting with 1-byte codes: the
         term sort's int64 order beside the codes and two uint32 doc-id columns
@@ -687,6 +712,65 @@ VALID_PARTS = dict(
 )
 
 
+# Crafted files the loader must refuse, as changes to VALID_PARTS, with the message they raise.
+MALFORMED_PARTS = [
+    ({"terms": [b"\xffa", "b"]}, "UTF-8"),
+    ({"names": ["d0", b"d\xc3", "d2"]}, "UTF-8"),
+    ({"terms": ["", "b"]}, "empty or duplicate vocabulary term"),
+    ({"terms": ["a", "a"]}, "empty or duplicate vocabulary term"),
+    ({"names": ["d0", "d1", "d0"]}, "empty or duplicate doc name"),
+    ({"offsets": [1, 2, 3]}, "offsets"),
+    ({"offsets": [0, 2, 1], "doc_ids": [0], "weights": [1.0]}, "offsets"),
+    ({"offsets": [0, 2**62, 2**62]}, "offsets"),
+    ({"offsets": [0, 2, 4]}, "weight stream does not hold 4 values"),
+    ({"offsets": [0, 2, 2]}, "weight stream does not hold 2 values"),
+    ({"doc_ids": [0, 3, 1]}, "doc id out of range"),
+    ({"doc_ids": [2, 0, 1]}, "strictly increasing"),
+    ({"doc_ids": [2, 2, 1]}, "strictly increasing"),
+    ({"offsets": [0, 0, 3], "doc_ids": [0, 2, 1]}, "strictly increasing"),
+    ({"weights": [1.5, float("nan"), 0.25]}, "non-finite"),
+    ({"weights": [1.5, -2.0, float("-inf")]}, "non-finite"),
+    ({"tail": b"\0"}, "trailing bytes"),
+    ({"codes": [2, 3, 1]}, "weight code out of range"),
+    ({"codes": [2, 255, 1]}, "weight code out of range"),
+    ({"table": [0.25, -2.0, 1.5], "codes": [2, 1, 0]}, "weight table not strictly increasing"),
+    ({"table": [-2.0, 0.25, 0.25, 1.5], "codes": [3, 0, 2]}, "weight table not strictly increasing"),
+    ({"table": [-2.0, 0.25, float("nan")], "codes": [1, 0, 1]}, "non-finite"),
+    ({"weights": [1.5, 0.0, 0.25]}, "zero or near-zero weight"),
+    ({"weights": [1.5, -0.0, 0.25]}, "zero or near-zero weight"),
+    ({"name_lengths": [2, 2, 3]}, "doc name lengths do not sum to the string blob size"),
+    ({"name_lengths": [2, 2, 1]}, "doc name lengths do not sum to the string blob size"),
+    ({"cut": 56}, "truncated doc name blob"),
+    ({"cut": 10}, "truncated index file"),
+    # A valid blob, but the second length splits the 2-byte "é".
+    ({"names": ["d0", "dé", "d2"], "name_lengths": [2, 2, 3]}, "invalid UTF-8 in a string block"),
+]
+
+# Piece sizes for the loader's streams that split them, and their byte planes, in many places.
+PIECE_SIZES = (1, 3, 7, 64)
+
+
+@st.composite
+def raw_index_parts(draw):
+    """write_raw_index arguments for a valid index: up to 6 terms over up to 8 docs,
+    and a table of up to 300 weights, so that codes take 1 or 2 bytes."""
+    n_docs = draw(st.integers(0, 8))
+    n_terms = draw(st.integers(1, 6))
+    lists = [sorted(draw(st.sets(st.integers(0, max(n_docs - 1, 0)), max_size=n_docs))) for _ in range(n_terms)]
+    table = [k / 16.0 for k in sorted(draw(st.sets(st.integers(-400, 400).filter(bool), min_size=1, max_size=300)))]
+    n_postings = sum(map(len, lists))
+    codes = draw(st.lists(st.integers(0, len(table) - 1), min_size=n_postings, max_size=n_postings))
+    return dict(
+        terms=[f"t{i}" for i in range(n_terms)],
+        names=[f"d{i}" for i in range(n_docs)],
+        offsets=np.cumsum([0] + [len(ids) for ids in lists]).tolist(),
+        doc_ids=[d for ids in lists for d in ids],
+        weights=None,
+        table=table,
+        codes=codes,
+    )
+
+
 class TestLoaderStructure:
     def test_crafted_valid_file_loads(self, tmp_path):
         path = tmp_path / "ok.svix"
@@ -705,46 +789,117 @@ class TestLoaderStructure:
         idx = load(path)
         assert list(idx.vocab.terms) == ["añ", "€b"] and idx.doc_names == ["𝄞", "d", "日本語"]
 
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            ({"terms": [b"\xffa", "b"]}, "UTF-8"),
-            ({"names": ["d0", b"d\xc3", "d2"]}, "UTF-8"),
-            ({"terms": ["", "b"]}, "empty or duplicate vocabulary term"),
-            ({"terms": ["a", "a"]}, "empty or duplicate vocabulary term"),
-            ({"names": ["d0", "d1", "d0"]}, "empty or duplicate doc name"),
-            ({"offsets": [1, 2, 3]}, "offsets"),
-            ({"offsets": [0, 2, 1], "doc_ids": [0], "weights": [1.0]}, "offsets"),
-            ({"offsets": [0, 2**62, 2**62]}, "offsets"),
-            ({"offsets": [0, 2, 4]}, "weight stream does not hold 4 values"),
-            ({"offsets": [0, 2, 2]}, "weight stream does not hold 2 values"),
-            ({"doc_ids": [0, 3, 1]}, "doc id out of range"),
-            ({"doc_ids": [2, 0, 1]}, "strictly increasing"),
-            ({"doc_ids": [2, 2, 1]}, "strictly increasing"),
-            ({"offsets": [0, 0, 3], "doc_ids": [0, 2, 1]}, "strictly increasing"),
-            ({"weights": [1.5, float("nan"), 0.25]}, "non-finite"),
-            ({"weights": [1.5, -2.0, float("-inf")]}, "non-finite"),
-            ({"tail": b"\0"}, "trailing bytes"),
-            ({"codes": [2, 3, 1]}, "weight code out of range"),
-            ({"codes": [2, 255, 1]}, "weight code out of range"),
-            ({"table": [0.25, -2.0, 1.5], "codes": [2, 1, 0]}, "weight table not strictly increasing"),
-            ({"table": [-2.0, 0.25, 0.25, 1.5], "codes": [3, 0, 2]}, "weight table not strictly increasing"),
-            ({"table": [-2.0, 0.25, float("nan")], "codes": [1, 0, 1]}, "non-finite"),
-            ({"weights": [1.5, 0.0, 0.25]}, "zero or near-zero weight"),
-            ({"weights": [1.5, -0.0, 0.25]}, "zero or near-zero weight"),
-            ({"name_lengths": [2, 2, 3]}, "doc name lengths do not sum to the string blob size"),
-            ({"name_lengths": [2, 2, 1]}, "doc name lengths do not sum to the string blob size"),
-            ({"cut": 56}, "truncated doc name blob"),
-            ({"cut": 10}, "truncated index file"),
-            # A valid blob, but the second length splits the 2-byte "é".
-            ({"names": ["d0", "dé", "d2"], "name_lengths": [2, 2, 3]}, "invalid UTF-8 in a string block"),
-        ],
-    )
+    @pytest.mark.parametrize("change, message", MALFORMED_PARTS)
     def test_malformed_structure_rejected(self, tmp_path, change, message):
         path = tmp_path / "bad.svix"
         write_raw_index(path, **{**VALID_PARTS, **change})
         with pytest.raises(IndexFormatError, match=message):
             load(path)
+
+    @pytest.mark.parametrize("change, message", MALFORMED_PARTS)
+    def test_malformed_message_same_at_every_piece_size(self, tmp_path, monkeypatch, change, message):
+        path = tmp_path / "bad.svix"
+        write_raw_index(path, **{**VALID_PARTS, **change})
+        with pytest.raises(IndexFormatError, match=message) as want:
+            load(path)
+        for piece in PIECE_SIZES:
+            monkeypatch.setattr(index_module, "PIECE", piece)
+            with pytest.raises(IndexFormatError) as got:
+                load(path)
+            assert str(got.value) == str(want.value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw_index_parts())
+    def test_piece_size_changes_no_loaded_column(self, tmp_path_factory, parts):
+        """Pieces that split every stream, and its byte planes, in many places load
+        the columns that one piece per stream loads, bit for bit."""
+        path = tmp_path_factory.mktemp("pieces") / "idx.svix"
+        write_raw_index(path, **parts)
+        want = load(path)
+        assert want.table.tolist() == parts["table"] and want.codes.tolist() == parts["codes"]
+        assert want.doc_ids.tolist() == parts["doc_ids"]
+        for piece in PIECE_SIZES:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(index_module, "PIECE", piece)
+                got = load(path)
+            assert got.doc_names == want.doc_names and got.vocab.terms == want.vocab.terms
+            for column in ("offsets", "doc_ids", "table", "codes"):
+                a, b = getattr(got, column), getattr(want, column)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_stream_ends_on_or_inside_a_piece(self, tmp_path, monkeypatch):
+        """The weight codes' stream is longer than its 3 codes, so its first piece
+        reads all of it that fits: a piece of the stream's size ends the stream on
+        the piece's boundary, and a piece one byte longer ends it inside, before the
+        gap stream's first byte.  Both find the same end and load the same columns."""
+        path = tmp_path / "idx.svix"
+        write_raw_index(path, **VALID_PARTS)
+        spans = []
+        real_inflate = index_module._inflate
+
+        def inflate(data, pos, *rest):
+            values, end = real_inflate(data, pos, *rest)
+            spans.append((pos, end))
+            return values, end
+
+        monkeypatch.setattr(index_module, "_inflate", inflate)
+        want = load(path)
+        start, end = spans[1]  # the table's stream, the codes', then the gaps'
+        assert end - start > 3 + 1
+        for piece in (end - start, end - start + 1):
+            monkeypatch.setattr(index_module, "PIECE", piece)
+            spans.clear()
+            got = load(path)
+            assert spans[1] == (start, end)
+            for column in ("doc_ids", "table", "codes"):
+                assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+
+    def test_hostile_count_refused_before_allocating(self, tmp_path):
+        """Offsets that claim 448 x 448 postings over a 3-posting stream are refused
+        at zlib's 1032:1 bound, before a value is allocated: load's traced peak
+        beyond the file stays within 64 KiB of a file with the same strings that
+        claims one posting too many.  The claimed codes alone would take 196 KiB."""
+        n = 448
+        parts = {**VALID_PARTS, "terms": [f"t{i}" for i in range(n)], "names": [f"d{i}" for i in range(n)]}
+        peaks = []
+        for count, offsets in ((n * n, [0] + [n * (t + 1) for t in range(n)]), (4, [0, 2] + [4] * (n - 1))):
+            path = tmp_path / f"claims-{count}.svix"
+            write_raw_index(path, **{**parts, "offsets": offsets})
+            tracemalloc.start()
+            try:
+                with pytest.raises(IndexFormatError, match=f"weight stream does not hold {count} values"):
+                    load(path)
+                peaks.append(tracemalloc.get_traced_memory()[1] - path.stat().st_size)
+            finally:
+                tracemalloc.stop()
+        assert n * n >= 200_000
+        assert peaks[0] < peaks[1] + 2**16
+
+    def test_overlong_stream_inflates_one_byte_past_its_size(self, tmp_path):
+        """A codes stream of 2**20 codes where the offsets imply 3 is refused once it
+        has inflated one byte past them: load's traced peak stays within 64 KiB of
+        the file, where inflating the whole stream would take 1 MiB."""
+        path = tmp_path / "overlong.svix"
+        write_raw_index(path, **{**VALID_PARTS, "codes": [2, 0, 1] + [0] * (2**20 - 3)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(IndexFormatError, match="weight stream does not hold 3 values"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size + 2**16
+
+    def test_stream_cut_short_rejected_at_every_piece_size(self, tmp_path, monkeypatch):
+        """A gap stream whose last bytes are cut off (the checksum taken after the cut)
+        ends the file before zlib ends the stream."""
+        path = tmp_path / "cut.svix"
+        write_raw_index(path, **VALID_PARTS)
+        write_raw_index(path, **VALID_PARTS, cut=path.stat().st_size - 4 - 2)
+        for piece in (index_module.PIECE,) + PIECE_SIZES:
+            monkeypatch.setattr(index_module, "PIECE", piece)
+            with pytest.raises(IndexFormatError, match="doc-id gap stream does not hold 3 values"):
+                load(path)
 
     def test_malformed_index_is_a_data_error(self, tmp_path):
         index = tmp_path / "nan.svix"
