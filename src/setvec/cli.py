@@ -142,8 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_count,
         default=os.cpu_count() or 1,
-        help="worker threads, at most one per query and per CPU "
-        "(affects throughput only, never results; default: %(default)s)",
+        help="worker threads, at most one per query and per CPU; with one, the "
+        "queries run on the calling thread (affects speed and memory only, "
+        "never results; default: %(default)s)",
     )
     p.set_defaults(func=cmd_search)
 
@@ -288,9 +289,17 @@ def cmd_search(args) -> int:
             return q.qid, search_cpt(idx, rep, q.a, q.b, args.k, args.candidate_pool)
         return q.qid, search(idx, rep, args.k)
 
+    run = _naming_errors(args.queries, run_one)
+    if queries:
+        # On this thread, where the index was loaded: built on a worker, the
+        # rows (8 bytes a doc each) raise the peak memory.
+        idx.head_rows()
     workers = max(1, min(args.threads, len(queries), os.cpu_count() or 1))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_naming_errors(args.queries, run_one), queries))
+    if workers == 1:
+        results = [run(q) for q in queries]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, queries))
     formats.write_search_results(args.out, results, tag=args.tag)
     return EXIT_OK
 

@@ -22,7 +22,8 @@ two factors are the same loop adding ``sqrt(q_t * d_t)`` (:func:`search_cpt`).
 ``_rank`` sorts only the scores at or above the k-th best, found by one
 partition, after a partition of every 8th score has bounded it from below.
 The rows are built once per index, on its first search and under a lock, so
-``build``, ``save`` and ``load`` never hold them.  A row takes 8 bytes per
+``build``, ``save`` and ``load`` never hold them; ``setvec search`` builds
+them on its calling thread before any query runs.  A row takes 8 bytes per
 doc; its term's postings take at least 5 bytes each, at least 1.25 bytes per
 doc, so the rows take at most 6.4 times the memory of the postings they copy.
 
@@ -53,9 +54,13 @@ weight's position in it as a code of the narrowest unsigned width the table
 size allows (1 byte up to 256 entries, 2 up to 65,536, else 4).  The table,
 the codes and the uint32 gaps are each one zlib stream of byte planes (byte 0
 of every value, then byte 1, and so on), which compress better than the
-interleaved values.  :func:`load` inflates each stream at most ``PIECE``
-bytes at a time straight into the byte planes of its array, so it never
-holds a whole inflated stream; it allocates that array only for a count the
+interleaved values.  :func:`load` reads the file twice, at most ``PIECE``
+bytes at a time, and never holds it whole: first for the magic, the checksum
+and the version, then to parse it, summing what it parses, so that a file
+changed in between is refused as corrupt.  Only a file that cannot be read
+twice, such as a pipe, is read whole first.  It inflates each stream
+straight into the byte planes of its array, so it never holds a whole
+inflated stream; it allocates that array only for a count the
 bytes left could inflate to at zlib's maximum expansion (1032:1), so its
 memory stays linear in the file's size.  Besides the checksum, :func:`load`
 checks structure: each string table's lengths sum exactly to its blob, the
@@ -69,6 +74,7 @@ refused; rebuild them with ``setvec index``.
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 import zlib
@@ -293,12 +299,55 @@ def _string_table(strings) -> bytes:
     return struct.pack("<I", len(raw)) + lengths.tobytes() + struct.pack("<Q", len(blob)) + blob
 
 
+class _Body:
+    """The body of an index file, all but its trailing CRC, sliced as ``bytes`` is:
+    ``len()`` is its size and ``body[a:b]`` reads those bytes with
+    ``read(count, offset)``, which is ``os.pread`` on a regular file.
+
+    Each slice starts at or after the one before, and each byte is read once:
+    a slice that starts inside the last one takes their common bytes from it.
+    :meth:`crc` sums the bytes read in file order, so :func:`load` can check
+    that it parsed the very bytes its checksum pass summed.
+    """
+
+    def __init__(self, read, size: int):
+        self._read = read
+        self._size = size
+        self._last = b""  # the last slice, and the bytes read after it
+        self._start = 0  # where _last starts
+        self._crc = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, key: slice) -> bytes:
+        start, stop, _ = key.indices(self._size)
+        if start < self._start:
+            raise ValueError("an index body is sliced front to back")
+        end = self._start + len(self._last)
+        fresh = self._read(max(stop - end, 0), end)
+        self._crc = zlib.crc32(fresh, self._crc)
+        if start >= end:
+            self._last = fresh[start - end:]
+        else:
+            self._last = self._last[start - self._start:] + fresh
+        self._start = start
+        return self._last[:max(stop - start, 0)]
+
+    def crc(self) -> int:
+        """The CRC32 of the bytes read so far and then of the rest, or of as much of
+        it as the file still holds."""
+        while (end := self._start + len(self._last)) < self._size and self[end:end + PIECE]:
+            pass
+        return self._crc
+
+
 def _array(data, pos: int, dtype: str, count: int, what: str) -> tuple[np.ndarray, int]:
     """*count* raw values of *dtype* at *pos*, and the position after them."""
     end = pos + count * np.dtype(dtype).itemsize
     if end > len(data):
         raise IndexFormatError(f"truncated {what}")
-    return np.frombuffer(data, dtype, count, pos), end
+    return np.frombuffer(data[pos:end], dtype, count), end
 
 
 def _read_strings(data, pos: int, what: str) -> tuple[list[str], int]:
@@ -306,9 +355,9 @@ def _read_strings(data, pos: int, what: str) -> tuple[list[str], int]:
 
     The blob is decoded once and sliced; one decode per string is slower.
     """
-    (count,) = struct.unpack_from("<I", data, pos)
+    (count,) = struct.unpack("<I", data[pos:pos + 4])
     lengths, pos = _array(data, pos + 4, "<u4", count, f"{what} lengths")
-    (size,) = struct.unpack_from("<Q", data, pos)
+    (size,) = struct.unpack("<Q", data[pos:pos + 8])
     pos += 8
     bounds = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(lengths, dtype=np.int64, out=bounds[1:])
@@ -402,60 +451,91 @@ def save(idx: InvertedIndex, path) -> None:
 
 
 def load(path) -> InvertedIndex:
-    """Read an index written by :func:`save`, verifying version, checksum and structure."""
+    """Read an index written by :func:`save`, verifying version, checksum and structure.
+
+    The file is read twice, a piece at a time and never whole: first for its
+    magic, checksum and version, then to parse it.  The parse sums what it
+    reads, so a file changed in between is refused as a corrupt one.  A file
+    that cannot be read twice, such as a pipe, is read whole first.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 12 or data[:4] != MAGIC:
-        raise IndexFormatError(f"{path}: not an index file (bad magic)")
-    body = memoryview(data)[:-4]
-    stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
-    if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
-        raise IndexFormatError(f"{path}: checksum mismatch (corrupt or truncated file)")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != FORMAT_VERSION:
-        raise IndexFormatError(
-            f"{path}: unsupported format version {version}; rebuild the index with `setvec index`"
-        )
-    try:
-        terms, pos = _read_strings(body, 8, "vocabulary term")
-        doc_names, pos = _read_strings(body, pos, "doc name")
-        offsets, pos = _array(body, pos, "<i8", len(terms) + 1, "offsets")
-        offsets = offsets.astype(np.int64)
-        # A list holds each doc at most once; checking that here also keeps
-        # the stream sizes below from overflowing.
-        lengths = np.diff(offsets)
-        n_docs = len(doc_names)
-        if offsets[0] != 0 or lengths.min(initial=0) < 0 or lengths.max(initial=0) > n_docs:
-            raise IndexFormatError("posting offsets do not partition the postings")
-        n_postings = int(offsets[-1])
-        (table_size,) = struct.unpack_from("<I", body, pos)
-        table, pos = _inflate(body, pos + 4, "<f8", table_size, "weight table")
-        # The table is one row of weights: the weight rule drops none of them.
+        if fh.seekable():
+            fd = fh.fileno()
+            size = os.fstat(fd).st_size
+
+            def read(count: int, offset: int) -> bytes:
+                return os.pread(fd, count, offset)
+        else:
+            data = fh.read()
+            size = len(data)
+
+            def read(count: int, offset: int) -> bytes:
+                return data[offset:offset + count]
+
+        head = read(8, 0)
+        if size < 12 or head[:4] != MAGIC:
+            raise IndexFormatError(f"{path}: not an index file (bad magic)")
+        crc = 0
+        for at in range(0, size - 4, PIECE):
+            crc = zlib.crc32(read(min(PIECE, size - 4 - at), at), crc)
+        if crc.to_bytes(4, "little") != read(4, size - 4):
+            raise IndexFormatError(f"{path}: checksum mismatch (corrupt or truncated file)")
+        (version,) = struct.unpack("<I", head[4:])
+        if version != FORMAT_VERSION:
+            raise IndexFormatError(
+                f"{path}: unsupported format version {version}; rebuild the index with `setvec index`"
+            )
+        body = _Body(read, size - 4)
         try:
-            kept = _canonical_rows(np.array([0, table_size]), np.arange(table_size), table)[2]
-        except NonFiniteError:
-            raise IndexFormatError("non-finite weight in the weight table") from None
-        if kept.size != table_size:
-            raise IndexFormatError("zero or near-zero weight in the weight table")
-        if _not_increasing(table).any():
-            raise IndexFormatError("weight table not strictly increasing")
-        codes, pos = _inflate(body, pos, _code_dtype(table_size), n_postings, "weight")
-        if codes.size and int(codes.max()) >= table_size:
-            raise IndexFormatError("weight code out of range")
-        # The gaps are un-shuffled straight into doc_ids and summed in place:
-        # a second array of that size would raise the loader's peak memory.
-        doc_ids, pos = _inflate(body, pos, "<u4", n_postings, "doc-id gap")
-        if pos != len(body):
-            raise IndexFormatError("trailing bytes after the posting streams")
-        np.cumsum(doc_ids, dtype=np.uint32, out=doc_ids)
-        if doc_ids.size and int(doc_ids.max()) >= n_docs:
-            raise IndexFormatError("doc id out of range")
-        if _not_increasing(doc_ids, offsets).any():
-            raise IndexFormatError("doc ids not strictly increasing within a posting list")
-    except IndexFormatError as exc:
-        raise IndexFormatError(f"{path}: {exc}") from None
-    except struct.error as exc:
-        raise IndexFormatError(f"{path}: truncated index file") from exc
-    except UnicodeDecodeError as exc:
-        raise IndexFormatError(f"{path}: invalid UTF-8 in a string block") from exc
+            try:
+                return _parse(body)
+            finally:
+                # Bytes that differ from the checksum pass's, whether they parsed or not.
+                if body.crc() != crc:
+                    raise IndexFormatError("checksum mismatch (corrupt or truncated file)")
+        except IndexFormatError as exc:
+            raise IndexFormatError(f"{path}: {exc}") from None
+        except struct.error as exc:
+            raise IndexFormatError(f"{path}: truncated index file") from exc
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"{path}: invalid UTF-8 in a string block") from exc
+
+
+def _parse(body: _Body) -> InvertedIndex:
+    """The index in *body*, a file whose magic, checksum and version are checked."""
+    terms, pos = _read_strings(body, 8, "vocabulary term")
+    doc_names, pos = _read_strings(body, pos, "doc name")
+    offsets, pos = _array(body, pos, "<i8", len(terms) + 1, "offsets")
+    offsets = offsets.astype(np.int64)
+    # A list holds each doc at most once; checking that here also keeps
+    # the stream sizes below from overflowing.
+    lengths = np.diff(offsets)
+    n_docs = len(doc_names)
+    if offsets[0] != 0 or lengths.min(initial=0) < 0 or lengths.max(initial=0) > n_docs:
+        raise IndexFormatError("posting offsets do not partition the postings")
+    n_postings = int(offsets[-1])
+    (table_size,) = struct.unpack("<I", body[pos:pos + 4])
+    table, pos = _inflate(body, pos + 4, "<f8", table_size, "weight table")
+    # The table is one row of weights: the weight rule drops none of them.
+    try:
+        kept = _canonical_rows(np.array([0, table_size]), np.arange(table_size), table)[2]
+    except NonFiniteError:
+        raise IndexFormatError("non-finite weight in the weight table") from None
+    if kept.size != table_size:
+        raise IndexFormatError("zero or near-zero weight in the weight table")
+    if _not_increasing(table).any():
+        raise IndexFormatError("weight table not strictly increasing")
+    codes, pos = _inflate(body, pos, _code_dtype(table_size), n_postings, "weight")
+    if codes.size and int(codes.max()) >= table_size:
+        raise IndexFormatError("weight code out of range")
+    # The gaps are un-shuffled straight into doc_ids and summed in place:
+    # a second array of that size would raise the loader's peak memory.
+    doc_ids, pos = _inflate(body, pos, "<u4", n_postings, "doc-id gap")
+    if pos != len(body):
+        raise IndexFormatError("trailing bytes after the posting streams")
+    np.cumsum(doc_ids, dtype=np.uint32, out=doc_ids)
+    if doc_ids.size and int(doc_ids.max()) >= n_docs:
+        raise IndexFormatError("doc id out of range")
+    if _not_increasing(doc_ids, offsets).any():
+        raise IndexFormatError("doc ids not strictly increasing within a posting list")
     return InvertedIndex(Vocabulary(terms), doc_names, offsets, doc_ids, table, codes)

@@ -277,12 +277,22 @@ def _canonical_rows(offsets: np.ndarray, ids: np.ndarray, weights: np.ndarray):
     """
     unordered = _not_increasing(ids, offsets)
     if unordered.any():
+        # One stable sort of (row, id) keys, ids being below 2**32, orders the rows
+        # from the first out of order to the last.  Each sorted column is taken
+        # from the input into its copy, with no third array of the column's size.
+        first, last = np.searchsorted(offsets, np.flatnonzero(unordered)[[0, -1]], side="right") - 1
+        del unordered
+        lo, hi = offsets[first], offsets[last + 1]
+        keys = np.repeat(np.arange(first, last + 1, dtype=np.int64) << 32, np.diff(offsets[first:last + 2]))
+        keys |= ids[lo:hi]
+        order = np.argsort(keys, kind="stable")
+        del keys
+        inputs = ids, weights
         ids, weights = ids.copy(), weights.copy()
-        rows = _distinct(np.searchsorted(offsets, np.flatnonzero(unordered), side="right") - 1)
-        for start, end in zip(offsets[rows].tolist(), offsets[rows + 1].tolist()):
-            order = np.argsort(ids[start:end], kind="stable")
-            ids[start:end] = ids[start:end][order]
-            weights[start:end] = weights[start:end][order]
+        for column, copy in zip(inputs, (ids, weights)):
+            # "clip" never clips here; "raise" would buffer the output.
+            np.take(column[lo:hi], order, out=copy[lo:hi], mode="clip")
+        del order
         # Every row is sorted now, so an id that still does not increase repeats.
         if _not_increasing(ids, offsets).any():
             raise ValueError("a row holds the same term id twice")

@@ -214,14 +214,14 @@ def test_scores_accumulate_in_one_place():
 
 
 def test_row_order_rule_has_one_implementation():
-    """Batch canonicalisation, the index loader and logit columns share ``sparse._not_increasing``."""
+    """Batch canonicalisation, the index parser and logit columns share ``sparse._not_increasing``."""
     callers = {
         (module, getattr(top, "name", "<module>"))
         for module, top in _modules()
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_not_increasing"
     }
-    assert callers == {("sparse", "_canonical_rows"), ("index", "load"), ("activations", "LogitMatrix")}
+    assert callers == {("sparse", "_canonical_rows"), ("index", "_parse"), ("activations", "LogitMatrix")}
 
 
 def test_term_id_rule_has_one_implementation():

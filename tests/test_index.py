@@ -1,3 +1,4 @@
+import os
 import struct
 import sys
 import threading
@@ -585,9 +586,9 @@ class TestPersistence:
         assert True in ranked and False in ranked
 
     def test_load_keeps_no_float64_weight_column(self, tmp_path):
-        """load's traced peak holds the file, 1-byte codes and the doc ids while
-        their gaps inflate (4 + 4 bytes): 9 bytes a posting plus the file.  A
-        float64 weight per posting, kept or passed through, adds 8 more."""
+        """load's traced peak holds at most the file, 1-byte codes and the doc ids
+        while their gaps inflate (4 + 4 bytes): 9 bytes a posting plus the file.
+        A float64 weight per posting, kept or passed through, adds 8 more."""
         rng = np.random.default_rng(17)
         n_docs, n_terms = 2000, 400
         present = rng.random((n_docs, n_terms)) < 0.5
@@ -608,10 +609,11 @@ class TestPersistence:
         assert loaded.codes.itemsize == 1
 
     def test_load_inflates_no_whole_stream(self, tmp_path):
-        """load's traced peak holds the file, the 1-byte codes, the doc ids (1 + 4
-        bytes a posting) and one piece of a stream: the streams inflate piece by
-        piece into their arrays.  Inflating the whole gap stream before copying
-        it into the doc ids adds 4 bytes a posting."""
+        """load's traced peak holds the 1-byte codes, the doc ids (1 + 4 bytes a
+        posting) and the order check's mask (1 byte): the file is read a piece at
+        a time and never held, and the streams inflate piece by piece into their
+        arrays.  Holding the file adds its size (317 KB here), and inflating the
+        whole gap stream before copying it into the doc ids 4 bytes a posting."""
         rng = np.random.default_rng(17)
         n_docs, n_terms = 2000, 400
         present = rng.random((n_docs, n_terms)) < 0.5
@@ -627,9 +629,8 @@ class TestPersistence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The order check's mask (1 byte a posting, 400 KB here), the strings and the
-        # offsets fit in the 1 MiB of slack; a whole inflated gap stream would add 1.6 MB.
-        assert peak < 5 * ids.size + path.stat().st_size + 2**20
+        # The strings, the offsets and the pieces fit in the 256 KiB of slack.
+        assert peak < 6 * ids.size + 2**18
         assert loaded.codes.itemsize == 1
 
     def test_build_frees_the_term_order_before_counting(self):
@@ -900,6 +901,79 @@ class TestLoaderStructure:
             monkeypatch.setattr(index_module, "PIECE", piece)
             with pytest.raises(IndexFormatError, match="doc-id gap stream does not hold 3 values"):
                 load(path)
+
+    @pytest.mark.parametrize("piece", (index_module.PIECE,) + PIECE_SIZES)
+    def test_flipped_or_cut_file_is_a_checksum_mismatch(self, tmp_path, monkeypatch, piece):
+        """A byte flipped anywhere after the magic, the version and the CRC included, and
+        a file cut short anywhere past the magic fail the checksum before any parse."""
+        monkeypatch.setattr(index_module, "PIECE", piece)
+        good = tmp_path / "ok.svix"
+        write_raw_index(good, **VALID_PARTS)
+        data = good.read_bytes()
+        variants = [data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:] for at in range(4, len(data))]
+        variants += [data[:size] for size in range(12, len(data))]
+        path = tmp_path / "bad.svix"
+        for variant in variants:
+            path.write_bytes(variant)
+            with pytest.raises(IndexFormatError, match="checksum mismatch"):
+                load(path)
+
+    @pytest.mark.parametrize("rewrite", ["valid index", "byte flipped", "cut short"])
+    def test_file_rewritten_after_its_checksum_is_refused(self, tmp_path, monkeypatch, rewrite):
+        """A file rewritten in place between the checksum pass and the parse is refused
+        as a checksum mismatch, whether its new bytes parse or not: the parse sums
+        what it reads.  The valid index has the same size, doc names e0, e1 and e2,
+        and its own valid CRC."""
+        path = tmp_path / "idx.svix"
+        write_raw_index(path, **VALID_PARTS)
+        data = path.read_bytes()
+        other = tmp_path / "other.svix"
+        write_raw_index(other, **{**VALID_PARTS, "names": ["e0", "e1", "e2"]})
+        assert load(other).doc_names == ["e0", "e1", "e2"] and other.stat().st_size == len(data)
+        middle = len(data) // 2
+        new = {
+            "valid index": other.read_bytes(),
+            "byte flipped": data[:middle] + bytes([data[middle] ^ 0xFF]) + data[middle + 1:],
+            "cut short": data[:-7],
+        }[rewrite]
+        real_parse = index_module._parse
+
+        def parse(body):
+            with open(path, "r+b") as fh:
+                fh.write(new)
+                fh.truncate()
+            return real_parse(body)
+
+        monkeypatch.setattr(index_module, "_parse", parse)
+        with pytest.raises(IndexFormatError, match="checksum mismatch"):
+            load(path)
+
+    def test_index_read_from_a_pipe_loads_the_same_columns(self, tmp_path):
+        """A FIFO cannot be read twice, so load reads it whole: the columns equal the
+        same file's, loaded a piece at a time, bit for bit.  The file is larger than
+        a pipe's buffer, so the writer blocks until load reads."""
+        rng = np.random.default_rng(5)
+        present = rng.random((1000, 300)) < 0.5
+        ids = np.nonzero(present)[1]
+        weights = rng.integers(-40, 40, size=ids.size) / 8.0 + 1 / 16
+        vocab = Vocabulary(f"t{i}" for i in range(300))
+        path = tmp_path / "idx.svix"
+        save(build(VectorBatch([f"d{i}" for i in range(1000)], present.sum(axis=1), ids, weights, vocab)), path)
+        assert path.stat().st_size > 2**16
+        fifo = tmp_path / "idx.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            got = load(fifo)
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        want = load(path)
+        assert got.doc_names == want.doc_names and got.vocab.terms == want.vocab.terms
+        for column in ("offsets", "doc_ids", "table", "codes"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_malformed_index_is_a_data_error(self, tmp_path):
         index = tmp_path / "nan.svix"

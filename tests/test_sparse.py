@@ -22,7 +22,7 @@ from setvec import (
     sub,
     top_m,
 )
-from setvec.sparse import NEAR_ZERO, WEIGHT_CODE_BLOCK, _code_dtype, _weight_codes
+from setvec.sparse import NEAR_ZERO, WEIGHT_CODE_BLOCK, _canonical_rows, _code_dtype, _weight_codes
 
 from conftest import random_vector
 
@@ -130,6 +130,15 @@ def _summed_then_pruned(pairs, vocab):
     return unique_ids[keep], summed[keep]
 
 
+def _per_row_argsort(offsets, ids, weights):
+    """The reference for the sort of ``_canonical_rows``: a stable argsort of each row's ids."""
+    ids, weights = ids.copy(), weights.copy()
+    for start, end in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        order = np.argsort(ids[start:end], kind="stable")
+        ids[start:end], weights[start:end] = ids[start:end][order], weights[start:end][order]
+    return ids, weights
+
+
 class TestOneCanonicaliser:
     """The constructor canonicalises one row as a batch does; only ``from_pairs`` sums repeats."""
 
@@ -159,6 +168,26 @@ class TestOneCanonicaliser:
         assert vec.ids.tolist() == list(want)
         assert vec.weights.tolist() == list(want.values())
         assert not np.shares_memory(vec.ids, ids) and not np.shares_memory(vec.weights, weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(st.integers(0, 6) | st.sampled_from((2**31, 2**32 - 1)), max_size=7), max_size=8))
+    def test_rows_sort_as_a_per_row_argsort(self, rows):
+        """Sorted and unsorted rows, empty ones and ids up to 2**32 - 1 (the top of the
+        sort keys) sort as each row's own stable argsort; a repeated id is refused."""
+        offsets = np.cumsum([0] + [len(row) for row in rows])
+        ids = np.array([t for row in rows for t in row], dtype=np.uint32)
+        weights = np.arange(1, ids.size + 1) / -8.0
+        inputs = ids.copy(), weights.copy()
+        if any(len(set(row)) < len(row) for row in rows):
+            with pytest.raises(ValueError, match="a row holds the same term id twice"):
+                _canonical_rows(offsets, ids, weights)
+        else:
+            got_offsets, got_ids, got_weights = _canonical_rows(offsets, ids, weights)
+            want_ids, want_weights = _per_row_argsort(offsets, ids, weights)
+            assert got_offsets.tolist() == offsets.tolist()
+            assert got_ids.dtype == ids.dtype and got_ids.tobytes() == want_ids.tobytes()
+            assert got_weights.tobytes() == want_weights.tobytes()
+        assert ids.tobytes() == inputs[0].tobytes() and weights.tobytes() == inputs[1].tobytes()
 
     @pytest.mark.parametrize("weight, error", [(None, NonFiniteError), ("x", ValueError), (10**400, OverflowError)])
     def test_from_pairs_converts_weights_as_numpy_does(self, weight, error):
