@@ -106,27 +106,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_count, help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("compose", help="turn compositional query records into vectors")
+    # compose and search read query records with the same overrides and defaults.
+    query_flags = _Parser(add_help=False)
+    query_flags.add_argument("--method", help="override the method of every non-atomic query record")
+    query_flags.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float, default=DEFAULT_LAMBDA,
+                             help="nrf lambda when a record omits it (default: %(default)s)")
+    query_flags.add_argument("--m", type=_count, default=DEFAULT_M,
+                             help="cpt top-m when a record omits it (default: %(default)s)")
+
+    p = sub.add_parser("compose", parents=[query_flags], help="turn compositional query records into vectors")
     p.add_argument("--queries", required=True, help="query JSONL")
     p.add_argument("--vectors", help="atomic vector JSONL for a_ref/b_ref lookups")
-    p.add_argument("--method", help="override the method of every non-atomic record")
-    p.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float, default=DEFAULT_LAMBDA,
-                   help="nrf lambda when a record omits it (default: %(default)s)")
-    p.add_argument("--m", type=_count, default=DEFAULT_M,
-                   help="cpt top-m when a record omits it (default: %(default)s)")
     p.add_argument("--out", required=True, help="output vector JSONL (cpt rows hold 'pairs' with term∩term keys)")
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("search", help="retrieve top-k documents for queries")
+    p = sub.add_parser("search", parents=[query_flags], help="retrieve top-k documents for queries")
     p.add_argument("--index", required=True, help="index file from 'setvec index'")
     p.add_argument("--queries", required=True, help="query JSONL or pre-composed vector JSONL")
     p.add_argument("--vectors", help="atomic vectors for query records with refs")
     p.add_argument("--k", type=_count, default=10, help="results per query (default: %(default)s)")
-    p.add_argument("--method", help="override method of every non-atomic query record")
-    p.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float, default=DEFAULT_LAMBDA,
-                   help="nrf lambda when a record omits it (default: %(default)s)")
-    p.add_argument("--m", type=_count, default=DEFAULT_M,
-                   help="cpt top-m when a record omits it (default: %(default)s)")
     p.add_argument(
         "--candidate-pool",
         type=_count,

@@ -54,11 +54,12 @@ weight's position in it as a code of the narrowest unsigned width the table
 size allows (1 byte up to 256 entries, 2 up to 65,536, else 4).  The table,
 the codes and the uint32 gaps are each one zlib stream of byte planes (byte 0
 of every value, then byte 1, and so on), which compress better than the
-interleaved values.  :func:`load` reads the file twice, at most ``PIECE``
-bytes at a time, and never holds it whole: first for the magic, the checksum
-and the version, then to parse it, summing what it parses, so that a file
-changed in between is refused as corrupt.  Only a file that cannot be read
-twice, such as a pipe, is read whole first.  It inflates each stream
+interleaved values.  :func:`load` reads each byte of the file once, at most
+``PIECE`` bytes at a time, and never holds it whole: it checks the magic,
+reads the stored CRC, then parses the rest, summing what it reads, and
+refuses a sum that differs from the stored CRC as corrupt, whatever the parse
+raised; the version is the parse's first check.  Only a file that cannot be
+read by offset, such as a pipe, is read whole first.  It inflates each stream
 straight into the byte planes of its array, so it never holds a whole
 inflated stream; it allocates that array only for a count the
 bytes left could inflate to at zlib's maximum expansion (1032:1), so its
@@ -307,7 +308,7 @@ class _Body:
     Each slice starts at or after the one before, and each byte is read once:
     a slice that starts inside the last one takes their common bytes from it.
     :meth:`crc` sums the bytes read in file order, so :func:`load` can check
-    that it parsed the very bytes its checksum pass summed.
+    that the very bytes it parsed match the stored CRC.
     """
 
     def __init__(self, read, size: int):
@@ -451,12 +452,13 @@ def save(idx: InvertedIndex, path) -> None:
 
 
 def load(path) -> InvertedIndex:
-    """Read an index written by :func:`save`, verifying version, checksum and structure.
+    """Read an index written by :func:`save`, verifying checksum, version and structure.
 
-    The file is read twice, a piece at a time and never whole: first for its
-    magic, checksum and version, then to parse it.  The parse sums what it
-    reads, so a file changed in between is refused as a corrupt one.  A file
-    that cannot be read twice, such as a pipe, is read whole first.
+    The file is read once, a piece at a time and never whole: after its magic
+    and its stored CRC, :func:`_parse` reads the rest, which is summed as it is
+    read, and a sum that differs from the stored CRC refuses the file as
+    corrupt, whatever the parse found.  A file that cannot be read by offset,
+    such as a pipe, is read whole first.
     """
     with open(path, "rb") as fh:
         if fh.seekable():
@@ -472,25 +474,15 @@ def load(path) -> InvertedIndex:
             def read(count: int, offset: int) -> bytes:
                 return data[offset:offset + count]
 
-        head = read(8, 0)
-        if size < 12 or head[:4] != MAGIC:
-            raise IndexFormatError(f"{path}: not an index file (bad magic)")
-        crc = 0
-        for at in range(0, size - 4, PIECE):
-            crc = zlib.crc32(read(min(PIECE, size - 4 - at), at), crc)
-        if crc.to_bytes(4, "little") != read(4, size - 4):
-            raise IndexFormatError(f"{path}: checksum mismatch (corrupt or truncated file)")
-        (version,) = struct.unpack("<I", head[4:])
-        if version != FORMAT_VERSION:
-            raise IndexFormatError(
-                f"{path}: unsupported format version {version}; rebuild the index with `setvec index`"
-            )
         body = _Body(read, size - 4)
+        if size < 12 or body[:4] != MAGIC:
+            raise IndexFormatError(f"{path}: not an index file (bad magic)")
+        crc = int.from_bytes(read(4, size - 4), "little")
         try:
             try:
                 return _parse(body)
             finally:
-                # Bytes that differ from the checksum pass's, whether they parsed or not.
+                # Bytes that differ from the stored CRC's, whether they parsed or not.
                 if body.crc() != crc:
                     raise IndexFormatError("checksum mismatch (corrupt or truncated file)")
         except IndexFormatError as exc:
@@ -502,7 +494,11 @@ def load(path) -> InvertedIndex:
 
 
 def _parse(body: _Body) -> InvertedIndex:
-    """The index in *body*, a file whose magic, checksum and version are checked."""
+    """The index in *body*, a file whose magic is checked; :func:`load` checks its
+    checksum once this returns or raises."""
+    (version,) = struct.unpack("<I", body[4:8])
+    if version != FORMAT_VERSION:
+        raise IndexFormatError(f"unsupported format version {version}; rebuild the index with `setvec index`")
     terms, pos = _read_strings(body, 8, "vocabulary term")
     doc_names, pos = _read_strings(body, pos, "doc name")
     offsets, pos = _array(body, pos, "<i8", len(terms) + 1, "offsets")

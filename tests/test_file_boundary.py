@@ -13,10 +13,11 @@ lambda's default is stated in ``compose`` and m's in ``cpt``; operands are
 held to one vocabulary only by ``sparse._require_same_vocab``, and
 pseudo-term weights to the sqrt domain only by ``cpt._require_nonnegative``;
 scores are accumulated only by ``index._accumulate``, the one scoring loop,
-through ``np.add.at`` or, for a head term's dense row, ``np.add``.  And setvec
-imports nothing beyond the standard library and the dependencies that
-``pyproject.toml`` declares, numpy and orjson; only ``formats.read_vectors``
-imports orjson.
+through ``np.add.at`` or, for a head term's dense row, ``np.add``; the
+index file's checksum is computed only by ``index.save`` and ``index._Body``.
+And setvec imports nothing beyond the standard library and the dependencies
+that ``pyproject.toml`` declares, numpy and orjson; only
+``formats.read_vectors`` imports orjson.
 """
 
 import ast
@@ -211,6 +212,18 @@ def test_scores_accumulate_in_one_place():
         if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)
     ]
     assert updates == [("formats", "_records")]
+
+
+def test_checksum_is_computed_once_each_way():
+    """The index file's CRC32 is computed only by ``index.save``, over what it writes,
+    and by ``index._Body``, over what ``load`` parses: ``load`` sums no byte itself."""
+    summers = [
+        (module, getattr(top, "name", "<module>"))
+        for module, top in _modules()
+        for node in ast.walk(top)
+        if getattr(node, NAME_FIELDS.get(type(node), ""), None) == "crc32"
+    ]
+    assert summers == [("index", "_Body"), ("index", "save")]
 
 
 def test_row_order_rule_has_one_implementation():

@@ -905,7 +905,8 @@ class TestLoaderStructure:
     @pytest.mark.parametrize("piece", (index_module.PIECE,) + PIECE_SIZES)
     def test_flipped_or_cut_file_is_a_checksum_mismatch(self, tmp_path, monkeypatch, piece):
         """A byte flipped anywhere after the magic, the version and the CRC included, and
-        a file cut short anywhere past the magic fail the checksum before any parse."""
+        a file cut short anywhere past the magic fail the checksum, whatever the parse
+        of those bytes raised."""
         monkeypatch.setattr(index_module, "PIECE", piece)
         good = tmp_path / "ok.svix"
         write_raw_index(good, **VALID_PARTS)
@@ -918,9 +919,55 @@ class TestLoaderStructure:
             with pytest.raises(IndexFormatError, match="checksum mismatch"):
                 load(path)
 
+    @pytest.mark.parametrize("piece", (index_module.PIECE, 7))
+    def test_load_reads_each_byte_once(self, tmp_path, monkeypatch, piece):
+        """load reads a regular file through os.pread no more than once a byte, with
+        at most 8 bytes to spare, on a file of more than one default piece; a
+        checksum pass before the parse would read it twice."""
+        monkeypatch.setattr(index_module, "PIECE", piece)
+        rng = np.random.default_rng(7)
+        present = rng.random((500, 300)) < 0.5
+        ids = np.nonzero(present)[1]
+        weights = rng.integers(-40, 40, size=ids.size) / 8.0 + 1 / 16
+        vocab = Vocabulary(f"t{i}" for i in range(300))
+        path = tmp_path / "idx.svix"
+        save(build(VectorBatch([f"d{i}" for i in range(500)], present.sum(axis=1), ids, weights, vocab)), path)
+        assert path.stat().st_size > 2**16
+        read = []
+        real_pread = os.pread
+
+        def pread(fd, count, offset):
+            chunk = real_pread(fd, count, offset)
+            read.append(len(chunk))
+            return chunk
+
+        monkeypatch.setattr(index_module.os, "pread", pread)
+        assert load(path).doc_names[-1] == "d499"
+        assert sum(read) <= path.stat().st_size + 8
+
+    @pytest.mark.parametrize("crc_offset", [0, 1])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_is_checked_before_structure(self, tmp_path, version, crc_offset):
+        """An old version's header over 40 bytes that are no version-3 body is refused
+        for its version when its CRC is valid, and as a checksum mismatch when its
+        CRC is off by one; as version 3, the same bytes fail on structure."""
+        path = tmp_path / "old.svix"
+
+        def write(version, crc_offset):
+            data = index_module.MAGIC + struct.pack("<I", version) + bytes(range(40))
+            path.write_bytes(data + struct.pack("<I", (zlib.crc32(data) + crc_offset) & 0xFFFFFFFF))
+
+        write(3, 0)
+        with pytest.raises(IndexFormatError, match="truncated vocabulary term lengths"):
+            load(path)
+        write(version, crc_offset)
+        message = "checksum mismatch" if crc_offset else f"unsupported format version {version};"
+        with pytest.raises(IndexFormatError, match=message):
+            load(path)
+
     @pytest.mark.parametrize("rewrite", ["valid index", "byte flipped", "cut short"])
     def test_file_rewritten_after_its_checksum_is_refused(self, tmp_path, monkeypatch, rewrite):
-        """A file rewritten in place between the checksum pass and the parse is refused
+        """A file rewritten in place after its stored CRC is read, before the parse, is refused
         as a checksum mismatch, whether its new bytes parse or not: the parse sums
         what it reads.  The valid index has the same size, doc names e0, e1 and e2,
         and its own valid CRC."""
