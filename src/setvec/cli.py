@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import formats
 from .activations import AGGREGATIONS, NEG_FORMULAS, ActivationConfig, activate
-from .compose import DEFAULT_LAMBDA, OP_ATOMIC, OP_DIFFERENCE, CompositionalQuery, CompositionParams, compose
+from .compose import DEFAULT_LAMBDA, OP_DIFFERENCE, CompositionalQuery, CompositionParams, compose
 from .cpt import DEFAULT_M, PseudoTermVector
 from .errors import SetvecError, UndefinedMetricError, ZeroNormError
 from .evaluation import DEFAULT_BINS, interference_bins, ndcg_at_k, pairwise_accuracy, recall_at_k
@@ -273,13 +273,7 @@ def cmd_compose(args) -> int:
 def cmd_search(args) -> int:
     params = _query_params(args)
     idx = load(args.index)
-    if formats.is_query_file(args.queries):
-        queries = _load_queries(args, idx.vocab, args.method, params)
-    else:
-        queries = [
-            CompositionalQuery(qid=qid, operator=OP_ATOMIC, method="atomic", a=vec)
-            for qid, vec in formats.read_vectors(args.queries, idx.vocab)
-        ]
+    queries = formats.read_search_queries(args.queries, args.vectors, idx.vocab, args.method, params)
 
     def run_one(q: CompositionalQuery):
         rep = compose(q)

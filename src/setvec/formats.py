@@ -39,6 +39,7 @@ Stopwords        one token per line
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -106,9 +107,11 @@ def _write(*outputs: tuple[object, Iterable[str]]) -> None:
         raise
 
 
-def _jsonl_records(path) -> Iterator[tuple[int, dict]]:
-    for line_no, line in _lines(path):
-        yield line_no, _record(f"{path}:{line_no}", line)
+def _jsonl_records(path, lines=None) -> Iterator[tuple[int, dict]]:
+    for line_no, raw in _lines(path, raw=True) if lines is None else lines:
+        line = _text(path, line_no, raw)
+        if line is not None:
+            yield line_no, _record(f"{path}:{line_no}", line)
 
 
 def _record(where: str, line: str) -> dict:
@@ -185,12 +188,13 @@ def _plain_vector(record) -> dict | None:
     return None
 
 
-def read_vectors(path, vocab: Vocabulary) -> VectorBatch:
+def read_vectors(path, vocab: Vocabulary, lines=None) -> VectorBatch:
     """Read every (id, vector) record into one batch; duplicate ids are rejected.
 
     Each line is parsed by orjson first; a line that is not a plain vector
     record (:func:`_plain_vector`) is read again by ``json.loads``, with the
-    checks and located errors of every other JSONL reader.
+    checks and located errors of every other JSONL reader.  *lines* are the
+    file's ``_lines(path, raw=True)`` when the caller has begun to read them.
     """
     # Imported here, not at the top: no other reader uses orjson, and a `search`
     # child given no --vectors never loads it.
@@ -199,7 +203,7 @@ def read_vectors(path, vocab: Vocabulary) -> VectorBatch:
     seen: set[str] = set()
     names: list[str] = []
     term_ids, weights, lengths = array("I"), array("d"), array("I")
-    for line_no, raw in _lines(path, raw=True):
+    for line_no, raw in _lines(path, raw=True) if lines is None else lines:
         where = f"{path}:{line_no}"
         try:
             record = loads(raw)
@@ -311,11 +315,22 @@ def read_texts(path) -> Iterator[tuple[str, str]]:
         yield rec_id, text
 
 
-def is_query_file(path) -> bool:
-    """True when the first record of a JSONL file is a query record (has 'operator')."""
-    for _, record in _jsonl_records(path):
-        return "operator" in record
-    return False
+def read_search_queries(path, vectors_path, vocab: Vocabulary, method, params) -> list[CompositionalQuery]:
+    """The queries of ``setvec search``: query records, read by :func:`read_queries`
+    against the vectors in *vectors_path* (if given), or vector records, each an
+    atomic query.  The first record decides which, and the file is read once, so
+    it may be a pipe.
+    """
+    lines = _lines(path, raw=True)
+    first = next(((line_no, raw) for line_no, raw in lines if _text(path, line_no, raw) is not None), None)
+    if first is None:
+        return []
+    lines = itertools.chain([first], lines)
+    if "operator" in next(_jsonl_records(path, [first]))[1]:
+        vectors = dict(read_vectors(vectors_path, vocab)) if vectors_path else {}
+        return read_queries(path, vectors, vocab, method, params, lines=lines)
+    batch = read_vectors(path, vocab, lines=lines)
+    return [CompositionalQuery(qid=qid, operator=OP_ATOMIC, method="atomic", a=vec) for qid, vec in batch]
 
 
 def read_queries(
@@ -324,15 +339,17 @@ def read_queries(
     vocab: Vocabulary,
     method: str | None = None,
     params: CompositionParams = CompositionParams(),
+    lines=None,
 ) -> list[CompositionalQuery]:
     """Parse query records, resolving a_ref/b_ref against *vectors*.
 
     *method*, when given, overrides the method of every non-atomic record;
-    *params* supplies the lambda and m that a record's params leave out.
+    *params* supplies the lambda and m that a record's params leave out;
+    *lines* are as :func:`read_vectors` takes them.
     """
     queries = []
     seen: set[str] = set()
-    for line_no, record in _jsonl_records(path):
+    for line_no, record in _jsonl_records(path, lines):
         where = f"{path}:{line_no}"
         qid = _unique_id(record, "qid", seen, where)
         operator = record.get("operator")

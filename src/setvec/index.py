@@ -58,12 +58,14 @@ interleaved values.  :func:`load` reads each byte of the file once, at most
 ``PIECE`` bytes at a time, and never holds it whole: it checks the magic,
 reads the stored CRC, then parses the rest, summing what it reads, and
 refuses a sum that differs from the stored CRC as corrupt, whatever the parse
-raised; the version is the parse's first check.  Only a file that cannot be
-read by offset, such as a pipe, is read whole first.  It inflates each stream
-straight into the byte planes of its array, so it never holds a whole
-inflated stream; it allocates that array only for a count the
-bytes left could inflate to at zlib's maximum expansion (1032:1), so its
-memory stays linear in the file's size.  Besides the checksum, :func:`load`
+raised; the version is the parse's first check.  The parse asks one reader
+for the file's next bytes, front to back, and hands back what a zlib stream
+leaves unused, so no step of it tracks a position.  Only a file that cannot
+be read by offset, such as a pipe, is read whole first.  It inflates each
+stream straight into the byte planes of its array, so it never holds a whole
+inflated stream; it allocates that array only for a count the bytes left
+could inflate to at zlib's maximum expansion (1032:1), so its memory stays
+linear in the file's size.  Besides the checksum, :func:`load`
 checks structure: each string table's lengths sum exactly to its blob, the
 strings are valid, distinct and non-empty, the offsets partition the
 postings, every stream holds exactly the values the offsets imply, the table
@@ -301,73 +303,60 @@ def _string_table(strings) -> bytes:
 
 
 class _Body:
-    """The body of an index file, all but its trailing CRC, sliced as ``bytes`` is:
-    ``len()`` is its size and ``body[a:b]`` reads those bytes with
-    ``read(count, offset)``, which is ``os.pread`` on a regular file.
+    """The body of an index file, all but its trailing CRC, handed out front to back:
+    :meth:`take` returns its next bytes, read with ``read(count, offset)``, which
+    is ``os.pread`` on a regular file.
 
-    Each slice starts at or after the one before, and each byte is read once:
-    a slice that starts inside the last one takes their common bytes from it.
-    :meth:`crc` sums the bytes read in file order, so :func:`load` can check
-    that the very bytes it parsed match the stored CRC.
+    Each byte is read once, and :meth:`crc` sums the bytes in file order, so
+    :func:`load` can check that the very bytes it parsed match the stored CRC.
     """
 
     def __init__(self, read, size: int):
         self._read = read
         self._size = size
-        self._last = b""  # the last slice, and the bytes read after it
-        self._start = 0  # where _last starts
+        self._pos = 0  # where the next read starts
+        self._back = b""  # bytes given back, which come before _pos
         self._crc = 0
 
-    def __len__(self) -> int:
-        return self._size
+    def left(self) -> int:
+        """The number of bytes not yet handed out."""
+        return len(self._back) + self._size - self._pos
 
-    def __getitem__(self, key: slice) -> bytes:
-        start, stop, _ = key.indices(self._size)
-        if start < self._start:
-            raise ValueError("an index body is sliced front to back")
-        end = self._start + len(self._last)
-        fresh = self._read(max(stop - end, 0), end)
+    def take(self, count: int, what: str = "index file") -> bytes:
+        """The next *count* bytes, or ``truncated {what}`` when fewer are left."""
+        if count > self.left():
+            raise IndexFormatError(f"truncated {what}")
+        back, self._back = self._back[:count], self._back[count:]
+        fresh = self._read(count - len(back), self._pos)
+        self._pos += len(fresh)
         self._crc = zlib.crc32(fresh, self._crc)
-        if start >= end:
-            self._last = fresh[start - end:]
-        else:
-            self._last = self._last[start - self._start:] + fresh
-        self._start = start
-        return self._last[:max(stop - start, 0)]
+        return back + fresh
+
+    def give_back(self, data: bytes) -> None:
+        """Put *data*, the end of what :meth:`take` last returned, before the next bytes."""
+        self._back = data
 
     def crc(self) -> int:
         """The CRC32 of the bytes read so far and then of the rest, or of as much of
         it as the file still holds."""
-        while (end := self._start + len(self._last)) < self._size and self[end:end + PIECE]:
+        while self.left() and self.take(min(PIECE, self.left())):
             pass
         return self._crc
 
 
-def _array(data, pos: int, dtype: str, count: int, what: str) -> tuple[np.ndarray, int]:
-    """*count* raw values of *dtype* at *pos*, and the position after them."""
-    end = pos + count * np.dtype(dtype).itemsize
-    if end > len(data):
-        raise IndexFormatError(f"truncated {what}")
-    return np.frombuffer(data[pos:end], dtype, count), end
-
-
-def _read_strings(data, pos: int, what: str) -> tuple[list[str], int]:
+def _read_strings(body: _Body, what: str) -> list[str]:
     """A string table written by :func:`_string_table`; its strings are distinct and non-empty.
 
     The blob is decoded once and sliced; one decode per string is slower.
     """
-    (count,) = struct.unpack("<I", data[pos:pos + 4])
-    lengths, pos = _array(data, pos + 4, "<u4", count, f"{what} lengths")
-    (size,) = struct.unpack("<Q", data[pos:pos + 8])
-    pos += 8
+    (count,) = struct.unpack("<I", body.take(4))
+    lengths = np.frombuffer(body.take(4 * count, f"{what} lengths"), "<u4")
+    (size,) = struct.unpack("<Q", body.take(8))
     bounds = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(lengths, dtype=np.int64, out=bounds[1:])
     if bounds[-1] != size:
         raise IndexFormatError(f"{what} lengths do not sum to the string blob size")
-    end = pos + size
-    if end > len(data):
-        raise IndexFormatError(f"truncated {what} blob")
-    blob = data[pos:end]
+    blob = body.take(size, f"{what} blob")
     text = str(blob, "utf-8")
     if len(text) != size:
         # A byte boundary is a character boundary iff it is not on a continuation
@@ -382,12 +371,12 @@ def _read_strings(data, pos: int, what: str) -> tuple[list[str], int]:
     strings = [text[start:stop] for start, stop in zip(bounds, bounds[1:])]
     if "" in strings or len(set(strings)) != count:
         raise IndexFormatError(f"empty or duplicate {what}")
-    return strings, end
+    return strings
 
 
-def _inflate(data, pos: int, dtype: str, count: int, what: str) -> tuple[np.ndarray, int]:
-    """The *count* values of *dtype* in the zlib stream of byte planes at *pos*, and the
-    position after the stream.
+def _inflate(body: _Body, dtype: str, count: int, what: str) -> np.ndarray:
+    """The *count* values of *dtype* in the zlib stream of byte planes that *body*
+    holds next; the bytes after the stream are left in *body*.
 
     The stream is read and inflated at most ``PIECE`` bytes at a time, each
     piece copied straight into its byte plane of the values, so the whole
@@ -397,14 +386,15 @@ def _inflate(data, pos: int, dtype: str, count: int, what: str) -> tuple[np.ndar
     """
     dtype = np.dtype(dtype)
     expected = count * dtype.itemsize
-    if expected > _MAX_EXPANSION * (len(data) - pos):
+    if expected > _MAX_EXPANSION * body.left():
         raise IndexFormatError(f"{what} stream does not hold {count} values")
     values = np.empty(count, dtype=dtype)
     columns = values.view(np.uint8).reshape(count, dtype.itemsize)
     stream = zlib.decompressobj()
     done = 0
     while not stream.eof:
-        chunk = data[pos:pos + PIECE]
+        # What the output limit left unread, else the next piece of the file.
+        chunk = stream.unconsumed_tail or body.take(min(PIECE, body.left()))
         try:
             # At most one byte over the expected size in all catches an overlong
             # stream without inflating it further; a limit of 0 means no limit.
@@ -421,13 +411,10 @@ def _inflate(data, pos: int, dtype: str, count: int, what: str) -> tuple[np.ndar
             columns[row:row + n, byte] = np.frombuffer(piece, np.uint8, n, at)
             at += n
             done += n
-        # At the stream's end the bytes after it are in unused_data; CPython may
-        # also leave them in unconsumed_tail, which otherwise holds what the
-        # output limit left unread.
-        pos += len(chunk) - len(stream.unused_data if stream.eof else stream.unconsumed_tail)
+    body.give_back(stream.unused_data)
     if done != expected:
         raise IndexFormatError(f"{what} stream does not hold {count} values")
-    return values, pos
+    return values
 
 
 def save(idx: InvertedIndex, path) -> None:
@@ -455,10 +442,11 @@ def load(path) -> InvertedIndex:
     """Read an index written by :func:`save`, verifying checksum, version and structure.
 
     The file is read once, a piece at a time and never whole: after its magic
-    and its stored CRC, :func:`_parse` reads the rest, which is summed as it is
-    read, and a sum that differs from the stored CRC refuses the file as
-    corrupt, whatever the parse found.  A file that cannot be read by offset,
-    such as a pipe, is read whole first.
+    and its stored CRC, :func:`_parse` takes the rest from a :class:`_Body`,
+    which sums it as it is read, and a sum that differs from the stored CRC
+    refuses the file as corrupt, whatever the parse found.  A truncated field
+    is refused as such by :meth:`_Body.take`.  A file that cannot be read by
+    offset, such as a pipe, is read whole first.
     """
     with open(path, "rb") as fh:
         if fh.seekable():
@@ -475,7 +463,7 @@ def load(path) -> InvertedIndex:
                 return data[offset:offset + count]
 
         body = _Body(read, size - 4)
-        if size < 12 or body[:4] != MAGIC:
+        if size < 12 or body.take(4) != MAGIC:
             raise IndexFormatError(f"{path}: not an index file (bad magic)")
         crc = int.from_bytes(read(4, size - 4), "little")
         try:
@@ -487,22 +475,19 @@ def load(path) -> InvertedIndex:
                     raise IndexFormatError("checksum mismatch (corrupt or truncated file)")
         except IndexFormatError as exc:
             raise IndexFormatError(f"{path}: {exc}") from None
-        except struct.error as exc:
-            raise IndexFormatError(f"{path}: truncated index file") from exc
         except UnicodeDecodeError as exc:
             raise IndexFormatError(f"{path}: invalid UTF-8 in a string block") from exc
 
 
 def _parse(body: _Body) -> InvertedIndex:
-    """The index in *body*, a file whose magic is checked; :func:`load` checks its
-    checksum once this returns or raises."""
-    (version,) = struct.unpack("<I", body[4:8])
+    """The index in *body*, the file after its magic, taken field by field until
+    no byte is left; :func:`load` checks its checksum once this returns or raises."""
+    (version,) = struct.unpack("<I", body.take(4))
     if version != FORMAT_VERSION:
         raise IndexFormatError(f"unsupported format version {version}; rebuild the index with `setvec index`")
-    terms, pos = _read_strings(body, 8, "vocabulary term")
-    doc_names, pos = _read_strings(body, pos, "doc name")
-    offsets, pos = _array(body, pos, "<i8", len(terms) + 1, "offsets")
-    offsets = offsets.astype(np.int64)
+    terms = _read_strings(body, "vocabulary term")
+    doc_names = _read_strings(body, "doc name")
+    offsets = np.frombuffer(body.take(8 * (len(terms) + 1), "offsets"), "<i8").astype(np.int64)
     # A list holds each doc at most once; checking that here also keeps
     # the stream sizes below from overflowing.
     lengths = np.diff(offsets)
@@ -510,8 +495,8 @@ def _parse(body: _Body) -> InvertedIndex:
     if offsets[0] != 0 or lengths.min(initial=0) < 0 or lengths.max(initial=0) > n_docs:
         raise IndexFormatError("posting offsets do not partition the postings")
     n_postings = int(offsets[-1])
-    (table_size,) = struct.unpack("<I", body[pos:pos + 4])
-    table, pos = _inflate(body, pos + 4, "<f8", table_size, "weight table")
+    (table_size,) = struct.unpack("<I", body.take(4))
+    table = _inflate(body, "<f8", table_size, "weight table")
     # The table is one row of weights: the weight rule drops none of them.
     try:
         kept = _canonical_rows(np.array([0, table_size]), np.arange(table_size), table)[2]
@@ -521,13 +506,13 @@ def _parse(body: _Body) -> InvertedIndex:
         raise IndexFormatError("zero or near-zero weight in the weight table")
     if _not_increasing(table).any():
         raise IndexFormatError("weight table not strictly increasing")
-    codes, pos = _inflate(body, pos, _code_dtype(table_size), n_postings, "weight")
+    codes = _inflate(body, _code_dtype(table_size), n_postings, "weight")
     if codes.size and int(codes.max()) >= table_size:
         raise IndexFormatError("weight code out of range")
     # The gaps are un-shuffled straight into doc_ids and summed in place:
     # a second array of that size would raise the loader's peak memory.
-    doc_ids, pos = _inflate(body, pos, "<u4", n_postings, "doc-id gap")
-    if pos != len(body):
+    doc_ids = _inflate(body, "<u4", n_postings, "doc-id gap")
+    if body.left():
         raise IndexFormatError("trailing bytes after the posting streams")
     np.cumsum(doc_ids, dtype=np.uint32, out=doc_ids)
     if doc_ids.size and int(doc_ids.max()) >= n_docs:

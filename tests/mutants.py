@@ -1,0 +1,159 @@
+"""Bugs the tests must catch, kept as mutants of the source.
+
+Each entry changes the one occurrence of ``find`` in ``file`` to ``replace``.
+The mutant is caught when each test in ``tests`` fails (a parametrized test's
+id without its brackets names all its cases, one of which must fail), or when
+the run of those tests outlasts ``timeout`` seconds.  ``run_mutants.py``
+applies the mutants one at a time to a copy of ``src/`` and ``tests/``;
+``test_mutants.py`` checks that every ``find`` still occurs exactly once and
+every named test still exists, so code that moves takes its mutants along.
+Only mutants that change behaviour belong here: one that no test could tell
+from the original is no test of the tests.
+"""
+
+MUTANTS = [
+    # The loader: the checksum, zlib's expansion bound and the front-to-back reader.
+    {
+        "name": "no CRC check after the parse",
+        "file": "src/setvec/index.py",
+        "find": "                if body.crc() != crc:\n",
+        "replace": "                if False:\n",
+        "tests": ["tests/test_index.py::TestLoaderStructure::test_flipped_or_cut_file_is_a_checksum_mismatch"],
+        "timeout": 300,
+    },
+    {
+        "name": "no 1032:1 check",
+        "file": "src/setvec/index.py",
+        "find": "    if expected > _MAX_EXPANSION * body.left():\n",
+        "replace": "    if False:\n",
+        "tests": ["tests/test_index.py::TestLoaderStructure::test_hostile_count_refused_before_allocating"],
+        "timeout": 300,
+    },
+    {
+        "name": "no + 1 on the inflate limit",
+        "file": "src/setvec/index.py",
+        "find": "min(PIECE, expected - done + 1)",
+        "replace": "min(PIECE, expected - done)",
+        "tests": ["tests/test_index.py::TestLoaderStructure::test_overlong_stream_inflates_one_byte_past_its_size"],
+        "timeout": 300,
+    },
+    {
+        "name": "no ran-out-of-input check",
+        "file": "src/setvec/index.py",
+        "find": "        if done + len(piece) > expected or not (piece or chunk):\n",
+        "replace": "        if done + len(piece) > expected:\n",
+        "tests": ["tests/test_index.py::TestLoaderStructure::test_stream_cut_short_rejected_at_every_piece_size"],
+        "timeout": 30,
+    },
+    {
+        "name": "unused_data not given back",
+        "file": "src/setvec/index.py",
+        "find": "    body.give_back(stream.unused_data)\n",
+        "replace": "    body.give_back(b\"\")\n",
+        "tests": ["tests/test_index.py::TestPersistence::test_round_trip_search_identical"],
+        "timeout": 300,
+    },
+    {
+        "name": "unconsumed_tail dropped",
+        "file": "src/setvec/index.py",
+        "find": "        chunk = stream.unconsumed_tail or body.take(min(PIECE, body.left()))\n",
+        "replace": "        chunk = body.take(min(PIECE, body.left()))\n",
+        "tests": ["tests/test_index.py::TestPersistence::test_round_trip_per_code_width[65536]"],
+        "timeout": 300,
+    },
+    {
+        "name": "take without its length check",
+        "file": "src/setvec/index.py",
+        "find": "        if count > self.left():\n",
+        "replace": "        if False:\n",
+        "tests": [
+            "tests/test_index.py::TestLoaderStructure::test_malformed_structure_rejected[change26-truncated doc name blob]"
+        ],
+        "timeout": 300,
+    },
+    # CPT's posting check: the factors' postings, in factor order, only when a weight is negative.
+    {
+        "name": "CPT checks the y factor's postings before x's",
+        "file": "src/setvec/index.py",
+        "find": "            for tid in q_cpt.x.ids.tolist() + q_cpt.y.ids.tolist():\n",
+        "replace": "            for tid in q_cpt.y.ids.tolist() + q_cpt.x.ids.tolist():\n",
+        "tests": ["tests/test_index.py::TestSearchCpt::test_negative_posting_named_in_factor_order"],
+        "timeout": 300,
+    },
+    {
+        "name": "no CPT posting check",
+        "file": "src/setvec/index.py",
+        "find": "        if idx.table.size and idx.table[0] < 0:\n",
+        "replace": "        if False:\n",
+        "tests": [
+            "tests/test_index.py::TestSearchCpt::test_negative_corpus_weights_rejected",
+            "tests/test_index.py::TestSearchCpt::test_negative_posting_named_in_factor_order",
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "CPT checks the whole weight table",
+        "file": "src/setvec/index.py",
+        "find": "                    _require_nonnegative(posting[1], ",
+        "replace": "                    _require_nonnegative(idx.table, ",
+        "tests": ["tests/test_index.py::TestSearchCpt::test_negative_weight_outside_the_factors_allowed"],
+        "timeout": 300,
+    },
+    {
+        "name": "_touches returns all ones",
+        "file": "src/setvec/index.py",
+        "find": "    return (weights != 0.0).astype(np.float64)\n",
+        "replace": "    return np.ones_like(weights)\n",
+        "tests": [
+            "tests/test_index.py::TestSearch::test_untouched_docs_excluded",
+            "tests/test_index.py::TestSearch::test_head_row_contributions_cancel_to_positive_zero",
+        ],
+        "timeout": 300,
+    },
+    # Row order: one stable sort of (row, term id) keys.
+    {
+        "name": "the doc's row left out of the row-sort keys",
+        "file": "src/setvec/sparse.py",
+        "find": "np.arange(first, last + 1, dtype=np.int64) << 32",
+        "replace": "np.zeros(last + 1 - first, dtype=np.int64)",
+        "tests": [
+            "tests/test_vector_batch.py::TestVectorBatch::test_rows_are_sorted_and_pruned",
+            "tests/test_formats.py::TestVectors::test_round_trip_exact",
+        ],
+        "timeout": 300,
+    },
+    # Exactness: scores equal dot() bit for bit, and ties rank by ascending doc id.
+    {
+        "name": "_accumulate walks the terms in descending id order",
+        "file": "src/setvec/index.py",
+        "find": "        for tid, qw in zip(q.ids.tolist(), q.weights.tolist()):\n",
+        "replace": "        for tid, qw in zip(q.ids.tolist()[::-1], q.weights.tolist()[::-1]):\n",
+        "tests": [
+            "tests/test_acceptance.py::test_criterion_4_retrieval_oracle",
+            "tests/test_index.py::TestSearchCpt::test_pool_covering_corpus_is_exhaustive",
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "_rank breaks ties by descending id",
+        "file": "src/setvec/sparse.py",
+        "find": "    order = np.lexsort((ids, -scores))[:k]\n",
+        "replace": "    order = np.lexsort((-ids.astype(np.int64), -scores))[:k]\n",
+        "tests": [
+            "tests/test_sparse.py::TestTopM::test_tie_breaks_by_ascending_id",
+            "tests/test_cli.py::TestFuseEvalPairwise::test_eval_scores_the_written_tie_order",
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "the accumulator starts at -0.0",
+        "file": "src/setvec/index.py",
+        "find": "    scores = np.zeros(idx.doc_count, dtype=np.float64)\n",
+        "replace": "    scores = np.full(idx.doc_count, -0.0)\n",
+        "tests": [
+            "tests/test_cli.py::test_search_with_query_terms_missing_from_the_index",
+            "tests/test_index.py::TestSearch::test_oracle_equivalence_small",
+        ],
+        "timeout": 300,
+    },
+]

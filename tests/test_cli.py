@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -221,6 +222,44 @@ class TestSearch:
         assert main(base + ["--threads", "1", "--out", str(run1)]) == 0
         assert main(base + ["--threads", "4", "--out", str(run4)]) == 0
         assert run1.read_bytes() == run4.read_bytes()
+
+    @pytest.mark.parametrize("records", ["query", "vector"])
+    def test_queries_read_once_from_a_fifo_or_a_pipe(self, tmp_path, indexed_corpus, records):
+        """A queries file that can be read only once, /dev/stdin fed through a pipe or a FIFO
+        fed by a thread, gives the run of the same regular file.  The CLI runs in a
+        subprocess with a timeout, so that a second open of the FIFO fails the test."""
+        if records == "query":
+            lines = [
+                json.dumps({"qid": f"q{i}", "operator": "difference", "method": "subtract",
+                            "a": {"colombia": 1.0 + i}, "b": {"venezuela": 1.0}})
+                for i in range(3)
+            ]
+        else:
+            lines = [
+                json.dumps({"id": f"q{i}", "vector": {"colombia": 1.0, "venezuela": -0.5 * (i + 1)}})
+                for i in range(3)
+            ]
+        queries = tmp_path / "q.jsonl"
+        write_lines(queries, "", *lines)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(setvec.__file__)))
+
+        def search(source, out, **stdin):
+            argv = ["search", "--index", str(indexed_corpus), "--queries", source, "--k", "3", "--out", str(out)]
+            subprocess.run([sys.executable, "-m", "setvec.cli", *argv], env=env, check=True, timeout=60, **stdin)
+            return out.read_bytes()
+
+        want = search(str(queries), tmp_path / "file.trec")
+        assert len(want.splitlines()) == 9
+        assert search("/dev/stdin", tmp_path / "pipe.trec", input=queries.read_bytes()) == want
+        fifo = tmp_path / "q.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(queries.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            assert search(str(fifo), tmp_path / "fifo.trec") == want
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
 
 
 class TestEncode:

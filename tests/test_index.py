@@ -838,10 +838,12 @@ class TestLoaderStructure:
         spans = []
         real_inflate = index_module._inflate
 
-        def inflate(data, pos, *rest):
-            values, end = real_inflate(data, pos, *rest)
-            spans.append((pos, end))
-            return values, end
+        def inflate(body, *rest):
+            # The bytes left before and after the stream: its start and end from the file's end.
+            start = -body.left()
+            values = real_inflate(body, *rest)
+            spans.append((start, -body.left()))
+            return values
 
         monkeypatch.setattr(index_module, "_inflate", inflate)
         want = load(path)
