@@ -12,6 +12,7 @@ Set SETVEC_LOG=debug|info|warning|error to control log verbosity.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import logging
 import os
@@ -270,6 +271,32 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
+# glibc's mallopt parameters.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep the memory that one query frees for the next.
+
+    A query allocates and frees a few float64 arrays of a doc each.  By default
+    glibc maps a block above its mmap threshold afresh and hands a free heap top
+    above its trim threshold back to the system, both thresholds moving only
+    with the largest mapped block freed so far: on a 100k-doc index with no
+    larger block freed first, each query on the calling thread faulted about
+    2.3 MB back in, 0.26 s over 300 queries.  Blocks below 32 MiB now come from
+    the heap, and up to 64 MiB of it stays free.  Elsewhere than glibc nothing
+    changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 1 << 25)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 26)
+
+
 def cmd_search(args) -> int:
     params = _query_params(args)
     idx = load(args.index)
@@ -282,17 +309,17 @@ def cmd_search(args) -> int:
         return q.qid, search(idx, rep, args.k)
 
     run = _naming_errors(args.queries, run_one)
+    # After load: set before it, the search child peaked 0.9 MB higher.
+    _keep_freed_memory()
     if queries:
         # On this thread, where the index was loaded: built on a worker, the
         # rows (8 bytes a doc each) raise the peak memory.
         idx.head_rows()
     workers = max(1, min(args.threads, len(queries), os.cpu_count() or 1))
-    if workers == 1:
-        results = [run(q) for q in queries]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, queries))
-    formats.write_search_results(args.out, results, tag=args.tag)
+    # Hits are written as they are produced; a pool starts no thread until a query is submitted.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = map(run, queries) if workers == 1 else pool.map(run, queries)
+        formats.write_search_results(args.out, results, tag=args.tag)
     return EXIT_OK
 
 

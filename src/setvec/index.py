@@ -42,7 +42,10 @@ over 1,103,072 postings) still takes 4.59 bytes, 42% less.
 table, so every search multiplies the same floats as ``dot()``.  ``setvec
 search`` reads queries into ``idx.vocab``, which appends each query-only
 term past the ids ``offsets`` covers: hence :meth:`InvertedIndex.postings`'
-range check and :func:`save`'s padding.
+range check and :func:`save`'s padding.  The doc names are one
+:class:`StringTable`, their joined text and its bounds, as the file stores
+them: a ``str`` is made only for a returned hit, so 100,000 names cost their
+text plus 8 bytes each, not 100,000 objects.
 
 The on-disk format (SVIX version 3) is little-endian binary: magic, format
 version, the vocabulary and the doc names as two string tables, the raw
@@ -71,8 +74,11 @@ strings are valid, distinct and non-empty, the offsets partition the
 postings, every stream holds exactly the values the offsets imply, the table
 is finite, strictly increasing and obeys the weight rule (so no zero
 weight), every code is below the table size, and doc ids are in range and
-strictly increasing within each list.  Files of versions 1 and 2 are
-refused; rebuild them with ``setvec index``.
+strictly increasing within each list.  Strings are found distinct by their
+hashes, made one slice at a time, and compared only where hashes collide;
+doc-id order is checked in blocks of ``PIECE`` postings that overlap by one,
+so neither check holds an object or a byte per string or posting.  Files of
+versions 1 and 2 are refused; rebuild them with ``setvec index``.
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ import os
 import struct
 import threading
 import zlib
+from collections.abc import Sequence
 from typing import Iterable
 
 import numpy as np
@@ -95,13 +102,76 @@ from .sparse import (
 MAGIC = b"SVIX"
 FORMAT_VERSION = 3
 ZLIB_LEVEL = 1
-# The most bytes _inflate reads or inflates in one step.
-PIECE = 1 << 16
+# The most bytes _inflate reads or inflates in one step, and the postings in
+# one block of the doc-id order check.
+PIECE = 1 << 15
 # A deflate stream inflates to at most 1032 times its size.
 _MAX_EXPANSION = 1032
 
 # Ranked (doc name, score) pairs, best first.
 SearchResult = list[tuple[str, float]]
+
+
+class StringTable(Sequence):
+    """A read-only sequence of strings held as one: ``text``, their concatenation,
+    and ``bounds``, the int64 character offsets where each starts and the last
+    ends, so that string ``i`` is ``text[bounds[i]:bounds[i + 1]]``.
+
+    It costs its text plus 8 bytes a string, where a list of ``str`` costs
+    about 60 bytes more each; a ``str`` is made only for a string asked for.
+    It equals another table, or a list, of the same strings.
+    """
+
+    __slots__ = ("text", "bounds")
+
+    def __init__(self, text: str, bounds: np.ndarray):
+        self.text = text
+        self.bounds = bounds
+
+    @classmethod
+    def of(cls, strings: Iterable[str]) -> StringTable:
+        strings = list(strings)
+        bounds = np.zeros(len(strings) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings)), out=bounds[1:])
+        return cls("".join(strings), bounds)
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def __getitem__(self, i: int) -> str:
+        i = range(len(self))[i]  # a list's negative indices and IndexError
+        return self.text[self.bounds[i]:self.bounds[i + 1]]
+
+    def __iter__(self):
+        bounds = self.bounds.tolist()
+        return map(self.text.__getitem__, map(slice, bounds, bounds[1:]))
+
+    def take(self, ids: np.ndarray) -> list[str]:
+        """The strings at positions *ids*, in their order."""
+        ids = np.asarray(ids, dtype=np.intp)
+        starts, stops = self.bounds[ids].tolist(), self.bounds[ids + 1].tolist()
+        return list(map(self.text.__getitem__, map(slice, starts, stops)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, StringTable):
+            return self.text == other.text and np.array_equal(self.bounds, other.bounds)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"StringTable({list(self)!r})"
+
+    def to_bytes(self) -> bytes:
+        """A u32 count, a u32 byte length per string, the u64 blob size, then the UTF-8 blob."""
+        blob = self.text.encode("utf-8")
+        bounds = self.bounds
+        if len(blob) != len(self.text):
+            # Each character starts on a byte that is not a continuation byte (0x80-0xbf,
+            # below -64 as int8): the character offsets index those bytes' offsets.
+            bounds = np.append(np.flatnonzero(np.frombuffer(blob, np.int8) >= -64), len(blob))[bounds]
+        lengths = np.diff(bounds).astype("<u4")
+        return struct.pack("<I", len(self)) + lengths.tobytes() + struct.pack("<Q", len(blob)) + blob
 
 
 class InvertedIndex:
@@ -114,7 +184,7 @@ class InvertedIndex:
     def __init__(
         self,
         vocab: Vocabulary,
-        doc_names: list[str],
+        doc_names: StringTable,
         offsets: np.ndarray,
         doc_ids: np.ndarray,
         table: np.ndarray,
@@ -196,11 +266,11 @@ def build(
     del order  # before bincount takes an int64 copy of the ids: 8 bytes a posting each
     offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(batch.ids, minlength=len(vocab)), out=offsets[1:])
-    return InvertedIndex(vocab, names, offsets, doc_ids, batch.table, codes)
+    return InvertedIndex(vocab, StringTable.of(names), offsets, doc_ids, batch.table, codes)
 
 
 def _named(idx: InvertedIndex, doc_ids: np.ndarray, scores: np.ndarray) -> SearchResult:
-    return [(idx.doc_names[d], s) for d, s in zip(doc_ids.tolist(), scores.tolist())]
+    return list(zip(idx.doc_names.take(doc_ids), scores.tolist()))
 
 
 def _accumulate(idx: InvertedIndex, q: SparseVector, contribution) -> np.ndarray:
@@ -294,14 +364,6 @@ def _deflate(values: np.ndarray) -> bytes:
     return zlib.compress(values.view(np.uint8).reshape(values.size, values.itemsize).T.tobytes(), ZLIB_LEVEL)
 
 
-def _string_table(strings) -> bytes:
-    """A u32 count, a u32 byte length per string, the u64 blob size, then the UTF-8 blob."""
-    raw = [s.encode("utf-8") for s in strings]
-    blob = b"".join(raw)
-    lengths = np.array([len(r) for r in raw], dtype="<u4")
-    return struct.pack("<I", len(raw)) + lengths.tobytes() + struct.pack("<Q", len(blob)) + blob
-
-
 class _Body:
     """The body of an index file, all but its trailing CRC, handed out front to back:
     :meth:`take` returns its next bytes, read with ``read(count, offset)``, which
@@ -344,10 +406,10 @@ class _Body:
         return self._crc
 
 
-def _read_strings(body: _Body, what: str) -> list[str]:
-    """A string table written by :func:`_string_table`; its strings are distinct and non-empty.
+def _read_strings(body: _Body, what: str) -> StringTable:
+    """A string table written by :meth:`StringTable.to_bytes`; its strings are distinct and non-empty.
 
-    The blob is decoded once and sliced; one decode per string is slower.
+    The blob is decoded once and kept whole; one decode per string is slower.
     """
     (count,) = struct.unpack("<I", body.take(4))
     lengths = np.frombuffer(body.take(4 * count, f"{what} lengths"), "<u4")
@@ -367,11 +429,23 @@ def _read_strings(body: _Body, what: str) -> list[str]:
         if (continuation[np.minimum(before, continuation.size - 1)] == bounds).any():
             raise IndexFormatError("invalid UTF-8 in a string block")
         bounds -= before
-    bounds = bounds.tolist()
-    strings = [text[start:stop] for start, stop in zip(bounds, bounds[1:])]
-    if "" in strings or len(set(strings)) != count:
+    strings = StringTable(text, bounds)
+    if (np.diff(bounds) == 0).any() or _repeats(strings):
         raise IndexFormatError(f"empty or duplicate {what}")
     return strings
+
+
+def _repeats(strings: StringTable) -> bool:
+    """Whether two of *strings* are equal, found without a ``str`` held for each: every
+    string is hashed as it is sliced, and only strings whose hashes collide are compared."""
+    hashes = np.fromiter(map(hash, strings), np.int64, len(strings))
+    ordered = np.sort(hashes)
+    collided = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not collided.size:
+        return False
+    # Equal strings, and the rare distinct ones whose hashes are equal.
+    alike = np.flatnonzero(np.isin(hashes, collided))
+    return len(set(strings.take(alike))) < alike.size
 
 
 def _inflate(body: _Body, dtype: str, count: int, what: str) -> np.ndarray:
@@ -423,8 +497,8 @@ def save(idx: InvertedIndex, path) -> None:
     buf += MAGIC
     buf += struct.pack("<I", FORMAT_VERSION)
     terms = idx.vocab.terms
-    buf += _string_table(terms)
-    buf += _string_table(idx.doc_names)
+    buf += StringTable.of(terms).to_bytes()
+    buf += idx.doc_names.to_bytes()
     # Terms added to the vocabulary after build get empty lists.
     offsets = np.pad(idx.offsets, (0, len(terms) + 1 - idx.offsets.size), mode="edge")
     buf += offsets.astype("<i8").tobytes()
@@ -517,6 +591,14 @@ def _parse(body: _Body) -> InvertedIndex:
     np.cumsum(doc_ids, dtype=np.uint32, out=doc_ids)
     if doc_ids.size and int(doc_ids.max()) >= n_docs:
         raise IndexFormatError("doc id out of range")
-    if _not_increasing(doc_ids, offsets).any():
-        raise IndexFormatError("doc ids not strictly increasing within a posting list")
+    # In blocks of PIECE postings, each overlapping the next by one so that every
+    # pair is checked, with the list starts inside the block as its offsets: a
+    # mask of a byte a posting would raise the loader's peak memory.
+    for lo in range(0, n_postings - 1, PIECE):
+        ids = doc_ids[lo:lo + PIECE + 1]
+        # The offsets from the last at or before the block's start to the first
+        # at or past its end, which _not_increasing drops.
+        first, last = np.searchsorted(offsets, (lo, lo + ids.size - 1), side="right")
+        if _not_increasing(ids, offsets[first - 1:last + 1] - lo).any():
+            raise IndexFormatError("doc ids not strictly increasing within a posting list")
     return InvertedIndex(Vocabulary(terms), doc_names, offsets, doc_ids, table, codes)

@@ -71,6 +71,31 @@ MUTANTS = [
         ],
         "timeout": 300,
     },
+    # The loader's string and order checks: exact without a str or a mask byte for each.
+    {
+        "name": "the duplicate check never compares colliding names",
+        "file": "src/setvec/index.py",
+        "find": "    return len(set(strings.take(alike))) < alike.size\n",
+        "replace": "    return False\n",
+        "tests": ["tests/test_index.py::TestDocNames::test_duplicate_refused_at_every_position"],
+        "timeout": 300,
+    },
+    {
+        "name": "the duplicate check takes a hash collision for a duplicate",
+        "file": "src/setvec/index.py",
+        "find": "    return len(set(strings.take(alike))) < alike.size\n",
+        "replace": "    return True\n",
+        "tests": ["tests/test_index.py::TestDocNames::test_names_whose_hashes_collide_are_compared"],
+        "timeout": 300,
+    },
+    {
+        "name": "the order check's blocks without their one-posting overlap",
+        "file": "src/setvec/index.py",
+        "find": "        ids = doc_ids[lo:lo + PIECE + 1]\n",
+        "replace": "        ids = doc_ids[lo:lo + PIECE]\n",
+        "tests": ["tests/test_index.py::TestLoaderStructure::test_decreasing_pair_across_a_block_boundary_refused"],
+        "timeout": 300,
+    },
     # CPT's posting check: the factors' postings, in factor order, only when a weight is negative.
     {
         "name": "CPT checks the y factor's postings before x's",
@@ -120,6 +145,26 @@ MUTANTS = [
             "tests/test_vector_batch.py::TestVectorBatch::test_rows_are_sorted_and_pruned",
             "tests/test_formats.py::TestVectors::test_round_trip_exact",
         ],
+        "timeout": 300,
+    },
+    # Query composition and the metrics.
+    {
+        "name": "disentangled difference leaves a's terms in b unmasked",
+        "file": "src/setvec/compose.py",
+        "find": "    return sub(a, mask_remove(b, a))\n",
+        "replace": "    return sub(a, b)\n",
+        "tests": [
+            "tests/test_compose.py::TestDifference::test_disentangled_birds",
+            "tests/test_compose.py::TestDifference::test_disentangled_support_preservation_entrywise",
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "nDCG's discount off by one rank",
+        "file": "src/setvec/evaluation.py",
+        "find": "            dcg += grade / math.log2(rank + 1)\n",
+        "replace": "            dcg += grade / math.log2(rank + 2)\n",
+        "tests": ["tests/test_evaluation.py::TestNdcg::test_worked_fixture"],
         "timeout": 300,
     },
     # Exactness: scores equal dot() bit for bit, and ties rank by ascending doc id.

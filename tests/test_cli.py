@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -841,6 +842,58 @@ def test_failed_query_is_named_and_leaves_no_output(tmp_path, capsys, indexed_co
     assert main(argv) == 2
     assert f"error: {queries}: query 'zero-b': cannot project onto a zero vector" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_search_streams_hits_and_a_later_failure_leaves_no_run(tmp_path, capsys, monkeypatch, indexed_corpus, threads):
+    """search hands each query's hits to the run writer as they are produced, so a
+    query that fails after earlier hits were written leaves no --out file, not even
+    the earlier run that --out held; compose behaves the same."""
+    queries = tmp_path / "q.jsonl"
+    write_lines(
+        queries,
+        json.dumps({"qid": "ok", "operator": "atomic", "method": "atomic", "a": {"colombia": 1.0}}),
+        json.dumps({"qid": "zero-b", "operator": "difference", "method": "orthogonal",
+                    "a": {"colombia": 1.0}, "b": {}}),
+    )
+    out = tmp_path / "run.trec"
+    out.write_text("q0 Q0 d1 1 1.000000 setvec\n")
+    written = []
+    write = setvec.formats.write_search_results
+
+    def recording(path, results, tag):
+        def each():
+            for qid, hits in results:
+                written.append(qid)
+                yield qid, hits
+        write(path, each(), tag=tag)
+
+    monkeypatch.setattr(cli.formats, "write_search_results", recording)
+    argv = ["search", "--index", str(indexed_corpus), "--queries", str(queries), "--threads", threads, "--out", str(out)]
+    assert main(argv) == 2
+    assert written == ["ok"]
+    assert f"error: {queries}: query 'zero-b': cannot project onto a zero vector" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_search_sets_malloc_thresholds_for_its_queries(tmp_path, monkeypatch, indexed_corpus):
+    """search raises glibc's mmap and trim thresholds after load, so that the arrays
+    one query frees serve the next instead of being faulted in again; a C library
+    without mallopt is passed over."""
+    queries = tmp_path / "q.jsonl"
+    write_lines(queries, json.dumps({"id": "q1", "vector": {"colombia": 1.0}}))
+    argv = ["search", "--index", str(indexed_corpus), "--queries", str(queries), "--out", str(tmp_path / "run")]
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert main(argv) == 0
+    assert calls == [(-3, 1 << 25), (-1, 1 << 26)]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert main(argv) == 0
 
 
 _OVERFLOWS = {
