@@ -839,6 +839,8 @@ MALFORMED_PARTS = [
 
 # Piece sizes for the loader's streams that split them, and their byte planes, in many places.
 PIECE_SIZES = (1, 3, 7, 64)
+# Pieces of a file's size: the loader's default and one of 64 KiB, larger than it.
+WHOLE_PIECES = tuple(sorted({index_module.PIECE, 1 << 16}))
 
 
 @st.composite
@@ -1021,7 +1023,7 @@ class TestLoaderStructure:
             with pytest.raises(IndexFormatError, match="doc-id gap stream does not hold 3 values"):
                 load(path)
 
-    @pytest.mark.parametrize("piece", (index_module.PIECE,) + PIECE_SIZES)
+    @pytest.mark.parametrize("piece", WHOLE_PIECES + PIECE_SIZES)
     def test_flipped_or_cut_file_is_a_checksum_mismatch(self, tmp_path, monkeypatch, piece):
         """A byte flipped anywhere after the magic, the version and the CRC included, and
         a file cut short anywhere past the magic fail the checksum, whatever the parse
@@ -1038,7 +1040,7 @@ class TestLoaderStructure:
             with pytest.raises(IndexFormatError, match="checksum mismatch"):
                 load(path)
 
-    @pytest.mark.parametrize("piece", (index_module.PIECE, 7))
+    @pytest.mark.parametrize("piece", WHOLE_PIECES + (7,))
     def test_load_reads_each_byte_once(self, tmp_path, monkeypatch, piece):
         """load reads a regular file through os.pread no more than once a byte, with
         at most 8 bytes to spare, on a file of more than one default piece; a
