@@ -43,9 +43,9 @@ table, so every search multiplies the same floats as ``dot()``.  ``setvec
 search`` reads queries into ``idx.vocab``, which appends each query-only
 term past the ids ``offsets`` covers: hence :meth:`InvertedIndex.postings`'
 range check and :func:`save`'s padding.  The doc names are one
-:class:`StringTable`, their joined text and its bounds, as the file stores
-them: a ``str`` is made only for a returned hit, so 100,000 names cost their
-text plus 8 bytes each, not 100,000 objects.
+:class:`StringTable`, their UTF-8 bytes and the byte bounds of each, as the
+file stores them: a ``str`` is decoded only for a returned hit, so 100,000
+names cost their UTF-8 bytes plus 8 bytes each, not 100,000 objects.
 
 The on-disk format (SVIX version 3) is little-endian binary: magic, format
 version, the vocabulary and the doc names as two string tables, the raw
@@ -64,30 +64,34 @@ refuses a sum that differs from the stored CRC as corrupt, whatever the parse
 raised; the version is the parse's first check.  The parse asks one reader
 for the file's next bytes, front to back, and hands back what a zlib stream
 leaves unused, so no step of it tracks a position.  Only a file that cannot
-be read by offset, such as a pipe, is read whole first.  It inflates each
-stream straight into the byte planes of its array, so it never holds a whole
-inflated stream; it allocates that array only for a count the bytes left
-could inflate to at zlib's maximum expansion (1032:1), so its memory stays
-linear in the file's size.  Besides the checksum, :func:`load`
-checks structure: each string table's lengths sum exactly to its blob, the
-strings are valid, distinct and non-empty, the offsets partition the
-postings, every stream holds exactly the values the offsets imply, the table
-is finite, strictly increasing and obeys the weight rule (so no zero
-weight), every code is below the table size, and doc ids are in range and
-strictly increasing within each list.  Strings are found distinct by their
-hashes, made one slice at a time, and compared only where hashes collide;
+seek, such as a pipe, is read whole first.  It inflates each stream straight
+into the byte planes of its array, so it never holds a whole inflated
+stream; it allocates that array only for a count the bytes left could
+inflate to at zlib's maximum expansion (1032:1), so its memory stays linear
+in the file's size.  Besides the checksum, :func:`load` checks structure:
+each string table's lengths sum exactly to its blob, the blob is valid UTF-8
+and no string starts inside a character, the strings are distinct and
+non-empty, the offsets partition the postings, every stream holds exactly
+the values the offsets imply, the table is finite, strictly increasing and
+obeys the weight rule (so no zero weight), every code is below the table
+size, and doc ids are in range and strictly increasing within each list.
+The terms are distinct when :class:`Vocabulary` keeps them all.  The doc
+names are distinct by the hashes of their bytes, made one slice at a time
+and compared only where hashes collide, the rule :func:`build` applies too;
 doc-id order is checked in blocks of ``PIECE`` postings that overlap by one,
-so neither check holds an object or a byte per string or posting.  Files of
+so neither check holds an object or a byte per name or posting.  Files of
 versions 1 and 2 are refused; rebuild them with ``setvec index``.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import threading
 import zlib
 from collections.abc import Sequence
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -95,7 +99,7 @@ import numpy as np
 from .cpt import PseudoTermVector, _require_nonnegative
 from .errors import DuplicateDocError, IndexFormatError, NonFiniteError
 from .sparse import (
-    SparseVector, VectorBatch, Vocabulary, _canonical_rows, _code_dtype, _not_increasing, _positive_int,
+    SparseVector, VectorBatch, Vocabulary, _code_dtype, _kept, _not_increasing, _positive_int,
     _rank, _require_same_vocab, maxpool,
 )
 
@@ -113,48 +117,54 @@ SearchResult = list[tuple[str, float]]
 
 
 class StringTable(Sequence):
-    """A read-only sequence of strings held as one: ``text``, their concatenation,
-    and ``bounds``, the int64 character offsets where each starts and the last
-    ends, so that string ``i`` is ``text[bounds[i]:bounds[i + 1]]``.
+    """A read-only sequence of strings held as the index file stores them: ``blob``,
+    their UTF-8 bytes end to end, and ``bounds``, the int64 byte offsets where each
+    starts and the last ends, so that string ``i`` is ``blob[bounds[i]:bounds[i + 1]]``
+    decoded.
 
-    It costs its text plus 8 bytes a string, where a list of ``str`` costs
-    about 60 bytes more each; a ``str`` is made only for a string asked for.
-    It equals another table, or a list, of the same strings.
+    It costs its blob plus 8 bytes a string, where a list of ``str`` costs about
+    60 bytes more each; a ``str`` is decoded only for a string asked for.  It
+    equals another table, or a list, of the same strings.
     """
 
-    __slots__ = ("text", "bounds")
+    __slots__ = ("blob", "bounds")
 
-    def __init__(self, text: str, bounds: np.ndarray):
-        self.text = text
+    def __init__(self, blob: bytes, bounds: np.ndarray):
+        self.blob = blob
         self.bounds = bounds
 
     @classmethod
-    def of(cls, strings: Iterable[str]) -> StringTable:
-        strings = list(strings)
+    def of(cls, strings: Sequence[str]) -> StringTable:
         bounds = np.zeros(len(strings) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings)), out=bounds[1:])
-        return cls("".join(strings), bounds)
+        np.cumsum(np.fromiter(map(len, map(str.encode, strings)), np.int64, len(strings)), out=bounds[1:])
+        return cls("".join(strings).encode(), bounds)
 
     def __len__(self) -> int:
         return self.bounds.size - 1
 
     def __getitem__(self, i: int) -> str:
         i = range(len(self))[i]  # a list's negative indices and IndexError
-        return self.text[self.bounds[i]:self.bounds[i + 1]]
+        return self.blob[self.bounds[i]:self.bounds[i + 1]].decode()
+
+    def _encoded(self):
+        """Each string's UTF-8 bytes, in order.  The offsets are summed one at a time
+        from the lengths, small ints that Python shares: a list of the offsets left
+        an int a string in the heap, 0.7 MB of RSS after 20,000 names."""
+        lengths = np.diff(self.bounds).tolist()
+        return map(self.blob.__getitem__, map(slice, accumulate(lengths, initial=0), accumulate(lengths)))
 
     def __iter__(self):
-        bounds = self.bounds.tolist()
-        return map(self.text.__getitem__, map(slice, bounds, bounds[1:]))
+        return map(bytes.decode, self._encoded())
 
     def take(self, ids: np.ndarray) -> list[str]:
         """The strings at positions *ids*, in their order."""
         ids = np.asarray(ids, dtype=np.intp)
         starts, stops = self.bounds[ids].tolist(), self.bounds[ids + 1].tolist()
-        return list(map(self.text.__getitem__, map(slice, starts, stops)))
+        return list(map(bytes.decode, map(self.blob.__getitem__, map(slice, starts, stops))))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, StringTable):
-            return self.text == other.text and np.array_equal(self.bounds, other.bounds)
+            return self.blob == other.blob and np.array_equal(self.bounds, other.bounds)
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented
@@ -164,14 +174,8 @@ class StringTable(Sequence):
 
     def to_bytes(self) -> bytes:
         """A u32 count, a u32 byte length per string, the u64 blob size, then the UTF-8 blob."""
-        blob = self.text.encode("utf-8")
-        bounds = self.bounds
-        if len(blob) != len(self.text):
-            # Each character starts on a byte that is not a continuation byte (0x80-0xbf,
-            # below -64 as int8): the character offsets index those bytes' offsets.
-            bounds = np.append(np.flatnonzero(np.frombuffer(blob, np.int8) >= -64), len(blob))[bounds]
-        lengths = np.diff(bounds).astype("<u4")
-        return struct.pack("<I", len(self)) + lengths.tobytes() + struct.pack("<Q", len(blob)) + blob
+        lengths = np.diff(self.bounds).astype("<u4")
+        return struct.pack("<I", len(self)) + lengths.tobytes() + struct.pack("<Q", len(self.blob)) + self.blob
 
 
 class InvertedIndex:
@@ -243,7 +247,8 @@ class InvertedIndex:
 def build(
     docs: VectorBatch | Iterable[tuple[str, SparseVector]], vocab: Vocabulary | None = None
 ) -> InvertedIndex:
-    """Index a batch, or (doc name, vector) pairs stacked into one; names must be unique.
+    """Index a batch, or (doc name, vector) pairs stacked into one; names must be
+    non-empty and unique, as :func:`load` requires.
 
     *vocab* may be given explicitly (required for an empty stream of pairs);
     otherwise it is taken from the batch or the first vector, and every
@@ -252,21 +257,21 @@ def build(
     batch = docs if isinstance(docs, VectorBatch) else VectorBatch.stack(docs, vocab)
     vocab = batch.vocab if vocab is None else vocab
     _require_same_vocab(batch.vocab, vocab, "the document batch and the index")
-    names = batch.names
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise DuplicateDocError(f"duplicate document name {name!r}")
-        seen.add(name)
     # The batch's table and codes are the index's: only the codes take the term order.
     # A stable sort keeps each list's doc ids in ingestion (ascending) order.
     order = np.argsort(batch.ids, kind="stable")
     codes = batch.codes[order]
-    doc_ids = np.repeat(np.arange(len(names), dtype=np.uint32), np.diff(batch.offsets))[order]
+    doc_ids = np.repeat(np.arange(len(batch), dtype=np.uint32), np.diff(batch.offsets))[order]
     del order  # before bincount takes an int64 copy of the ids: 8 bytes a posting each
+    names = StringTable.of(batch.names)
+    if (np.diff(names.bounds) == 0).any():
+        raise ValueError("document names must be non-empty strings")
+    repeated = _repeated(names)
+    if repeated is not None:
+        raise DuplicateDocError(f"duplicate document name {repeated!r}")
     offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(batch.ids, minlength=len(vocab)), out=offsets[1:])
-    return InvertedIndex(vocab, StringTable.of(names), offsets, doc_ids, batch.table, codes)
+    return InvertedIndex(vocab, names, offsets, doc_ids, batch.table, codes)
 
 
 def _named(idx: InvertedIndex, doc_ids: np.ndarray, scores: np.ndarray) -> SearchResult:
@@ -366,8 +371,8 @@ def _deflate(values: np.ndarray) -> bytes:
 
 class _Body:
     """The body of an index file, all but its trailing CRC, handed out front to back:
-    :meth:`take` returns its next bytes, read with ``read(count, offset)``, which
-    is ``os.pread`` on a regular file.
+    :meth:`take` returns its next bytes, read with ``read(count)``, the open file's
+    own.
 
     Each byte is read once, and :meth:`crc` sums the bytes in file order, so
     :func:`load` can check that the very bytes it parsed match the stored CRC.
@@ -375,22 +380,21 @@ class _Body:
 
     def __init__(self, read, size: int):
         self._read = read
-        self._size = size
-        self._pos = 0  # where the next read starts
-        self._back = b""  # bytes given back, which come before _pos
+        self._unread = size  # the body's bytes not yet read
+        self._back = b""  # bytes given back, which come before the unread ones
         self._crc = 0
 
     def left(self) -> int:
         """The number of bytes not yet handed out."""
-        return len(self._back) + self._size - self._pos
+        return len(self._back) + self._unread
 
     def take(self, count: int, what: str = "index file") -> bytes:
         """The next *count* bytes, or ``truncated {what}`` when fewer are left."""
         if count > self.left():
             raise IndexFormatError(f"truncated {what}")
         back, self._back = self._back[:count], self._back[count:]
-        fresh = self._read(count - len(back), self._pos)
-        self._pos += len(fresh)
+        fresh = self._read(count - len(back))
+        self._unread -= len(fresh)
         self._crc = zlib.crc32(fresh, self._crc)
         return back + fresh
 
@@ -407,10 +411,8 @@ class _Body:
 
 
 def _read_strings(body: _Body, what: str) -> StringTable:
-    """A string table written by :meth:`StringTable.to_bytes`; its strings are distinct and non-empty.
-
-    The blob is decoded once and kept whole; one decode per string is slower.
-    """
+    """A string table written by :meth:`StringTable.to_bytes`, kept as it was read; its
+    strings are valid UTF-8 and non-empty."""
     (count,) = struct.unpack("<I", body.take(4))
     lengths = np.frombuffer(body.take(4 * count, f"{what} lengths"), "<u4")
     (size,) = struct.unpack("<Q", body.take(8))
@@ -419,33 +421,32 @@ def _read_strings(body: _Body, what: str) -> StringTable:
     if bounds[-1] != size:
         raise IndexFormatError(f"{what} lengths do not sum to the string blob size")
     blob = body.take(size, f"{what} blob")
-    text = str(blob, "utf-8")
-    if len(text) != size:
-        # A byte boundary is a character boundary iff it is not on a continuation
-        # byte (0x80-0xbf, below -64 as int8); the continuation bytes before it
-        # give its character offset.
-        continuation = np.flatnonzero(np.frombuffer(blob, np.int8) < -64)
-        before = np.searchsorted(continuation, bounds)
-        if (continuation[np.minimum(before, continuation.size - 1)] == bounds).any():
-            raise IndexFormatError("invalid UTF-8 in a string block")
-        bounds -= before
-    strings = StringTable(text, bounds)
-    if (np.diff(bounds) == 0).any() or _repeats(strings):
+    try:
+        blob.decode()
+    except UnicodeDecodeError:
+        raise IndexFormatError("invalid UTF-8 in a string block") from None
+    # No string starts on a continuation byte (0x80-0xbf, below -64 as int8).
+    if (np.frombuffer(blob, np.int8)[bounds[bounds < size]] < -64).any():
+        raise IndexFormatError("invalid UTF-8 in a string block")
+    if (np.diff(bounds) == 0).any():
         raise IndexFormatError(f"empty or duplicate {what}")
-    return strings
+    return StringTable(blob, bounds)
 
 
-def _repeats(strings: StringTable) -> bool:
-    """Whether two of *strings* are equal, found without a ``str`` held for each: every
-    string is hashed as it is sliced, and only strings whose hashes collide are compared."""
-    hashes = np.fromiter(map(hash, strings), np.int64, len(strings))
+def _repeated(strings: StringTable) -> str | None:
+    """The first of *strings* equal to one before it, or None, found without a ``str``
+    held for each: every string's bytes are hashed as they are sliced, and only
+    strings whose hashes collide are decoded and compared."""
+    hashes = np.fromiter(map(hash, strings._encoded()), np.int64, len(strings))
     ordered = np.sort(hashes)
-    collided = ordered[1:][ordered[1:] == ordered[:-1]]
-    if not collided.size:
-        return False
     # Equal strings, and the rare distinct ones whose hashes are equal.
-    alike = np.flatnonzero(np.isin(hashes, collided))
-    return len(set(strings.take(alike))) < alike.size
+    alike = np.flatnonzero(np.isin(hashes, ordered[1:][ordered[1:] == ordered[:-1]]))
+    seen: set[str] = set()
+    for string in strings.take(alike):
+        if string in seen:
+            return string
+        seen.add(string)
+    return None
 
 
 def _inflate(body: _Body, dtype: str, count: int, what: str) -> np.ndarray:
@@ -519,27 +520,20 @@ def load(path) -> InvertedIndex:
     and its stored CRC, :func:`_parse` takes the rest from a :class:`_Body`,
     which sums it as it is read, and a sum that differs from the stored CRC
     refuses the file as corrupt, whatever the parse found.  A truncated field
-    is refused as such by :meth:`_Body.take`.  A file that cannot be read by
-    offset, such as a pipe, is read whole first.
+    is refused as such by :meth:`_Body.take`.  Every byte comes through one
+    ``read``: the unbuffered file's, or, for a file that cannot seek, such as
+    a pipe, that of an ``io.BytesIO`` over its bytes, read whole first.
     """
-    with open(path, "rb") as fh:
-        if fh.seekable():
-            fd = fh.fileno()
-            size = os.fstat(fd).st_size
-
-            def read(count: int, offset: int) -> bytes:
-                return os.pread(fd, count, offset)
-        else:
-            data = fh.read()
-            size = len(data)
-
-            def read(count: int, offset: int) -> bytes:
-                return data[offset:offset + count]
-
-        body = _Body(read, size - 4)
+    with open(path, "rb", buffering=0) as fh:
+        # Unbuffered, so that each byte is read from the file when the parse asks for it.
+        source = fh if fh.seekable() else io.BytesIO(fh.read())
+        size = source.seek(0, os.SEEK_END)
+        source.seek(max(size - 4, 0))
+        crc = int.from_bytes(source.read(4), "little")
+        source.seek(0)
+        body = _Body(source.read, size - 4)
         if size < 12 or body.take(4) != MAGIC:
             raise IndexFormatError(f"{path}: not an index file (bad magic)")
-        crc = int.from_bytes(read(4, size - 4), "little")
         try:
             try:
                 return _parse(body)
@@ -549,8 +543,6 @@ def load(path) -> InvertedIndex:
                     raise IndexFormatError("checksum mismatch (corrupt or truncated file)")
         except IndexFormatError as exc:
             raise IndexFormatError(f"{path}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"{path}: invalid UTF-8 in a string block") from exc
 
 
 def _parse(body: _Body) -> InvertedIndex:
@@ -560,7 +552,12 @@ def _parse(body: _Body) -> InvertedIndex:
     if version != FORMAT_VERSION:
         raise IndexFormatError(f"unsupported format version {version}; rebuild the index with `setvec index`")
     terms = _read_strings(body, "vocabulary term")
+    vocab = Vocabulary(terms)
+    if len(vocab) != len(terms):
+        raise IndexFormatError("empty or duplicate vocabulary term")
     doc_names = _read_strings(body, "doc name")
+    if _repeated(doc_names) is not None:
+        raise IndexFormatError("empty or duplicate doc name")
     offsets = np.frombuffer(body.take(8 * (len(terms) + 1), "offsets"), "<i8").astype(np.int64)
     # A list holds each doc at most once; checking that here also keeps
     # the stream sizes below from overflowing.
@@ -571,12 +568,12 @@ def _parse(body: _Body) -> InvertedIndex:
     n_postings = int(offsets[-1])
     (table_size,) = struct.unpack("<I", body.take(4))
     table = _inflate(body, "<f8", table_size, "weight table")
-    # The table is one row of weights: the weight rule drops none of them.
+    # The weight rule keeps every weight of the table.
     try:
-        kept = _canonical_rows(np.array([0, table_size]), np.arange(table_size), table)[2]
+        dropped = _kept(table) is not None
     except NonFiniteError:
         raise IndexFormatError("non-finite weight in the weight table") from None
-    if kept.size != table_size:
+    if dropped:
         raise IndexFormatError("zero or near-zero weight in the weight table")
     if _not_increasing(table).any():
         raise IndexFormatError("weight table not strictly increasing")
@@ -601,4 +598,4 @@ def _parse(body: _Body) -> InvertedIndex:
         first, last = np.searchsorted(offsets, (lo, lo + ids.size - 1), side="right")
         if _not_increasing(ids, offsets[first - 1:last + 1] - lo).any():
             raise IndexFormatError("doc ids not strictly increasing within a posting list")
-    return InvertedIndex(Vocabulary(terms), doc_names, offsets, doc_ids, table, codes)
+    return InvertedIndex(vocab, doc_names, offsets, doc_ids, table, codes)

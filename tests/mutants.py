@@ -12,7 +12,7 @@ from the original is no test of the tests.
 """
 
 MUTANTS = [
-    # The loader: the checksum, zlib's expansion bound and the front-to-back reader.
+    # The loader: the checksum, zlib's expansion bound and the front-to-back, unbuffered reader.
     {
         "name": "no CRC check after the parse",
         "file": "src/setvec/index.py",
@@ -62,6 +62,14 @@ MUTANTS = [
         "timeout": 300,
     },
     {
+        "name": "load opens the file buffered",
+        "file": "src/setvec/index.py",
+        "find": "    with open(path, \"rb\", buffering=0) as fh:\n",
+        "replace": "    with open(path, \"rb\") as fh:\n",
+        "tests": ["tests/test_index.py::TestLoaderStructure::test_file_rewritten_after_its_checksum_is_refused"],
+        "timeout": 300,
+    },
+    {
         "name": "take without its length check",
         "file": "src/setvec/index.py",
         "find": "        if count > self.left():\n",
@@ -71,21 +79,58 @@ MUTANTS = [
         ],
         "timeout": 300,
     },
-    # The loader's string and order checks: exact without a str or a mask byte for each.
+    # The string and order checks: exact without a str or a mask byte for each,
+    # and one doc-name rule for build and load.
     {
         "name": "the duplicate check never compares colliding names",
         "file": "src/setvec/index.py",
-        "find": "    return len(set(strings.take(alike))) < alike.size\n",
-        "replace": "    return False\n",
-        "tests": ["tests/test_index.py::TestDocNames::test_duplicate_refused_at_every_position"],
+        "find": "        if string in seen:\n",
+        "replace": "        if False:\n",
+        "tests": [
+            "tests/test_index.py::TestDocNames::test_duplicate_refused_at_every_position",
+            "tests/test_index.py::TestBuild::test_duplicate_name_rejected",
+        ],
         "timeout": 300,
     },
     {
         "name": "the duplicate check takes a hash collision for a duplicate",
         "file": "src/setvec/index.py",
-        "find": "    return len(set(strings.take(alike))) < alike.size\n",
-        "replace": "    return True\n",
+        "find": "        if string in seen:\n",
+        "replace": "        if True:\n",
         "tests": ["tests/test_index.py::TestDocNames::test_names_whose_hashes_collide_are_compared"],
+        "timeout": 300,
+    },
+    {
+        "name": "a string starting on a continuation byte is accepted",
+        "file": "src/setvec/index.py",
+        "find": "    if (np.frombuffer(blob, np.int8)[bounds[bounds < size]] < -64).any():\n",
+        "replace": "    if False:\n",
+        "tests": [
+            "tests/test_index.py::TestLoaderStructure::test_malformed_structure_rejected"
+            "[change28-invalid UTF-8 in a string block]"
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "the loader's duplicate-term check dropped",
+        "file": "src/setvec/index.py",
+        "find": "    if len(vocab) != len(terms):\n",
+        "replace": "    if False:\n",
+        "tests": [
+            "tests/test_index.py::TestLoaderStructure::test_malformed_structure_rejected"
+            "[change3-empty or duplicate vocabulary term]"
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "build accepts an empty doc name",
+        "file": "src/setvec/index.py",
+        "find": "    if (np.diff(names.bounds) == 0).any():\n",
+        "replace": "    if False:\n",
+        "tests": [
+            "tests/test_index.py::TestBuild::test_empty_name_rejected",
+            "tests/test_index.py::TestDocNames::test_build_refuses_what_load_would",
+        ],
         "timeout": 300,
     },
     {
@@ -147,7 +192,30 @@ MUTANTS = [
         ],
         "timeout": 300,
     },
+    # The vector reader: orjson's rows go through json.loads beyond its exact range.
+    {
+        "name": "_plain_vector without its _PLAIN_LIMIT bound",
+        "file": "src/setvec/formats.py",
+        "find": "    if {float}.issuperset(map(type, values)) and -_PLAIN_LIMIT < min(values) and max(values) < _PLAIN_LIMIT:\n",
+        "replace": "    if {float}.issuperset(map(type, values)):\n",
+        "tests": [
+            "tests/test_vector_reader.py::test_written_weights_read_back_bit_for_bit",
+            "tests/test_vector_reader.py::test_line_reads_as_json_reads_it",
+        ],
+        "timeout": 300,
+    },
     # Query composition and the metrics.
+    {
+        "name": "nrf ignores its lambda",
+        "file": "src/setvec/compose.py",
+        "find": "    return sub(a, scale(b, _checked_lambda(lambda_)))\n",
+        "replace": "    return sub(a, scale(b, _checked_lambda(DEFAULT_LAMBDA)))\n",
+        "tests": [
+            "tests/test_compose.py::TestDifference::test_nrf_endpoints_exact",
+            "tests/test_compose.py::TestDifference::test_nrf_rejects_negative_lambda",
+        ],
+        "timeout": 300,
+    },
     {
         "name": "disentangled difference leaves a's terms in b unmasked",
         "file": "src/setvec/compose.py",
@@ -165,6 +233,14 @@ MUTANTS = [
         "find": "            dcg += grade / math.log2(rank + 1)\n",
         "replace": "            dcg += grade / math.log2(rank + 2)\n",
         "tests": ["tests/test_evaluation.py::TestNdcg::test_worked_fixture"],
+        "timeout": 300,
+    },
+    {
+        "name": "recall counts one rank past k",
+        "file": "src/setvec/evaluation.py",
+        "find": "    hits = sum(1 for doc in ranking[:k] if doc in relevant)\n",
+        "replace": "    hits = sum(1 for doc in ranking[:k + 1] if doc in relevant)\n",
+        "tests": ["tests/test_evaluation.py::TestRecall::test_counts_exactly_the_top_k"],
         "timeout": 300,
     },
     # Exactness: scores equal dot() bit for bit, and ties rank by ascending doc id.

@@ -90,6 +90,10 @@ class TestRecall:
         with pytest.raises(ValueError):
             recall_at_k(["d1"], simple_qrels, "q1", 0)
 
+    def test_counts_exactly_the_top_k(self, simple_qrels):
+        ranking = ["d1", "d9", "d2"]
+        assert [recall_at_k(ranking, simple_qrels, "q1", k) for k in (1, 2, 3)] == [0.5, 0.5, 1.0]
+
     def test_nondecreasing_in_k(self, simple_qrels):
         ranking = ["d9", "d1", "d8", "d2", "d7"]
         values = [recall_at_k(ranking, simple_qrels, "q1", k) for k in range(1, 7)]

@@ -119,14 +119,15 @@ def test_near_zero_is_read_in_one_place():
 
 
 def test_one_canonicaliser_applies_the_weight_rule():
-    """Every vector and batch row is pruned through ``sparse._canonical_rows`` alone."""
+    """Every vector and batch row is pruned through ``sparse._canonical_rows`` alone; the
+    index loader holds a weight table to the same rule, refusing what it would prune."""
     callers = [
         (module, getattr(top, "name", "<module>"))
         for module, top in _modules()
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_kept"
     ]
-    assert callers == [("sparse", "_canonical_rows")]
+    assert callers == [("index", "_parse"), ("sparse", "_canonical_rows")]
 
 
 def test_positive_integer_rule_is_raised_in_one_place():
