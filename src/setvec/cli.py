@@ -25,7 +25,7 @@ from . import formats
 from .activations import AGGREGATIONS, NEG_FORMULAS, ActivationConfig, activate
 from .compose import DEFAULT_LAMBDA, OP_DIFFERENCE, CompositionalQuery, CompositionParams, compose
 from .cpt import DEFAULT_M, PseudoTermVector
-from .errors import SetvecError, UndefinedMetricError, ZeroNormError
+from .errors import NonFiniteError, SetvecError, UndefinedMetricError, ZeroNormError
 from .evaluation import DEFAULT_BINS, interference_bins, ndcg_at_k, pairwise_accuracy, recall_at_k
 from .fusion import FUSE_OPS, fuse, min_max_scale
 from .index import build, load, save, search, search_cpt
@@ -334,12 +334,16 @@ def cmd_fuse(args) -> int:
     def side(runs, name, qid):
         return min_max_scale(runs[qid], f"run {name} ({qid})") if args.scaled else runs[qid]
 
-    fused = [
-        (qid, fuse(side(runs_a, "A", qid), side(runs_b, "B", qid), args.op))
-        for qid in runs_a  # run A's qid order
-        if qid in runs_b
-    ]
-    formats.write_search_results(args.out, fused, tag=args.tag)
+    def fused():
+        for qid in runs_a:  # run A's qid order
+            if qid in runs_b:
+                try:
+                    yield qid, fuse(side(runs_a, "A", qid), side(runs_b, "B", qid), args.op)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"query {qid!r}: {exc}") from exc
+
+    # Written as they are fused: a query that fails removes the --out file, as search's does.
+    formats.write_search_results(args.out, fused(), tag=args.tag)
     return EXIT_OK
 
 

@@ -11,9 +11,11 @@ first.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Mapping
 
+from .errors import NonFiniteError
 from .index import SearchResult
 
 FUSE_OPS = ("plus", "times", "minus")
@@ -37,7 +39,11 @@ def min_max_scale(scores: dict[str, float], label: str = "run") -> dict[str, flo
 
 
 def fuse(scores_a: Mapping[str, float], scores_b: Mapping[str, float], op: str) -> SearchResult:
-    """Fuse two runs over the union of their docs: best first, ties broken by doc name."""
+    """Fuse two runs over the union of their docs: best first, ties broken by doc name.
+
+    A fused score that overflows to inf or nan raises :class:`NonFiniteError`, as
+    a search score does.
+    """
     if op not in FUSE_OPS:
         raise ValueError(f"op must be one of {FUSE_OPS}")
     fused: dict[str, float] = {}
@@ -50,4 +56,6 @@ def fuse(scores_a: Mapping[str, float], scores_b: Mapping[str, float], op: str) 
             fused[doc] = sa - sb
         else:
             fused[doc] = sa * sb
+    if not all(map(math.isfinite, fused.values())):
+        raise NonFiniteError("a fused score overflows to inf or nan")
     return sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))

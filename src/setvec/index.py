@@ -16,9 +16,9 @@ is returned iff at least one query term touches it, even when its accumulated
 score is zero or negative; ties break by ascending internal doc id (ingestion
 order).  Untouched docs hold 0.0, so when at least k docs score above zero
 every hit is touched, and all docs are ranked without marking any; otherwise
-the same loop adds 1.0 per posting (no weight is zero, so a row is nonzero
-exactly at its postings), and the docs it leaves nonzero are ranked.  CPT's
-two factors are the same loop adding ``sqrt(q_t * d_t)`` (:func:`search_cpt`).
+``_touched`` marks the doc ids of the query terms' posting lists, with no
+weight fetched, and the marked docs are ranked.  CPT's two factors are the
+same loop adding ``sqrt(q_t * d_t)`` (:func:`search_cpt`).
 ``_rank`` sorts only the scores at or above the k-th best, found by one
 partition, after a partition of every 8th score has bounded it from below.
 The rows are built once per index, on its first search and under a lock, so
@@ -302,9 +302,15 @@ def _accumulate(idx: InvertedIndex, q: SparseVector, contribution) -> np.ndarray
     return scores
 
 
-def _touches(qw: float, weights: np.ndarray) -> np.ndarray:
-    """1.0 per posting, since no posted weight is zero; 0.0 at a head row's other docs."""
-    return (weights != 0.0).astype(np.float64)
+def _touched(idx: InvertedIndex, ids: np.ndarray) -> np.ndarray:
+    """A bool per doc: whether a posting list of a term in *ids* holds it.  The doc ids
+    are read straight from each list; a query-only term, past the ids ``offsets``
+    covers, holds none."""
+    offsets = idx.offsets
+    mask = np.zeros(idx.doc_count, dtype=bool)
+    for t in ids[ids < offsets.size - 1].tolist():
+        mask[idx.doc_ids[offsets[t]:offsets[t + 1]]] = True
+    return mask
 
 
 def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,10 +320,11 @@ def _search_ids(idx: InvertedIndex, q: SparseVector, k: int) -> tuple[np.ndarray
     scores = _accumulate(idx, q, np.multiply)
     # Untouched docs hold +0.0: when k docs score above it, the k-th score is
     # positive and every hit is touched.  Counting costs less than ranking
-    # every doc only to find that the touched docs must be ranked instead.
+    # every doc only to find that the touched docs must be ranked instead:
+    # those that the query terms' posting lists hold, zero and negative scores included.
     if np.count_nonzero(scores > 0) >= k:
         return _rank(None, scores, k)
-    candidates = np.flatnonzero(_accumulate(idx, q, _touches))
+    candidates = np.flatnonzero(_touched(idx, q.ids))
     return _rank(candidates, scores[candidates], k)
 
 

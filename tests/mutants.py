@@ -169,14 +169,27 @@ MUTANTS = [
         "tests": ["tests/test_index.py::TestSearchCpt::test_negative_weight_outside_the_factors_allowed"],
         "timeout": 300,
     },
+    # The touched set: the doc ids of the query terms' own posting lists.
     {
-        "name": "_touches returns all ones",
+        "name": "_touched marks every doc",
         "file": "src/setvec/index.py",
-        "find": "    return (weights != 0.0).astype(np.float64)\n",
-        "replace": "    return np.ones_like(weights)\n",
+        "find": "    mask = np.zeros(idx.doc_count, dtype=bool)\n",
+        "replace": "    mask = np.ones(idx.doc_count, dtype=bool)\n",
         "tests": [
             "tests/test_index.py::TestSearch::test_untouched_docs_excluded",
             "tests/test_index.py::TestSearch::test_head_row_contributions_cancel_to_positive_zero",
+            "tests/test_index.py::TestTouched::test_touched_is_the_docs_of_the_query_terms_postings",
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "_touched marks each term's neighbouring list",
+        "file": "src/setvec/index.py",
+        "find": "        mask[idx.doc_ids[offsets[t]:offsets[t + 1]]] = True\n",
+        "replace": "        mask[idx.doc_ids[offsets[t + 1]:offsets[t + 2]]] = True\n",
+        "tests": [
+            "tests/test_index.py::TestSearch::test_untouched_docs_excluded",
+            "tests/test_index.py::TestTouched::test_touched_is_the_docs_of_the_query_terms_postings",
         ],
         "timeout": 300,
     },
@@ -225,6 +238,36 @@ MUTANTS = [
             "tests/test_compose.py::TestDifference::test_disentangled_birds",
             "tests/test_compose.py::TestDifference::test_disentangled_support_preservation_entrywise",
         ],
+        "timeout": 300,
+    },
+    {
+        "name": "orthogonal difference subtracts b whole",
+        "file": "src/setvec/compose.py",
+        "find": "    return sub(a, project(a, b))\n",
+        "replace": "    return sub(a, b)\n",
+        "tests": [
+            "tests/test_compose.py::TestDifference::test_orthogonal_birds",
+            "tests/test_compose.py::TestDifference::test_orthogonality_property",
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "union maxpool adds the sides",
+        "file": "src/setvec/compose.py",
+        "find": "    (OP_UNION, \"maxpool\"): lambda q: maxpool(q.a, q.b),\n",
+        "replace": "    (OP_UNION, \"maxpool\"): lambda q: add(q.a, q.b),\n",
+        "tests": [
+            "tests/test_compose.py::TestUnionIntersection::test_union_maxpool_birds",
+            "tests/test_compose.py::TestUnionIntersection::test_intersection_vector_methods_match_union_math",
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "pairwise accuracy counts a tie on the first query",
+        "file": "src/setvec/evaluation.py",
+        "find": "        first = scorer(p.qid_a, p.doc_a) > scorer(p.qid_a, p.doc_b)\n",
+        "replace": "        first = scorer(p.qid_a, p.doc_a) >= scorer(p.qid_a, p.doc_b)\n",
+        "tests": ["tests/test_evaluation.py::TestPairwiseAccuracy::test_tie_on_one_side_fails_the_pair"],
         "timeout": 300,
     },
     {

@@ -116,6 +116,14 @@ class TestPairwiseAccuracy:
         pairs = [PairedQueries("qa", "qb", "da", "db")]
         assert pairwise_accuracy(pairs, lambda q, d: 1.0) == 0.0
 
+    @pytest.mark.parametrize("tied", ["qa", "qb"])
+    def test_tie_on_one_side_fails_the_pair(self, tied):
+        """One query tying its two docs fails the pair, though the other ranks its own first."""
+        pairs = [PairedQueries("qa", "qb", "da", "db")]
+        scores = {("qa", "da"): 2.0, ("qa", "db"): 1.0, ("qb", "db"): 2.0, ("qb", "da"): 1.0}
+        scores[tied, "da"] = scores[tied, "db"] = 1.0
+        assert pairwise_accuracy(pairs, lambda q, d: scores[(q, d)]) == 0.0
+
     def test_empty_rejected(self):
         with pytest.raises(UndefinedMetricError):
             pairwise_accuracy([], lambda q, d: 0.0)

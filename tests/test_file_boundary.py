@@ -191,11 +191,12 @@ def test_cpt_domain_error_has_one_raiser():
 
 
 def test_scores_accumulate_in_one_place():
-    """Only ``index._accumulate``, which ``search``, its touched fallback and both CPT
-    factors call, scatter-adds through a numpy ufunc's unbuffered ``at``; it adds a head
-    term's dense row (``InvertedIndex.head_rows``) with a whole-array ``np.add``, which
-    needs no ``at``.  No array accumulates through ``x[ids] += ...`` (the one subscript
-    update left extends a string in ``formats._records``' list of pieces)."""
+    """Only ``index._accumulate``, which ``search`` and both CPT factors call, scatter-adds
+    through a numpy ufunc's unbuffered ``at``; it adds a head term's dense row
+    (``InvertedIndex.head_rows``) with a whole-array ``np.add``, which needs no ``at``.
+    ``search``'s touched set (``index._touched``) adds nothing: it assigns True to the
+    doc ids of each posting list.  No array accumulates through ``x[ids] += ...`` (the
+    one subscript update left extends a string in ``formats._records``' list of pieces)."""
     scatters = [
         (module, getattr(top, "name", "<module>"))
         for module, top in _modules()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from setvec import SparseVector, Vocabulary, add, build, fuse, min_max_scale, search, sub
+from setvec import NonFiniteError, SparseVector, Vocabulary, add, build, fuse, min_max_scale, search, sub
 
 from conftest import random_lattice_vector
 
@@ -41,6 +41,21 @@ class TestFuse:
         run_a, run_b = two_runs
         with pytest.raises(ValueError):
             fuse(run_a, run_b, "divide")
+
+    @pytest.mark.parametrize("op, run_a, run_b", [
+        ("plus", {"d1": 1e308}, {"d1": 1e308}),
+        ("minus", {"d1": 1e308, "d2": 1.0}, {"d1": -1e308}),
+        ("times", {"d1": 1e200}, {"d1": 1e200, "d2": 1.0}),
+    ], ids=["plus", "minus", "times"])
+    def test_overflowing_score_raises(self, op, run_a, run_b):
+        with pytest.raises(NonFiniteError, match="^a fused score overflows to inf or nan$"):
+            fuse(run_a, run_b, op)
+
+    def test_scaled_span_overflow_raises(self):
+        # 1e308 - -1e308 overflows to inf, so d1 scales to inf / inf, nan.
+        run_a = min_max_scale({"d1": 1e308, "d2": -1e308})
+        with pytest.raises(NonFiniteError):
+            fuse(run_a, {"d1": 1.0}, "plus")
 
     def test_ranking_sorts_by_score_then_name(self):
         fused = fuse({"b": 1.0, "a": 1.0, "c": 2.0}, {}, "plus")

@@ -450,6 +450,42 @@ class TestSearch:
         assert all(search(idx, q, 3) == first for _ in range(5))
 
 
+# _touched's fixed cases: the oracle's, whose posted terms are all head rows or a head
+# row and a scatter, and five docs of one term each, so no head row, where t5 indexes
+# nothing and late0 is a query-only term.
+TOUCHED_EXAMPLES = [
+    *ORACLE_EXAMPLES,
+    (6, 1, [{0: 1.0}, {1: 1.0}, {2: -1.0}, {3: 1.0}, {4: 0.5}], {0: 1.0, 2: 2.0, 5: 1.0, 6: -1.0}, {1: 1.0}, 1),
+]
+
+
+class TestTouched:
+    @settings(max_examples=200, deadline=None)
+    @with_examples(TOUCHED_EXAMPLES)
+    @given(searches())
+    def test_touched_is_the_docs_of_the_query_terms_postings(self, case):
+        """_touched marks exactly the docs that hold a query term, whether the term has a
+        head row, a scattered list, no postings or no place in the index at all."""
+        _, _, docs, _, _, _ = case
+        _, _, idx, q = signed_case(case)
+        terms = set(q.ids.tolist())
+        mask = index_module._touched(idx, q.ids)
+        assert mask.dtype == bool and mask.shape == (idx.doc_count,)
+        assert np.flatnonzero(mask).tolist() == [i for i, d in enumerate(docs) if terms & d.keys()]
+
+    def test_examples_cover_head_rows_and_terms_without_postings(self):
+        kinds = set()
+        for case in TOUCHED_EXAMPLES:
+            _, _, idx, q = signed_case(case)
+            kinds.add("head rows" if idx.head_rows() else "no head row")
+            for t in q.ids.tolist():
+                if t >= idx.offsets.size - 1:
+                    kinds.add("query-only term")
+                elif idx.postings(t) is None:
+                    kinds.add("term indexing nothing")
+        assert kinds == {"head rows", "no head row", "query-only term", "term indexing nothing"}
+
+
 class TestSearchCpt:
     @pytest.fixture
     def concept_corpus(self, vocab):
