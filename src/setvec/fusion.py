@@ -35,6 +35,10 @@ def min_max_scale(scores: dict[str, float], label: str = "run") -> dict[str, flo
         )
         return {doc: 0.0 for doc in scores}
     span = high - low
+    if not math.isfinite(span):
+        # Finite scores more than the largest float apart: their halves are not.
+        half = high / 2 - low / 2
+        return {doc: (s / 2 - low / 2) / half for doc, s in scores.items()}
     return {doc: (s - low) / span for doc, s in scores.items()}
 
 

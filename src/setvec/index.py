@@ -47,30 +47,32 @@ range check and :func:`save`'s padding.  The doc names are one
 file stores them: a ``str`` is decoded only for a returned hit, so 100,000
 names cost their UTF-8 bytes plus 8 bytes each, not 100,000 objects.
 
-The on-disk format (SVIX version 3) is little-endian binary: magic, format
-version, the vocabulary and the doc names as two string tables, the raw
-offsets, the weights as a table plus codes, the doc-id gaps, and a trailing
-CRC32 checksum.  A string table is a u32 count, a u32 byte length per string,
-the u64 size of the UTF-8 blob those lengths slice, then the blob.  The
-weight table holds the sorted distinct weights; each posting stores its
-weight's position in it as a code of the narrowest unsigned width the table
-size allows (1 byte up to 256 entries, 2 up to 65,536, else 4).  The table,
-the codes and the uint32 gaps are each one zlib stream of byte planes (byte 0
+The on-disk format (SVIX version 4) is little-endian binary: magic, format
+version, the vocabulary and the doc names as two string tables, the offsets,
+the weights as a table plus codes, the doc-id gaps, and a trailing CRC32
+checksum.  Every array of the file is one zlib stream of byte planes (byte 0
 of every value, then byte 1, and so on), which compress better than the
-interleaved values.  :func:`load` reads each byte of the file once, at most
-``PIECE`` bytes at a time, and never holds it whole: it checks the magic,
-reads the stored CRC, then parses the rest, summing what it reads, and
-refuses a sum that differs from the stored CRC as corrupt, whatever the parse
-raised; the version is the parse's first check.  The parse asks one reader
-for the file's next bytes, front to back, and hands back what a zlib stream
-leaves unused, so no step of it tracks a position.  Only a file that cannot
+interleaved values: the string tables' lengths and blobs, the int64 offsets,
+the table, the codes and the uint32 gaps.  A string table is a u32 count, the
+stream of a u32 byte length per string, the u64 size of the UTF-8 blob those
+lengths slice, then the blob's stream of single bytes.  The weight table
+holds the sorted distinct weights; each posting stores its weight's position
+in it as a code of the narrowest unsigned width the table size allows (1 byte
+up to 256 entries, 2 up to 65,536, else 4).  :func:`load` reads each byte of
+the file once, at most ``PIECE`` bytes at a time, and never holds it whole:
+it checks the magic, reads the stored CRC, then parses the rest, summing what
+it reads, and refuses a sum that differs from the stored CRC as corrupt,
+whatever the parse raised; the version is the parse's first check.  The
+parse asks one reader for the file's next bytes, front to back, and hands
+back what a zlib stream leaves unused, so no step of it tracks a position.  Only a file that cannot
 seek, such as a pipe, is read whole first.  It inflates each stream straight
 into the byte planes of its array, so it never holds a whole inflated
 stream; it allocates that array only for a count the bytes left could
 inflate to at zlib's maximum expansion (1032:1), so its memory stays linear
-in the file's size.  Besides the checksum, :func:`load` checks structure:
-each string table's lengths sum exactly to its blob, the blob is valid UTF-8
-and no string starts inside a character, the strings are distinct and
+in the file's size, whatever a string count, a blob size or an offset
+claims.  Besides the checksum, :func:`load` checks structure: each string
+table's lengths sum exactly to its blob, the blob is valid UTF-8 and no
+string starts inside a character, the strings are distinct and
 non-empty, the offsets partition the postings, every stream holds exactly
 the values the offsets imply, the table is finite, strictly increasing and
 obeys the weight rule (so no zero weight), every code is below the table
@@ -80,7 +82,7 @@ names are distinct by the hashes of their bytes, made one slice at a time
 and compared only where hashes collide, the rule :func:`build` applies too;
 doc-id order is checked in blocks of ``PIECE`` postings that overlap by one,
 so neither check holds an object or a byte per name or posting.  Files of
-versions 1 and 2 are refused; rebuild them with ``setvec index``.
+versions 1 to 3 are refused; rebuild them with ``setvec index``.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ from .sparse import (
 )
 
 MAGIC = b"SVIX"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 ZLIB_LEVEL = 1
 # The most bytes _inflate reads or inflates in one step, and the postings in
 # one block of the doc-id order check.
@@ -117,10 +119,10 @@ SearchResult = list[tuple[str, float]]
 
 
 class StringTable(Sequence):
-    """A read-only sequence of strings held as the index file stores them: ``blob``,
-    their UTF-8 bytes end to end, and ``bounds``, the int64 byte offsets where each
-    starts and the last ends, so that string ``i`` is ``blob[bounds[i]:bounds[i + 1]]``
-    decoded.
+    """A read-only sequence of strings held as the index file stores them, inflated:
+    ``blob``, their UTF-8 bytes end to end, and ``bounds``, the int64 byte offsets
+    where each starts and the last ends, so that string ``i`` is
+    ``blob[bounds[i]:bounds[i + 1]]`` decoded.
 
     It costs its blob plus 8 bytes a string, where a list of ``str`` costs about
     60 bytes more each; a ``str`` is decoded only for a string asked for.  It
@@ -173,9 +175,11 @@ class StringTable(Sequence):
         return f"StringTable({list(self)!r})"
 
     def to_bytes(self) -> bytes:
-        """A u32 count, a u32 byte length per string, the u64 blob size, then the UTF-8 blob."""
-        lengths = np.diff(self.bounds).astype("<u4")
-        return struct.pack("<I", len(self)) + lengths.tobytes() + struct.pack("<Q", len(self.blob)) + self.blob
+        """A u32 count, the stream of the u32 byte lengths, the u64 blob size, then the
+        stream of the UTF-8 blob."""
+        lengths = _deflate(np.diff(self.bounds).astype("<u4"))
+        blob = _deflate(np.frombuffer(self.blob, np.uint8))
+        return struct.pack("<I", len(self)) + lengths + struct.pack("<Q", len(self.blob)) + blob
 
 
 class InvertedIndex:
@@ -421,13 +425,13 @@ def _read_strings(body: _Body, what: str) -> StringTable:
     """A string table written by :meth:`StringTable.to_bytes`, kept as it was read; its
     strings are valid UTF-8 and non-empty."""
     (count,) = struct.unpack("<I", body.take(4))
-    lengths = np.frombuffer(body.take(4 * count, f"{what} lengths"), "<u4")
-    (size,) = struct.unpack("<Q", body.take(8))
+    lengths = _inflate(body, "<u4", count, f"{what} lengths")
+    (size,) = struct.unpack("<Q", body.take(8, f"{what} blob size"))
     bounds = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(lengths, dtype=np.int64, out=bounds[1:])
     if bounds[-1] != size:
         raise IndexFormatError(f"{what} lengths do not sum to the string blob size")
-    blob = body.take(size, f"{what} blob")
+    blob = _inflate(body, "u1", size, f"{what} blob").tobytes()
     try:
         blob.decode()
     except UnicodeDecodeError:
@@ -509,7 +513,7 @@ def save(idx: InvertedIndex, path) -> None:
     buf += idx.doc_names.to_bytes()
     # Terms added to the vocabulary after build get empty lists.
     offsets = np.pad(idx.offsets, (0, len(terms) + 1 - idx.offsets.size), mode="edge")
-    buf += offsets.astype("<i8").tobytes()
+    buf += _deflate(offsets.astype("<i8"))
     buf += struct.pack("<I", idx.table.size)
     buf += _deflate(np.asarray(idx.table, dtype="<f8"))
     buf += _deflate(idx.codes)
@@ -565,7 +569,7 @@ def _parse(body: _Body) -> InvertedIndex:
     doc_names = _read_strings(body, "doc name")
     if _repeated(doc_names) is not None:
         raise IndexFormatError("empty or duplicate doc name")
-    offsets = np.frombuffer(body.take(8 * (len(terms) + 1), "offsets"), "<i8").astype(np.int64)
+    offsets = _inflate(body, "<i8", len(terms) + 1, "offsets")
     # A list holds each doc at most once; checking that here also keeps
     # the stream sizes below from overflowing.
     lengths = np.diff(offsets)

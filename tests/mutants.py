@@ -75,7 +75,8 @@ MUTANTS = [
         "find": "        if count > self.left():\n",
         "replace": "        if False:\n",
         "tests": [
-            "tests/test_index.py::TestLoaderStructure::test_malformed_structure_rejected[change26-truncated doc name blob]"
+            "tests/test_index.py::TestLoaderStructure::test_malformed_structure_rejected"
+            "[change26-truncated doc name blob size]"
         ],
         "timeout": 300,
     },
@@ -108,6 +109,17 @@ MUTANTS = [
         "tests": [
             "tests/test_index.py::TestLoaderStructure::test_malformed_structure_rejected"
             "[change28-invalid UTF-8 in a string block]"
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "a string table's lengths need not sum to its blob size",
+        "file": "src/setvec/index.py",
+        "find": "    if bounds[-1] != size:\n",
+        "replace": "    if False:\n",
+        "tests": [
+            "tests/test_index.py::TestLoaderStructure::test_malformed_structure_rejected"
+            "[change24-doc name lengths do not sum to the string blob size]"
         ],
         "timeout": 300,
     },
@@ -219,6 +231,17 @@ MUTANTS = [
     },
     # Query composition and the metrics.
     {
+        "name": "subtract difference masks a's terms out of b",
+        "file": "src/setvec/compose.py",
+        "find": "    (OP_DIFFERENCE, \"subtract\"): lambda q: sub(q.a, q.b),\n",
+        "replace": "    (OP_DIFFERENCE, \"subtract\"): lambda q: sub(q.a, mask_remove(q.b, q.a)),\n",
+        "tests": [
+            "tests/test_compose.py::TestDifference::test_subtract_birds",
+            "tests/test_compose.py::TestDifference::test_subtract_trivia",
+        ],
+        "timeout": 300,
+    },
+    {
         "name": "nrf ignores its lambda",
         "file": "src/setvec/compose.py",
         "find": "    return sub(a, scale(b, _checked_lambda(lambda_)))\n",
@@ -268,6 +291,22 @@ MUTANTS = [
         "find": "        first = scorer(p.qid_a, p.doc_a) > scorer(p.qid_a, p.doc_b)\n",
         "replace": "        first = scorer(p.qid_a, p.doc_a) >= scorer(p.qid_a, p.doc_b)\n",
         "tests": ["tests/test_evaluation.py::TestPairwiseAccuracy::test_tie_on_one_side_fails_the_pair"],
+        "timeout": 300,
+    },
+    {
+        "name": "interference bins never merge equal similarity ranges",
+        "file": "src/setvec/evaluation.py",
+        "find": "        if bins and bins[-1].low == low and bins[-1].high == high:\n",
+        "replace": "        if False:\n",
+        "tests": ["tests/test_evaluation.py::TestInterferenceBins::test_identical_similarities_collapse_to_one_bin"],
+        "timeout": 300,
+    },
+    {
+        "name": "interference bins ordered by query id, not similarity",
+        "file": "src/setvec/evaluation.py",
+        "find": "        key=lambda row: (row[0], row[1]),\n",
+        "replace": "        key=lambda row: row[1],\n",
+        "tests": ["tests/test_evaluation.py::TestInterferenceBins::test_four_queries_two_bins_split_by_similarity"],
         "timeout": 300,
     },
     {

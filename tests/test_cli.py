@@ -440,21 +440,34 @@ class TestFuseEvalPairwise:
             "q1 Q0 d2 1 1.000000 setvec\nq1 Q0 d1 2 0.000000 setvec\n"
         )
 
-    @pytest.mark.parametrize("scaled", [[], ["--scaled"]], ids=["plain", "scaled"])
-    def test_fuse_overflow_is_named_data_error_without_output(self, tmp_path, capsys, scaled):
-        """A fused score of inf (plus) or nan (--scaled: the span of run A overflows) fails
-        its query, after an earlier query was written, and removes the --out file, even one
-        that held an earlier run."""
+    def test_fuse_overflow_is_named_data_error_without_output(self, tmp_path, capsys):
+        """A fused score of inf fails its query, after an earlier query was written, and
+        removes the --out file, even one that held an earlier run."""
         run_a = tmp_path / "a.trec"
         run_b = tmp_path / "b.trec"
         write_lines(run_a, "q0 Q0 d1 1 2.0 t", "q0 Q0 d2 2 1.0 t", "q1 Q0 d1 1 1e308 t", "q1 Q0 d2 2 -1e308 t")
         write_lines(run_b, "q0 Q0 d1 1 1.0 t", "q0 Q0 d2 2 0.5 t", "q1 Q0 d1 1 1e308 t")
         out = tmp_path / "fused.trec"
         out.write_text("an earlier run\n")
-        argv = ["fuse", "--run-a", str(run_a), "--run-b", str(run_b), "--op", "plus", *scaled, "--out", str(out)]
+        argv = ["fuse", "--run-a", str(run_a), "--run-b", str(run_b), "--op", "plus", "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: query 'q1': a fused score overflows to inf or nan\n"
         assert not out.exists()
+
+    def test_fuse_scaled_run_wider_than_the_largest_float(self, tmp_path):
+        """Under --scaled, a run whose scores span more than the largest float
+        (1e308 - -1e308 overflows) scales to 1.0, 0.5 and 0.0 and fuses; run B's one
+        score is a constant run, which scales to 0."""
+        run_a = tmp_path / "a.trec"
+        run_b = tmp_path / "b.trec"
+        write_lines(run_a, "q1 Q0 d1 1 1e308 t", "q1 Q0 d3 2 0 t", "q1 Q0 d2 3 -1e308 t")
+        write_lines(run_b, "q1 Q0 d1 1 1e308 t")
+        out = tmp_path / "fused.trec"
+        argv = ["fuse", "--run-a", str(run_a), "--run-b", str(run_b), "--op", "plus", "--scaled", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text() == (
+            "q1 Q0 d1 1 1.000000 setvec\nq1 Q0 d3 2 0.500000 setvec\nq1 Q0 d2 3 0.000000 setvec\n"
+        )
 
     def test_eval_report(self, tmp_path, capsys):
         run = tmp_path / "run.trec"

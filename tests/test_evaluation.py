@@ -171,7 +171,8 @@ class TestInterferenceBins:
         assert bins[0].low == bins[0].high == 1.0
 
     def test_four_queries_two_bins_split_by_similarity(self, vocab):
-        # cosines: q0 -> 0, q1 -> ~0.316, q2 -> ~0.707, q3 -> 1
+        # cosines: q3 -> 0, q2 -> ~0.316, q1 -> ~0.707, q0 -> 1; the ids run
+        # against the similarities, so bins ordered by id would swap the means.
         specs = [
             ([("a", 1.0)], [("b", 1.0)]),
             ([("a", 3.0), ("c", 1.0)], [("c", 1.0)]),
@@ -179,9 +180,9 @@ class TestInterferenceBins:
             ([("e", 1.0)], [("e", 2.0)]),
         ]
         queries = [
-            _diff_query(f"q{i}", a, b, vocab) for i, (a, b) in enumerate(specs)
+            _diff_query(f"q{3 - i}", a, b, vocab) for i, (a, b) in enumerate(specs)
         ]
-        metric = {f"q{i}": float(i) for i in range(4)}
+        metric = {f"q{3 - i}": float(i) for i in range(4)}
         bins = interference_bins(queries, lambda qid: metric[qid], n_bins=2)
         assert len(bins) == 2
         assert [b.count for b in bins] == [2, 2]

@@ -51,11 +51,11 @@ class TestFuse:
         with pytest.raises(NonFiniteError, match="^a fused score overflows to inf or nan$"):
             fuse(run_a, run_b, op)
 
-    def test_scaled_span_overflow_raises(self):
-        # 1e308 - -1e308 overflows to inf, so d1 scales to inf / inf, nan.
-        run_a = min_max_scale({"d1": 1e308, "d2": -1e308})
-        with pytest.raises(NonFiniteError):
-            fuse(run_a, {"d1": 1.0}, "plus")
+    def test_scaled_wide_run_fuses(self):
+        # 1e308 - -1e308 overflows, so the run is scaled by halves.
+        run_a = min_max_scale({"d1": 1e308, "d2": -1e308, "d3": 0.0})
+        assert run_a == {"d1": 1.0, "d2": 0.0, "d3": 0.5}
+        assert fuse(run_a, {"d1": 1.0}, "plus") == [("d1", 2.0), ("d3", 0.5), ("d2", 0.0)]
 
     def test_ranking_sorts_by_score_then_name(self):
         fused = fuse({"b": 1.0, "a": 1.0, "c": 2.0}, {}, "plus")
@@ -69,6 +69,10 @@ class TestMinMaxScale:
 
     def test_empty_is_empty(self):
         assert min_max_scale({}) == {}
+
+    def test_span_past_the_largest_float_scales_by_halves(self):
+        top = float(np.finfo(np.float64).max)
+        assert min_max_scale({"a": top, "b": -top, "c": top / 2}) == {"a": 1.0, "b": 0.0, "c": 0.75}
 
 
 class TestRankEquivalence:

@@ -660,7 +660,7 @@ class TestPersistence:
         with pytest.raises(IndexFormatError):
             load(path)
 
-    @pytest.mark.parametrize("version", [999, 1, 2])
+    @pytest.mark.parametrize("version", [999, 1, 2, 3])
     def test_version_mismatch_rejected(self, tmp_path, small_corpus, version):
         idx, _ = small_corpus
         path = tmp_path / "idx.svix"
@@ -817,25 +817,40 @@ class TestPersistence:
 
 
 def write_raw_index(path, terms, names, offsets, doc_ids, weights, table=None, codes=None,
-                    name_lengths=None, tail=b"", cut=None):
-    """Independent v3 encoder for crafted files; str or raw bytes strings, valid CRC.
+                    name_lengths=None, name_blob=None, offsets_stream=None, tail=b"", cut=None):
+    """Independent v4 encoder for crafted files; str or raw bytes strings, valid CRC.
 
-    The weight table defaults to the sorted distinct weights and the codes to
-    each weight's place in it; *table*, *codes* and *name_lengths* (the doc
-    names' byte lengths) override what the other arguments imply.  *cut* keeps
-    only that many bytes of the body, before the CRC is taken.
+    Every array is a level-1 zlib stream of its values' byte planes.  The
+    weight table defaults to the sorted distinct weights and the codes to
+    each weight's place in it; *table*, *codes*, *name_lengths* (the stream
+    of the doc names' byte lengths, whose count stays the names'),
+    *name_blob* (the bytes of the doc names' blob stream, whose stated size
+    stays the names' bytes) and *offsets_stream* (the raw bytes of the
+    offsets' stream) override what the other arguments imply.  *cut* keeps
+    only that many bytes of the body, or, given a field's name such as "doc
+    name blob size", the body up to one byte into that field, before the CRC
+    is taken.
     """
+    buf = bytearray()
+    starts = {}  # each field's offset in the body, for a cut by name
 
-    def string_table(strings, lengths=None):
-        raw = [s if isinstance(s, bytes) else s.encode("utf-8") for s in strings]
-        lengths = [len(r) for r in raw] if lengths is None else lengths
-        blob = b"".join(raw)
-        return struct.pack(f"<I{len(lengths)}IQ", len(lengths), *lengths, len(blob)) + blob
+    def put(field, data):
+        starts[field] = len(buf)
+        buf.extend(data)
 
     def byte_planes(fmt, values):
         raw = struct.pack(f"<{len(values)}{fmt}", *values)
         width = struct.calcsize(fmt)
+        # Level 1, as save uses, so that a valid index encodes to save's very bytes.
         return zlib.compress(b"".join(raw[plane::width] for plane in range(width)), 1)
+
+    def string_table(what, strings, lengths=None, blob=None):
+        raw = [s if isinstance(s, bytes) else s.encode("utf-8") for s in strings]
+        joined = b"".join(raw)
+        put(f"{what} count", struct.pack("<I", len(raw)))
+        put(f"{what} lengths", byte_planes("I", [len(r) for r in raw] if lengths is None else lengths))
+        put(f"{what} blob size", struct.pack("<Q", len(joined)))
+        put(f"{what} blob", byte_planes("B", joined if blob is None else blob))
 
     if table is None:
         table = sorted(set(weights))
@@ -845,13 +860,15 @@ def write_raw_index(path, terms, names, offsets, doc_ids, weights, table=None, c
     code_fmt = "B" if len(table) <= 2**8 else "H" if len(table) <= 2**16 else "I"
     ids = [int(d) for d in doc_ids]
     gaps = [(d - prev) % 2**32 for prev, d in zip([0] + ids, ids)]
-    buf = bytearray(b"SVIX" + struct.pack("<I", 3))
-    buf += string_table(terms) + string_table(names, name_lengths)
-    buf += struct.pack(f"<{len(offsets)}q", *offsets)
-    # Level 1, as save uses, so that a valid index encodes to save's very bytes.
-    buf += struct.pack("<I", len(table)) + byte_planes("d", table)
-    buf += byte_planes(code_fmt, codes) + byte_planes("I", gaps) + tail
-    buf = buf[:cut]
+    put("header", b"SVIX" + struct.pack("<I", 4))
+    string_table("vocabulary term", terms)
+    string_table("doc name", names, name_lengths, name_blob)
+    put("offsets", byte_planes("q", offsets) if offsets_stream is None else offsets_stream)
+    put("weight table size", struct.pack("<I", len(table)))
+    put("weight table", byte_planes("d", table))
+    put("weights", byte_planes(code_fmt, codes))
+    put("doc-id gaps", byte_planes("I", gaps) + tail)
+    buf = buf[:starts[cut] + 1 if isinstance(cut, str) else cut]
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
     path.write_bytes(bytes(buf))
 
@@ -894,10 +911,14 @@ MALFORMED_PARTS = [
     ({"weights": [1.5, -0.0, 0.25]}, "zero or near-zero weight"),
     ({"name_lengths": [2, 2, 3]}, "doc name lengths do not sum to the string blob size"),
     ({"name_lengths": [2, 2, 1]}, "doc name lengths do not sum to the string blob size"),
-    ({"cut": 56}, "truncated doc name blob"),
+    ({"cut": "doc name blob size"}, "truncated doc name blob size"),
     ({"cut": 10}, "truncated index file"),
     # A valid blob, but the second length splits the 2-byte "é".
     ({"names": ["d0", "dé", "d2"], "name_lengths": [2, 2, 3]}, "invalid UTF-8 in a string block"),
+    # Three names whose lengths stream holds two, and whose blob stream holds 5 of their 6 bytes.
+    ({"name_lengths": [2, 2]}, "doc name lengths stream does not hold 3 values"),
+    ({"name_blob": b"d0d1d"}, "doc name blob stream does not hold 6 values"),
+    ({"offsets_stream": b"no zlib stream"}, "corrupt offsets stream"),
 ]
 
 # Piece sizes for the loader's streams that split them, and their byte planes, in many places.
@@ -908,17 +929,19 @@ WHOLE_PIECES = tuple(sorted({index_module.PIECE, 1 << 16}))
 
 @st.composite
 def raw_index_parts(draw):
-    """write_raw_index arguments for a valid index: up to 6 terms over up to 8 docs,
-    and a table of up to 300 weights, so that codes take 1 or 2 bytes."""
+    """write_raw_index arguments for a valid index: up to 6 terms over up to 8 docs
+    named by 1 to 6 characters of any width, and a table of up to 300 weights, so
+    that codes take 1 or 2 bytes."""
     n_docs = draw(st.integers(0, 8))
     n_terms = draw(st.integers(1, 6))
+    name = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
     lists = [sorted(draw(st.sets(st.integers(0, max(n_docs - 1, 0)), max_size=n_docs))) for _ in range(n_terms)]
     table = [k / 16.0 for k in sorted(draw(st.sets(st.integers(-400, 400).filter(bool), min_size=1, max_size=300)))]
     n_postings = sum(map(len, lists))
     codes = draw(st.lists(st.integers(0, len(table) - 1), min_size=n_postings, max_size=n_postings))
     return dict(
         terms=[f"t{i}" for i in range(n_terms)],
-        names=[f"d{i}" for i in range(n_docs)],
+        names=draw(st.lists(name, min_size=n_docs, max_size=n_docs, unique=True)),
         offsets=np.cumsum([0] + [len(ids) for ids in lists]).tolist(),
         doc_ids=[d for ids in lists for d in ids],
         weights=None,
@@ -968,12 +991,15 @@ class TestLoaderStructure:
     @given(raw_index_parts())
     def test_piece_size_changes_no_loaded_column(self, tmp_path_factory, parts):
         """Pieces that split every stream, and its byte planes, in many places load
-        the columns that one piece per stream loads, bit for bit."""
+        the columns that one piece per stream loads, bit for bit: a zlib stream
+        takes at least 8 bytes, so pieces of 1, 3 and 7 bytes split the string
+        tables' lengths and blobs and the offsets as well as the postings."""
         path = tmp_path_factory.mktemp("pieces") / "idx.svix"
         write_raw_index(path, **parts)
         want = load(path)
         assert want.table.tolist() == parts["table"] and want.codes.tolist() == parts["codes"]
-        assert want.doc_ids.tolist() == parts["doc_ids"]
+        assert want.doc_ids.tolist() == parts["doc_ids"] and want.offsets.tolist() == parts["offsets"]
+        assert want.doc_names == parts["names"] and list(want.vocab.terms) == parts["terms"]
         for piece in PIECE_SIZES:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(index_module, "PIECE", piece)
@@ -1029,13 +1055,15 @@ class TestLoaderStructure:
 
         monkeypatch.setattr(index_module, "_inflate", inflate)
         want = load(path)
-        start, end = spans[1]  # the table's stream, the codes', then the gaps'
+        # The string tables' four streams, the offsets', the table's, the codes', then the gaps'.
+        assert len(spans) == 8
+        start, end = spans[6]
         assert end - start > 3 + 1
         for piece in (end - start, end - start + 1):
             monkeypatch.setattr(index_module, "PIECE", piece)
             spans.clear()
             got = load(path)
-            assert spans[1] == (start, end)
+            assert spans[6] == (start, end)
             for column in ("doc_ids", "table", "codes"):
                 assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
 
@@ -1059,6 +1087,23 @@ class TestLoaderStructure:
                 tracemalloc.stop()
         assert n * n >= 200_000
         assert peaks[0] < peaks[1] + 2**16
+
+    def test_hostile_string_count_refused_before_allocating(self, tmp_path):
+        """A vocabulary that claims 2**32 - 1 terms over a lengths stream of a few
+        bytes is refused at zlib's 1032:1 bound before its lengths are allocated:
+        load's traced peak stays under 64 KiB, where the claimed lengths alone
+        would take 16 GiB."""
+        path = tmp_path / "claims.svix"
+        data = index_module.MAGIC + struct.pack("<II", 4, 2**32 - 1) + zlib.compress(bytes(16), 1) + bytes(8)
+        path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(IndexFormatError, match=f"vocabulary term lengths stream does not hold {2**32 - 1} values"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
     def test_overlong_stream_inflates_one_byte_past_its_size(self, tmp_path):
         """A codes stream of 2**20 codes where the offsets imply 3 is refused once it
@@ -1130,19 +1175,21 @@ class TestLoaderStructure:
         assert path.stat().st_size <= sum(read) <= path.stat().st_size + 8
 
     @pytest.mark.parametrize("crc_offset", [0, 1])
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_version_is_checked_before_structure(self, tmp_path, version, crc_offset):
-        """An old version's header over 40 bytes that are no version-3 body is refused
+        """An old version's header over 40 bytes that are no version-4 body is refused
         for its version when its CRC is valid, and as a checksum mismatch when its
-        CRC is off by one; as version 3, the same bytes fail on structure."""
+        CRC is off by one; as version 4, the same bytes fail on structure: their
+        first four claim 0x03020100 vocabulary terms, whose lengths 36 bytes cannot
+        inflate to."""
         path = tmp_path / "old.svix"
 
         def write(version, crc_offset):
             data = index_module.MAGIC + struct.pack("<I", version) + bytes(range(40))
             path.write_bytes(data + struct.pack("<I", (zlib.crc32(data) + crc_offset) & 0xFFFFFFFF))
 
-        write(3, 0)
-        with pytest.raises(IndexFormatError, match="truncated vocabulary term lengths"):
+        write(4, 0)
+        with pytest.raises(IndexFormatError, match="vocabulary term lengths stream does not hold 50462976 values"):
             load(path)
         write(version, crc_offset)
         message = "checksum mismatch" if crc_offset else f"unsupported format version {version};"
