@@ -12,7 +12,6 @@ Set SETVEC_LOG=debug|info|warning|error to control log verbosity.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import logging
 import os
@@ -271,32 +270,6 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
-# glibc's mallopt parameters.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_memory() -> None:
-    """Have glibc's malloc keep the memory that one query frees for the next.
-
-    A query allocates and frees a few float64 arrays of a doc each.  By default
-    glibc maps a block above its mmap threshold afresh and hands a free heap top
-    above its trim threshold back to the system, both thresholds moving only
-    with the largest mapped block freed so far: on a 100k-doc index with no
-    larger block freed first, each query on the calling thread faulted about
-    2.3 MB back in, 0.26 s over 300 queries.  Blocks below 32 MiB now come from
-    the heap, and up to 64 MiB of it stays free.  Elsewhere than glibc nothing
-    changes.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 1 << 25)
-    mallopt(_M_TRIM_THRESHOLD, 1 << 26)
-
-
 def cmd_search(args) -> int:
     params = _query_params(args)
     idx = load(args.index)
@@ -309,8 +282,6 @@ def cmd_search(args) -> int:
         return q.qid, search(idx, rep, args.k)
 
     run = _naming_errors(args.queries, run_one)
-    # After load: set before it, the search child peaked 0.9 MB higher.
-    _keep_freed_memory()
     if queries:
         # On this thread, where the index was loaded: built on a worker, the
         # rows (8 bytes a doc each) raise the peak memory.

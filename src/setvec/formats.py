@@ -399,6 +399,13 @@ def read_queries(
     return queries
 
 
+def _number(parse, s: str):
+    """``parse(s)`` (``int`` or ``float``), refusing the underscores and non-ASCII digits Python reads."""
+    if "_" in s or not s.isascii():
+        raise ValueError(f"not a plain ASCII number: {s!r}")
+    return parse(s)
+
+
 def read_qrels(path) -> Qrels:
     """TREC qrels; duplicate (qid, doc) keeps the last grade, with a warning."""
     qrels = Qrels()
@@ -409,7 +416,7 @@ def read_qrels(path) -> Qrels:
             raise FormatError(f"{path}:{line_no}: expected 'qid 0 docid grade'")
         qid, _, doc, grade_str = parts
         try:
-            grade = int(grade_str)
+            grade = _number(int, grade_str)
         except ValueError:
             raise FormatError(f"{path}:{line_no}: grade {grade_str!r} is not an integer") from None
         if grade < 0:
@@ -435,8 +442,8 @@ def read_run(path) -> dict[str, dict[str, float]]:
             raise FormatError(f"{path}:{line_no}: expected 'qid Q0 docid rank score tag'")
         qid, _, doc, rank_str, score_str, _tag = parts
         try:
-            rank = int(rank_str)
-            score = float(score_str)
+            rank = _number(int, rank_str)
+            score = _number(float, score_str)
         except ValueError:
             raise FormatError(f"{path}:{line_no}: bad rank or score") from None
         if not math.isfinite(score):
@@ -501,7 +508,7 @@ def read_logits(path, vocab: Vocabulary) -> LogitMatrix:
         if len(cells) != len(terms):
             raise FormatError(f"{path}:{line_no}: expected {len(terms)} columns, got {len(cells)}")
         try:
-            row = [float(c) for c in cells]
+            row = [_number(float, c) for c in cells]
         except ValueError:
             raise FormatError(f"{path}:{line_no}: non-numeric cell") from None
         if not all(math.isfinite(v) for v in row):
@@ -546,7 +553,7 @@ def read_per_query(path) -> dict[str, float]:
         if not 2 <= len(parts) <= 3:
             raise FormatError(f"{path}:{line_no}: expected qid<TAB>value or qid<TAB>metric<TAB>value")
         try:
-            value = float(parts[-1])
+            value = _number(float, parts[-1])
         except ValueError:
             raise FormatError(f"{path}:{line_no}: bad metric value") from None
         if not math.isfinite(value):

@@ -26,6 +26,9 @@ The rows are built once per index, on its first search and under a lock, so
 them on its calling thread before any query runs.  A row takes 8 bytes per
 doc; its term's postings take at least 5 bytes each, at least 1.25 bytes per
 doc, so the rows take at most 6.4 times the memory of the postings they copy.
+Each thread that searches an index keeps two float64 arrays of its doc count
+(16 bytes per doc), the scores and a head row's product, until the index is
+freed; no returned hit is a view of them, as ``_rank`` copies what it returns.
 
 Postings live in one columnar (CSR) layout shared by every layer and by the
 file: term ``t`` owns ``doc_ids[offsets[t]:offsets[t + 1]]`` (ascending) and
@@ -185,7 +188,7 @@ class StringTable(Sequence):
 class InvertedIndex:
     """Immutable posting-list index over a fixed document collection."""
 
-    __slots__ = ("vocab", "doc_names", "offsets", "doc_ids", "table", "codes", "_head_rows")
+    __slots__ = ("vocab", "doc_names", "offsets", "doc_ids", "table", "codes", "_head_rows", "_buffers")
     # Guards the first build of every index's head rows: search threads share one index.
     _head_rows_lock = threading.Lock()
 
@@ -205,6 +208,7 @@ class InvertedIndex:
         self.table = table
         self.codes = codes
         self._head_rows: dict[int, np.ndarray] | None = None
+        self._buffers = threading.local()  # each searching thread's scores and product arrays
 
     @property
     def doc_count(self) -> int:
@@ -283,11 +287,16 @@ def _named(idx: InvertedIndex, doc_ids: np.ndarray, scores: np.ndarray) -> Searc
 
 
 def _accumulate(idx: InvertedIndex, q: SparseVector, contribution) -> np.ndarray:
-    """Per-doc sums, from +0.0, of ``contribution(q_t, weights)`` over *q*'s terms in
-    ascending id order: a head term's from its dense row, every other posted term's
-    scattered over its doc ids.  The one loop that adds postings into per-doc scores."""
+    """Per-doc sums, from +0.0, of ``contribution(q_t, weights, out=None)`` over *q*'s
+    terms in ascending id order: a head term's from its dense row, into the thread's
+    product array, every other posted term's scattered over its doc ids.  The one loop
+    that adds postings into per-doc scores: the thread's scores array, which its next call overwrites."""
     rows = idx.head_rows()
-    scores = np.zeros(idx.doc_count, dtype=np.float64)
+    buffers = idx._buffers
+    if not hasattr(buffers, "scores"):
+        buffers.scores, buffers.product = np.empty(idx.doc_count), np.empty(idx.doc_count)
+    scores, product = buffers.scores, buffers.product
+    scores.fill(0.0)
     # An overflow is reported by _rank's finite check, not by a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for tid, qw in zip(q.ids.tolist(), q.weights.tolist()):
@@ -297,13 +306,19 @@ def _accumulate(idx: InvertedIndex, q: SparseVector, contribution) -> np.ndarray
                 # is -0.0 only when both terms are), so adding a row's +-0.0
                 # entries changes no doc, and each posted doc gets the same
                 # contribution in the same term order as the scatter below.
-                np.add(scores, contribution(qw, row), out=scores)
+                np.add(scores, contribution(qw, row, out=product), out=scores)
                 continue
             posting = idx.postings(tid)
             if posting is not None:
                 doc_ids, weights = posting
                 np.add.at(scores, doc_ids.astype(np.intp), contribution(qw, weights))
     return scores
+
+
+def _sqrt_product(qw: float, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A CPT factor's contribution, ``sqrt(q_t * d_t)``, into *out* when given."""
+    product = np.multiply(qw, w, out=out)
+    return np.sqrt(product, out=product)
 
 
 def _touched(idx: InvertedIndex, ids: np.ndarray) -> np.ndarray:
@@ -368,9 +383,11 @@ def search_cpt(
                 posting = idx.postings(tid)
                 if posting is not None:
                     _require_nonnegative(posting[1], f"the posting of term {idx.vocab.term(tid)!r}")
-        x, y = (_accumulate(idx, side, lambda qw, w: np.sqrt(qw * w)) for side in (q_cpt.x, q_cpt.y))
+        # Each factor is gathered before the next accumulation overwrites the scores array.
+        x = _accumulate(idx, q_cpt.x, _sqrt_product)[cand_ids]
+        y = _accumulate(idx, q_cpt.y, _sqrt_product)[cand_ids]
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = x[cand_ids] * y[cand_ids]
+            scores = x * y
     return _named(idx, *_rank(cand_ids, scores, k))
 
 

@@ -351,12 +351,48 @@ MUTANTS = [
     {
         "name": "the accumulator starts at -0.0",
         "file": "src/setvec/index.py",
-        "find": "    scores = np.zeros(idx.doc_count, dtype=np.float64)\n",
-        "replace": "    scores = np.full(idx.doc_count, -0.0)\n",
+        "find": "    scores.fill(0.0)\n",
+        "replace": "    scores.fill(-0.0)\n",
         "tests": [
             "tests/test_cli.py::test_search_with_query_terms_missing_from_the_index",
             "tests/test_index.py::TestSearch::test_oracle_equivalence_small",
         ],
+        "timeout": 300,
+    },
+    # The per-thread scores buffers: cleared for each query, read before they are reused,
+    # and one pair per searching thread.
+    {
+        "name": "the scores buffer is not cleared between queries",
+        "file": "src/setvec/index.py",
+        "find": "    scores.fill(0.0)\n",
+        "replace": "",
+        "tests": ["tests/test_index.py::TestSearch::test_deterministic_across_runs"],
+        "timeout": 300,
+    },
+    {
+        "name": "CPT gathers its factors after both accumulations",
+        "file": "src/setvec/index.py",
+        "find": (
+            "        x = _accumulate(idx, q_cpt.x, _sqrt_product)[cand_ids]\n"
+            "        y = _accumulate(idx, q_cpt.y, _sqrt_product)[cand_ids]\n"
+            "        with np.errstate(over=\"ignore\", invalid=\"ignore\"):\n"
+            "            scores = x * y\n"
+        ),
+        "replace": (
+            "        x = _accumulate(idx, q_cpt.x, _sqrt_product)\n"
+            "        y = _accumulate(idx, q_cpt.y, _sqrt_product)\n"
+            "        with np.errstate(over=\"ignore\", invalid=\"ignore\"):\n"
+            "            scores = x[cand_ids] * y[cand_ids]\n"
+        ),
+        "tests": ["tests/test_index.py::TestSearch::test_oracle_equivalence_small"],
+        "timeout": 300,
+    },
+    {
+        "name": "every thread shares one scores buffer",
+        "file": "src/setvec/index.py",
+        "find": "self._buffers = threading.local()",
+        "replace": "self._buffers = type(\"Shared\", (), {})()",
+        "tests": ["tests/test_index.py::TestSearch::test_threads_share_the_first_build_of_head_rows"],
         "timeout": 300,
     },
 ]

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import types
 
 import numpy as np
 import pytest
@@ -903,26 +902,6 @@ def test_search_streams_hits_and_a_later_failure_leaves_no_run(tmp_path, capsys,
     assert written == ["ok"]
     assert f"error: {queries}: query 'zero-b': cannot project onto a zero vector" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_search_sets_malloc_thresholds_for_its_queries(tmp_path, monkeypatch, indexed_corpus):
-    """search raises glibc's mmap and trim thresholds after load, so that the arrays
-    one query frees serve the next instead of being faulted in again; a C library
-    without mallopt is passed over."""
-    queries = tmp_path / "q.jsonl"
-    write_lines(queries, json.dumps({"id": "q1", "vector": {"colombia": 1.0}}))
-    argv = ["search", "--index", str(indexed_corpus), "--queries", str(queries), "--out", str(tmp_path / "run")]
-    calls = []
-
-    def mallopt(param, value):
-        calls.append((param, value))
-        return 1
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
-    assert main(argv) == 0
-    assert calls == [(-3, 1 << 25), (-1, 1 << 26)]
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
-    assert main(argv) == 0
 
 
 _OVERFLOWS = {

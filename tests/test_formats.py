@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,33 @@ class TestPerQuery:
         path.write_text(f"q1\t0.5\n\nq2\t{value}\n")
         with pytest.raises(FormatError, match=":3: metric value .* is not finite"):
             read_per_query(path)
+
+
+# Python's int() and float() read underscores and the digits of every script; no text
+# file setvec reads may hold them in a number.
+UNPLAIN_NUMBERS = [
+    pytest.param(read_run, "q1 Q0 d1 1_0 2_5.0 t\n", ":1: bad rank or score", id="run-underscores"),
+    pytest.param(read_run, "q1 Q0 d1 1 2.0 t\nq1 Q0 d2 \u0662\u0660 1.0 t\n", ":2: bad rank or score", id="run-arabic-rank"),
+    pytest.param(read_run, "q1 Q0 d1 1 \uff11.5 t\n", ":1: bad rank or score", id="run-fullwidth-score"),
+    pytest.param(read_qrels, "q1 0 d1 1_0\n", ":1: grade '1_0' is not an integer", id="qrels-underscore"),
+    pytest.param(read_qrels, "q1 0 d1 \u0662\n", ":1: grade '\u0662' is not an integer", id="qrels-arabic"),
+    pytest.param(read_per_query, "q1\t0.5\nq2\t0_5\n", ":2: bad metric value", id="per-query-underscore"),
+    pytest.param(read_per_query, "q1\tndcg@10\t\u0660.5\n", ":1: bad metric value", id="per-query-arabic"),
+    pytest.param(
+        lambda path: read_logits(path, Vocabulary()), "a\tb\n1.0\t1_0\n", ":2: non-numeric cell", id="logits-underscore"
+    ),
+    pytest.param(
+        lambda path: read_logits(path, Vocabulary()), "a\n\u0967\n", ":2: non-numeric cell", id="logits-devanagari"
+    ),
+]
+
+
+@pytest.mark.parametrize("reader, text, message", UNPLAIN_NUMBERS)
+def test_number_with_underscore_or_non_ascii_digit_refused(tmp_path, reader, text, message):
+    path = tmp_path / "numbers.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path) + message)}$"):
+        reader(path)
 
 
 class TestLogits:

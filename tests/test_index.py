@@ -387,14 +387,17 @@ class TestSearch:
         assert idx.head_rows() == {}
 
     def test_threads_share_the_first_build_of_head_rows(self):
-        """Threads that each make the first search of a fresh index get the same hits
-        and one set of head rows: a second build would hand some thread other rows."""
+        """Threads that each make the first search of a fresh index, then go on through
+        the queries, get the same hits and one set of head rows: a second build would
+        hand some thread other rows, and scores buffers shared between threads would
+        mix their sums."""
         rng = np.random.default_rng(127)
         vocab = Vocabulary(f"t{i}" for i in range(20))
         vecs = [random_vector(rng, vocab, max_nnz=12) for _ in range(3000)]
         names = [f"d{i:04d}" for i in range(len(vecs))]
-        q = random_vector(rng, vocab, max_nnz=20, min_nnz=20)
-        want = search(build(zip(names, vecs), vocab), q, 50)
+        queries = [random_vector(rng, vocab, max_nnz=20, min_nnz=20) for _ in range(24)]
+        reference = build(zip(names, vecs), vocab)
+        want = [search(reference, q, 50) for q in queries]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -405,7 +408,10 @@ class TestSearch:
 
                 def first_search(slot):
                     start.wait()
-                    results[slot] = search(idx, q, 50), idx.head_rows()
+                    # Each thread starts at its own query, so that threads score different queries at once.
+                    order = [(slot + i) % len(queries) for i in range(len(queries))]
+                    hits = {i: search(idx, queries[i], 50) for i in order}
+                    results[slot] = [hits[i] for i in range(len(queries))], idx.head_rows()
 
                 threads = [threading.Thread(target=first_search, args=(slot,)) for slot in range(4)]
                 for thread in threads:
@@ -448,6 +454,34 @@ class TestSearch:
         q = SparseVector.from_pairs([("colombia", 2.0), ("venezuela", -0.5)], vocab)
         first = search(idx, q, 3)
         assert all(search(idx, q, 3) == first for _ in range(5))
+
+    def test_second_search_reuses_the_threads_scores_arrays(self):
+        """A thread's second search and second search_cpt write into the scores and
+        product arrays its first one made: each traced peak stays below 8 bytes a
+        doc, where a fresh float64 array of the doc count takes 8 and a head row's
+        product 8 more."""
+        rng = np.random.default_rng(23)
+        n_docs, n_terms = 20_000, 40
+        present = rng.random((n_docs, n_terms)) < np.linspace(0.9, 0.01, n_terms)
+        ids = np.nonzero(present)[1]
+        weights = rng.integers(1, 9, size=ids.size) / 8.0
+        vocab = Vocabulary(f"t{i}" for i in range(n_terms))
+        idx = build(VectorBatch([f"d{i}" for i in range(n_docs)], present.sum(axis=1), ids, weights, vocab))
+        a = SparseVector.from_pairs([("t0", 1.0), ("t1", 0.5), ("t30", 2.0)], vocab)
+        b = SparseVector.from_pairs([("t2", 1.0), ("t31", 1.5)], vocab)
+        q_cpt = expand_query(a, b, 3)
+        # Head rows and scattered terms both: t0-t2 are posted in over a quarter of the docs, t30 and t31 not.
+        assert {0, 1, 2} <= set(idx.head_rows()) and not {30, 31} & set(idx.head_rows())
+        for run in (lambda: search(idx, a, 10), lambda: search_cpt(idx, q_cpt, a, b, 10, candidate_pool=100)):
+            first = run()
+            tracemalloc.start()
+            try:
+                again = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert again == first
+            assert peak < 8 * n_docs
 
 
 # _touched's fixed cases: the oracle's, whose posted terms are all head rows or a head
