@@ -2,8 +2,7 @@
 
 Every subcommand reads and writes the documented file formats, so stages can
 be chained through files and tested in isolation.  Outputs are deterministic:
-the same inputs and flags produce byte-identical files regardless of thread
-count.
+the same inputs and flags produce byte-identical files.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 Set SETVEC_LOG=debug|info|warning|error to control log verbosity.
@@ -18,7 +17,6 @@ import os
 import sys
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 from . import formats
 from .activations import AGGREGATIONS, NEG_FORMULAS, ActivationConfig, activate
@@ -106,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_count, help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_index)
 
-    # compose and search read query records with the same overrides and defaults.
+    # compose and search read query files with the same overrides and defaults.
     query_flags = _Parser(add_help=False)
     query_flags.add_argument("--method", help="override the method of every non-atomic query record")
     query_flags.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float, default=DEFAULT_LAMBDA,
@@ -115,14 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
                              help="cpt top-m when a record omits it (default: %(default)s)")
 
     p = sub.add_parser("compose", parents=[query_flags], help="turn compositional query records into vectors")
-    p.add_argument("--queries", required=True, help="query JSONL")
+    p.add_argument("--queries", required=True, help="query JSONL or vector JSONL")
     p.add_argument("--vectors", help="atomic vector JSONL for a_ref/b_ref lookups")
     p.add_argument("--out", required=True, help="output vector JSONL (cpt rows hold 'pairs' with term∩term keys)")
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("search", parents=[query_flags], help="retrieve top-k documents for queries")
     p.add_argument("--index", required=True, help="index file from 'setvec index'")
-    p.add_argument("--queries", required=True, help="query JSONL or pre-composed vector JSONL")
+    p.add_argument("--queries", required=True, help="query JSONL or vector JSONL")
     p.add_argument("--vectors", help="atomic vectors for query records with refs")
     p.add_argument("--k", type=_count, default=10, help="results per query (default: %(default)s)")
     p.add_argument(
@@ -136,14 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run tag, one field without whitespace (default: %(default)s)",
     )
     p.add_argument("--out", required=True, help="output TREC run file")
-    p.add_argument(
-        "--threads",
-        type=_count,
-        default=os.cpu_count() or 1,
-        help="worker threads, at most one per query and per CPU; with one, the "
-        "queries run on the calling thread (affects speed and memory only, "
-        "never results; default: %(default)s)",
-    )
+    p.add_argument("--threads", type=_count, help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("fuse", help="fuse two per-atomic-query runs")
@@ -177,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze-interference",
         help="bin difference queries by cosine(a, b) and average a per-query metric",
     )
-    p.add_argument("--queries", required=True, help="query JSONL")
+    p.add_argument("--queries", required=True, help="query JSONL or vector JSONL")
     p.add_argument("--vectors", help="atomic vectors for refs")
     p.add_argument("--per-query-metrics", required=True, help="TSV: qid<TAB>value")
     p.add_argument("--bins", type=_count, default=DEFAULT_BINS, help="number of bins (default: %(default)s)")
@@ -273,7 +264,7 @@ def cmd_compose(args) -> int:
 def cmd_search(args) -> int:
     params = _query_params(args)
     idx = load(args.index)
-    queries = formats.read_search_queries(args.queries, args.vectors, idx.vocab, args.method, params)
+    queries = _load_queries(args, idx.vocab, args.method, params)
 
     def run_one(q: CompositionalQuery):
         rep = compose(q)
@@ -281,16 +272,8 @@ def cmd_search(args) -> int:
             return q.qid, search_cpt(idx, rep, q.a, q.b, args.k, args.candidate_pool)
         return q.qid, search(idx, rep, args.k)
 
-    run = _naming_errors(args.queries, run_one)
-    if queries:
-        # On this thread, where the index was loaded: built on a worker, the
-        # rows (8 bytes a doc each) raise the peak memory.
-        idx.head_rows()
-    workers = max(1, min(args.threads, len(queries), os.cpu_count() or 1))
-    # Hits are written as they are produced; a pool starts no thread until a query is submitted.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = map(run, queries) if workers == 1 else pool.map(run, queries)
-        formats.write_search_results(args.out, results, tag=args.tag)
+    # Hits are written as they are produced.
+    formats.write_search_results(args.out, map(_naming_errors(args.queries, run_one), queries), tag=args.tag)
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ Pseudo-term rows {"id": "...", "pairs": {"termA∩termB": weight, ...}}  (writte
 Text JSONL       {"id": "...", "text": "..."}
 Query JSONL      {"qid": "...", "operator": "...", "method": "...",
                   "a_ref": "..."| "a": {...}, "b_ref"|"b": ...,
-                  "params": {"lambda": 0.5, "m": 5}}
+                  "params": {"lambda": 0.5, "m": 5}}   (or vector records: read_queries)
 Qrels            qid 0 docid grade
 Run              qid Q0 docid rank score tag      (rank 1-based, 6-decimal scores)
 Logit grid       TSV; first row = term strings, later rows = positions.
@@ -39,7 +39,6 @@ Stopwords        one token per line
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -107,11 +106,9 @@ def _write(*outputs: tuple[object, Iterable[str]]) -> None:
         raise
 
 
-def _jsonl_records(path, lines=None) -> Iterator[tuple[int, dict]]:
-    for line_no, raw in _lines(path, raw=True) if lines is None else lines:
-        line = _text(path, line_no, raw)
-        if line is not None:
-            yield line_no, _record(f"{path}:{line_no}", line)
+def _jsonl_records(path) -> Iterator[tuple[int, dict]]:
+    for line_no, line in _lines(path):
+        yield line_no, _record(f"{path}:{line_no}", line)
 
 
 def _record(where: str, line: str) -> dict:
@@ -188,13 +185,12 @@ def _plain_vector(record) -> dict | None:
     return None
 
 
-def read_vectors(path, vocab: Vocabulary, lines=None) -> VectorBatch:
+def read_vectors(path, vocab: Vocabulary) -> VectorBatch:
     """Read every (id, vector) record into one batch; duplicate ids are rejected.
 
     Each line is parsed by orjson first; a line that is not a plain vector
     record (:func:`_plain_vector`) is read again by ``json.loads``, with the
-    checks and located errors of every other JSONL reader.  *lines* are the
-    file's ``_lines(path, raw=True)`` when the caller has begun to read them.
+    checks and located errors of every other JSONL reader.
     """
     # Imported here, not at the top: no other reader uses orjson, and a `search`
     # child given no --vectors never loads it.
@@ -203,7 +199,7 @@ def read_vectors(path, vocab: Vocabulary, lines=None) -> VectorBatch:
     seen: set[str] = set()
     names: list[str] = []
     term_ids, weights, lengths = array("I"), array("d"), array("I")
-    for line_no, raw in _lines(path, raw=True) if lines is None else lines:
+    for line_no, raw in _lines(path, raw=True):
         where = f"{path}:{line_no}"
         try:
             record = loads(raw)
@@ -315,42 +311,36 @@ def read_texts(path) -> Iterator[tuple[str, str]]:
         yield rec_id, text
 
 
-def read_search_queries(path, vectors_path, vocab: Vocabulary, method, params) -> list[CompositionalQuery]:
-    """The queries of ``setvec search``: query records, read by :func:`read_queries`
-    against the vectors in *vectors_path* (if given), or vector records, each an
-    atomic query.  The first record decides which, and the file is read once, so
-    it may be a pipe.
-    """
-    lines = _lines(path, raw=True)
-    first = next(((line_no, raw) for line_no, raw in lines if _text(path, line_no, raw) is not None), None)
-    if first is None:
-        return []
-    lines = itertools.chain([first], lines)
-    if "operator" in next(_jsonl_records(path, [first]))[1]:
-        vectors = dict(read_vectors(vectors_path, vocab)) if vectors_path else {}
-        return read_queries(path, vectors, vocab, method, params, lines=lines)
-    batch = read_vectors(path, vocab, lines=lines)
-    return [CompositionalQuery(qid=qid, operator=OP_ATOMIC, method="atomic", a=vec) for qid, vec in batch]
-
-
 def read_queries(
     path,
     vectors: Mapping[str, SparseVector],
     vocab: Vocabulary,
     method: str | None = None,
     params: CompositionParams = CompositionParams(),
-    lines=None,
 ) -> list[CompositionalQuery]:
-    """Parse query records, resolving a_ref/b_ref against *vectors*.
+    """Parse query records, resolving a_ref/b_ref against *vectors*, or vector records.
 
+    The first record decides the kind of every record.  One with an ``"id"``
+    and no ``"operator"`` makes a file of vector records, as
+    :func:`read_vectors` reads them, each an ``atomic`` query; any other makes
+    a file of query records.  The file is read once, so it may be a pipe.
     *method*, when given, overrides the method of every non-atomic record;
-    *params* supplies the lambda and m that a record's params leave out;
-    *lines* are as :func:`read_vectors` takes them.
+    *params* supplies the lambda and m that a record's params leave out.
     """
     queries = []
     seen: set[str] = set()
-    for line_no, record in _jsonl_records(path, lines):
+    vector_file = None
+    for line_no, record in _jsonl_records(path):
         where = f"{path}:{line_no}"
+        if vector_file is None:
+            vector_file = "id" in record and "operator" not in record
+        if vector_file:
+            qid = _unique_id(record, "id", seen, where)
+            if "vector" not in record:
+                raise FormatError(f"{where}: missing 'vector'")
+            a = _vector_from_json(record["vector"], vocab, where)
+            queries.append(CompositionalQuery(qid=qid, operator=OP_ATOMIC, method="atomic", a=a))
+            continue
         qid = _unique_id(record, "qid", seen, where)
         operator = record.get("operator")
         if not isinstance(operator, str):
@@ -382,6 +372,9 @@ def read_queries(
         raw_params = record.get("params", {})
         if not isinstance(raw_params, dict):
             raise FormatError(f"{where}: 'params' must be an object")
+        for key in raw_params:
+            if key not in ("lambda", "m"):
+                raise FormatError(f"{where}: unknown params key {key!r}; expected 'lambda' or 'm'")
         try:
             query = CompositionalQuery(
                 qid=qid,

@@ -22,8 +22,7 @@ same loop adding ``sqrt(q_t * d_t)`` (:func:`search_cpt`).
 ``_rank`` sorts only the scores at or above the k-th best, found by one
 partition, after a partition of every 8th score has bounded it from below.
 The rows are built once per index, on its first search and under a lock, so
-``build``, ``save`` and ``load`` never hold them; ``setvec search`` builds
-them on its calling thread before any query runs.  A row takes 8 bytes per
+``build``, ``save`` and ``load`` never hold them.  A row takes 8 bytes per
 doc; its term's postings take at least 5 bytes each, at least 1.25 bytes per
 doc, so the rows take at most 6.4 times the memory of the postings they copy.
 Each thread that searches an index keeps two float64 arrays of its doc count
@@ -189,7 +188,7 @@ class InvertedIndex:
     """Immutable posting-list index over a fixed document collection."""
 
     __slots__ = ("vocab", "doc_names", "offsets", "doc_ids", "table", "codes", "_head_rows", "_buffers")
-    # Guards the first build of every index's head rows: search threads share one index.
+    # Guards the first build of every index's head rows: a caller's search threads may share one index.
     _head_rows_lock = threading.Lock()
 
     def __init__(

@@ -229,6 +229,23 @@ MUTANTS = [
         ],
         "timeout": 300,
     },
+    # The query reader: the first record decides the file's kind, and params hold only lambda and m.
+    {
+        "name": "read_queries decides each record's kind by itself",
+        "file": "src/setvec/formats.py",
+        "find": "        if vector_file is None:\n",
+        "replace": "        if True:\n",
+        "tests": ["tests/test_cli.py::test_first_record_decides_the_kind_of_every_record"],
+        "timeout": 300,
+    },
+    {
+        "name": "an unknown params key is accepted",
+        "file": "src/setvec/formats.py",
+        "find": "            if key not in (\"lambda\", \"m\"):\n",
+        "replace": "            if False:\n",
+        "tests": ["tests/test_cli.py::test_malformed_value_is_located_data_error"],
+        "timeout": 300,
+    },
     # Query composition and the metrics.
     {
         "name": "subtract difference masks a's terms out of b",

@@ -95,6 +95,20 @@ class TestCompose:
         assert f"{composed}:1: missing 'vector'" in capsys.readouterr().err
         assert not run.exists()
 
+    def test_vector_file_composes_to_itself(self, tmp_path):
+        """A vector file is a file of atomic queries, so compose writes back what encode wrote."""
+        docs = tmp_path / "docs.jsonl"
+        write_lines(
+            docs,
+            json.dumps({"id": "d1", "text": "Birds of Colombia, birds"}),
+            json.dumps({"id": "d2", "text": "Coffee of Venezuela"}),
+            json.dumps({"id": "d3", "text": ""}),
+        )
+        vectors, composed = tmp_path / "vectors.jsonl", tmp_path / "composed.jsonl"
+        assert main(["encode", "--tf", "--docs", str(docs), "--out", str(vectors)]) == 0
+        assert main(["compose", "--queries", str(vectors), "--out", str(composed)]) == 0
+        assert composed.read_bytes() == vectors.read_bytes()
+
     def test_cpt_dump_bytes_pinned(self, tmp_path):
         # Term ids follow first occurrence (colombia 0, birds 1, andes 2, venezuela 3);
         # m=2 drops andes, and pairs come in id order, not key order.
@@ -176,36 +190,6 @@ class TestSearch:
         lines = run.read_text().splitlines()
         assert lines[0].startswith("i1 Q0 d2 1 1.000000")
         assert len(lines) == 3  # one-sided docs kept, scored 0
-
-    @pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2)])
-    def test_worker_count_capped(self, tmp_path, indexed_corpus, monkeypatch, cpus, workers):
-        # A recording stand-in for the pool, so no thread is ever started.
-        created = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        queries = tmp_path / "q.jsonl"
-        write_lines(queries, *[json.dumps({"id": f"q{i}", "vector": {"colombia": 1.0}}) for i in range(3)])
-        run = tmp_path / "run.trec"
-        assert main([
-            "search", "--index", str(indexed_corpus), "--queries", str(queries),
-            "--threads", "64", "--out", str(run),
-        ]) == 0
-        assert created == [workers]
-        assert len(run.read_text().splitlines()) == 6
 
     def test_threads_do_not_change_output(self, tmp_path, indexed_corpus):
         queries = tmp_path / "q.jsonl"
@@ -754,6 +738,8 @@ def _query(method, params):
     ("index", "[1, 2]", 1),
     ("compose", '{"qid": "q1", "method": "subtract", "a": {"x": 1.0}, "b": {"y": 1.0}}', 1),
     ("compose", _query("nrf", [0.5]), 1),
+    ("compose", _query("nrf", {"lamda": 2.0}), 1),
+    ("compose", _query("cpt", {"M": 2}), 1),
     ("eval --qrels", "q1 0 d1 x", 1),
     ("eval --qrels", "q1 0 d1 -1", 1),
     ("eval --run", "q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t", 2),
@@ -762,7 +748,7 @@ def _query(method, params):
     ("analyze-interference", "q1\tndcg@10\textra\t0.5", 1),
 ], ids=["vector-weight-overflow", "inline-weight-overflow", "m-0", "m-2.7", "m-true", "m-str",
         "lambda-neg", "lambda-true", "lambda-str", "vector-empty-term", "inline-empty-term",
-        "not-an-object", "no-operator", "params-not-object", "grade-not-int", "grade-negative",
+        "not-an-object", "no-operator", "params-not-object", "params-lamda", "params-M", "grade-not-int", "grade-negative",
         "run-duplicate-doc", "logit-empty-term", "logit-non-finite", "per-query-four-columns"])
 def test_malformed_value_is_located_data_error(tmp_path, capsys, command, line, line_no):
     path = tmp_path / "input.jsonl"
@@ -869,6 +855,29 @@ def test_failed_query_is_named_and_leaves_no_output(tmp_path, capsys, indexed_co
         argv += ["--index", str(indexed_corpus), "--threads", "1"]
     assert main(argv) == 2
     assert f"error: {queries}: query 'zero-b': cannot project onto a zero vector" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_VECTOR_RECORD = json.dumps({"id": "v1", "vector": {"colombia": 1.0}})
+_QUERY_RECORD = json.dumps({"qid": "q1", "operator": "atomic", "method": "atomic", "a": {"colombia": 1.0}})
+
+
+@pytest.mark.parametrize("lines, key", [
+    ((_VECTOR_RECORD, _QUERY_RECORD), "id"),
+    ((_QUERY_RECORD, _VECTOR_RECORD), "qid"),
+], ids=["vector-then-query", "query-then-vector"])
+@pytest.mark.parametrize("command", ["compose", "search"])
+def test_first_record_decides_the_kind_of_every_record(tmp_path, capsys, indexed_corpus, command, lines, key):
+    """A queries file holds vector records or query records, never both: the second
+    kind is refused at its line, with no output."""
+    queries = tmp_path / "q.jsonl"
+    write_lines(queries, *lines)
+    out = tmp_path / "out"
+    argv = [command, "--queries", str(queries), "--out", str(out)]
+    if command == "search":
+        argv += ["--index", str(indexed_corpus)]
+    assert main(argv) == 2
+    assert f"error: {queries}:2: missing or invalid {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
