@@ -7,7 +7,6 @@ the lexical fallback engine here.
 """
 
 from setvec import (
-    Qrels,
     Vocabulary,
     build,
     encode_bm25,
@@ -45,9 +44,7 @@ def main():
         marker = "*" if doc in RELEVANT else " "
         print(f"  {rank}. [{marker}] {doc:<18} {score:.4f}")
 
-    qrels = Qrels()
-    for doc in RELEVANT:
-        qrels.set("q1", doc, 1)
+    qrels = {"q1": {doc: 1 for doc in RELEVANT}}
     ranking = [doc for doc, _ in hits]
     print(f"\nndcg@3   = {ndcg_at_k(ranking, qrels, 'q1', 3):.4f}")
     print(f"recall@2 = {recall_at_k(ranking, qrels, 'q1', 2):.4f}")

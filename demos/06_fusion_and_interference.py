@@ -60,7 +60,7 @@ def main():
 
     print("difference queries binned by cosine(a, b):")
     print(f"  {'range':<22} {'mean metric':>11} {'count':>6}")
-    for bin_ in interference_bins(queries, lambda qid: metric[qid], n_bins=4):
+    for bin_ in interference_bins(queries, metric, n_bins=4):
         rng_label = f"[{bin_.low:.3f}, {bin_.high:.3f}]"
         print(f"  {rng_label:<22} {bin_.mean_metric:>11.3f} {bin_.count:>6}")
 

@@ -39,7 +39,6 @@ from .errors import (
 from .evaluation import (
     InterferenceBin,
     PairedQueries,
-    Qrels,
     interference_bins,
     ndcg_at_k,
     pairwise_accuracy,
@@ -80,7 +79,6 @@ __all__ = [
     "NonFiniteError",
     "PairedQueries",
     "PseudoTermVector",
-    "Qrels",
     "SearchResult",
     "SetvecError",
     "SparseVector",

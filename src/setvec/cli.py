@@ -356,14 +356,12 @@ def cmd_eval(args) -> int:
 def cmd_pairwise(args) -> int:
     pairs = formats.read_pairs(args.pairs)
     runs = formats.read_run(args.scores)
-
-    def scorer(qid: str, doc: str) -> float:
-        scores = runs.get(qid, {})
-        if doc not in scores:
-            raise UndefinedMetricError(f"no score for ({qid!r}, {doc!r}) in {args.scores}")
-        return scores[doc]
-
-    accuracy = pairwise_accuracy(pairs, scorer)
+    try:
+        accuracy = pairwise_accuracy(pairs, runs)
+    except UndefinedMetricError as exc:  # a missing score names the scores file
+        if not pairs:
+            raise
+        raise UndefinedMetricError(f"{exc} in {args.scores}") from exc
     print(f"pairs: {len(pairs)}")
     print(f"pairwise accuracy: {accuracy:.4f}")
     if args.out:
@@ -378,14 +376,8 @@ def cmd_analyze_interference(args) -> int:
     if dropped:
         log.warning("ignoring %d non-difference queries", dropped)
     metric_by_qid = formats.read_per_query(args.per_query_metrics)
-
-    def metric(qid: str) -> float:
-        if qid not in metric_by_qid:
-            raise UndefinedMetricError(f"no per-query metric for {qid!r}")
-        return metric_by_qid[qid]
-
     try:
-        bins = interference_bins(diffs, metric, n_bins=args.bins)
+        bins = interference_bins(diffs, metric_by_qid, n_bins=args.bins)
     except ZeroNormError as exc:  # a zero-norm side is a data error in the queries file
         raise ZeroNormError(f"{args.queries}: {exc}") from exc
     print(f"{'similarity range':<24} {'mean metric':>12} {'queries':>8}")

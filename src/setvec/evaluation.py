@@ -1,5 +1,9 @@
 """Ranking metrics and the positive/negative interference analysis.
 
+Every input is a plain map, as the readers in :mod:`setvec.formats` return it:
+qrels ``{qid: {doc: grade}}``, a run ``{qid: {doc: score}}`` and a per-query
+metric ``{qid: value}``.
+
 NDCG uses raw integer grades as gains and a ``log2(rank + 1)`` discount.
 Pairwise accuracy follows the counterfactual protocol: a pair counts only
 when *both* of its queries rank their own relevant document strictly above
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,39 +26,14 @@ from .sparse import _positive_int, cosine
 DEFAULT_BINS = 4
 
 
-class Qrels:
-    """Relevance judgments: nonnegative integer grade per (qid, doc name)."""
-
-    def __init__(self):
-        self._by_qid: dict[str, dict[str, int]] = {}
-
-    def set(self, qid: str, doc: str, grade: int) -> None:
-        """Judge *doc* for *qid*: *grade* is an ``int`` or numpy integer of at least 0, never a ``bool``."""
-        if isinstance(grade, bool) or not isinstance(grade, (int, np.integer)) or grade < 0:
-            raise ValueError(f"relevance grades must be nonnegative integers, got {grade!r}")
-        self._by_qid.setdefault(qid, {})[doc] = int(grade)
-
-    def grade(self, qid: str, doc: str) -> int:
-        return self._by_qid.get(qid, {}).get(doc, 0)
-
-    def judged(self, qid: str) -> dict[str, int]:
-        return dict(self._by_qid.get(qid, {}))
-
-    def relevant(self, qid: str) -> set[str]:
-        return {doc for doc, g in self._by_qid.get(qid, {}).items() if g > 0}
-
-    def __len__(self) -> int:
-        return sum(len(docs) for docs in self._by_qid.values())
-
-
-def _positive_grades(qrels: Qrels, qid: str) -> dict[str, int]:
-    judged = qrels.judged(qid)
+def _positive_grades(qrels: Mapping[str, Mapping[str, int]], qid: str) -> Mapping[str, int]:
+    judged = qrels.get(qid, {})
     if not any(g > 0 for g in judged.values()):
         raise UndefinedMetricError(f"query {qid!r} has no positively judged documents")
     return judged
 
 
-def ndcg_at_k(ranking: Sequence[str], qrels: Qrels, qid: str, k: int) -> float:
+def ndcg_at_k(ranking: Sequence[str], qrels: Mapping[str, Mapping[str, int]], qid: str, k: int) -> float:
     """Normalized DCG over the top *k* of *ranking*."""
     k = _positive_int(k, "k")
     judged = _positive_grades(qrels, qid)
@@ -68,11 +47,10 @@ def ndcg_at_k(ranking: Sequence[str], qrels: Qrels, qid: str, k: int) -> float:
     return dcg / idcg
 
 
-def recall_at_k(ranking: Sequence[str], qrels: Qrels, qid: str, k: int) -> float:
+def recall_at_k(ranking: Sequence[str], qrels: Mapping[str, Mapping[str, int]], qid: str, k: int) -> float:
     """Fraction of relevant documents found in the top *k*."""
     k = _positive_int(k, "k")
-    _positive_grades(qrels, qid)
-    relevant = qrels.relevant(qid)
+    relevant = {doc for doc, g in _positive_grades(qrels, qid).items() if g > 0}
     hits = sum(1 for doc in ranking[:k] if doc in relevant)
     return hits / len(relevant)
 
@@ -91,19 +69,25 @@ class PairedQueries:
     doc_b: str
 
 
-def pairwise_accuracy(
-    pairs: Sequence[PairedQueries], scorer: Callable[[str, str], float]
-) -> float:
+def _score(run: Mapping[str, Mapping[str, float]], qid: str, doc: str) -> float:
+    scores = run.get(qid, {})
+    if doc not in scores:
+        raise UndefinedMetricError(f"no score for ({qid!r}, {doc!r})")
+    return scores[doc]
+
+
+def pairwise_accuracy(pairs: Sequence[PairedQueries], run: Mapping[str, Mapping[str, float]]) -> float:
     """Fraction of pairs where both queries prefer their own relevant doc.
 
-    Either comparison tying counts as a failure for the pair.
+    Either comparison tying counts as a failure for the pair; a score missing
+    from *run* raises :class:`UndefinedMetricError`.
     """
     if not pairs:
         raise UndefinedMetricError("pairwise accuracy needs at least one pair")
     both = 0
     for p in pairs:
-        first = scorer(p.qid_a, p.doc_a) > scorer(p.qid_a, p.doc_b)
-        second = scorer(p.qid_b, p.doc_b) > scorer(p.qid_b, p.doc_a)
+        first = _score(run, p.qid_a, p.doc_a) > _score(run, p.qid_a, p.doc_b)
+        second = _score(run, p.qid_b, p.doc_b) > _score(run, p.qid_b, p.doc_a)
         if first and second:
             both += 1
     return both / len(pairs)
@@ -124,16 +108,23 @@ def _similarity(q: CompositionalQuery) -> float:
         raise ZeroNormError(f"query {q.qid!r}: {exc}") from exc
 
 
+def _metric(metric_by_qid: Mapping[str, float], qid: str) -> float:
+    if qid not in metric_by_qid:
+        raise UndefinedMetricError(f"no per-query metric for {qid!r}")
+    return metric_by_qid[qid]
+
+
 def interference_bins(
     queries: Iterable[CompositionalQuery],
-    per_query_metric: Callable[[str], float],
+    metric_by_qid: Mapping[str, float],
     n_bins: int = DEFAULT_BINS,
 ) -> list[InterferenceBin]:
     """Bin difference queries by cosine(a, b) and average a metric per bin.
 
     Bins are equal-population over the similarity order; with fewer queries
     than bins the bin count shrinks (with a warning), and adjacent bins whose
-    similarity ranges coincide are merged.
+    similarity ranges coincide are merged.  A query missing from
+    *metric_by_qid* raises :class:`UndefinedMetricError`.
     """
     n_bins = _positive_int(n_bins, "n_bins")
     queries = list(queries)
@@ -143,7 +134,7 @@ def interference_bins(
         if q.operator != OP_DIFFERENCE:
             raise ValueError(f"query {q.qid!r} is not a difference query")
     rows = sorted(
-        ((_similarity(q), q.qid, per_query_metric(q.qid)) for q in queries),
+        ((_similarity(q), q.qid, _metric(metric_by_qid, q.qid)) for q in queries),
         key=lambda row: (row[0], row[1]),
     )
     effective = min(n_bins, len(rows))

@@ -29,7 +29,7 @@ Text JSONL       {"id": "...", "text": "..."}
 Query JSONL      {"qid": "...", "operator": "...", "method": "...",
                   "a_ref": "..."| "a": {...}, "b_ref"|"b": ...,
                   "params": {"lambda": 0.5, "m": 5}}   (or vector records: read_queries)
-Qrels            qid 0 docid grade
+TREC qrels       qid 0 docid grade
 Run              qid Q0 docid rank score tag      (rank 1-based, 6-decimal scores)
 Logit grid       TSV; first row = term strings, later rows = positions.
 Pairs JSONL      {"qid_a": "...", "qid_b": "...", "doc_a": "...", "doc_b": "..."}
@@ -55,7 +55,7 @@ from .activations import LogitMatrix
 from .compose import OP_ATOMIC, CompositionalQuery, CompositionParams
 from .cpt import PseudoTermVector
 from .errors import FormatError
-from .evaluation import PairedQueries, Qrels
+from .evaluation import PairedQueries
 from .lexical import tokenize
 from .sparse import SparseVector, VectorBatch, Vocabulary
 
@@ -399,10 +399,10 @@ def _number(parse, s: str):
     return parse(s)
 
 
-def read_qrels(path) -> Qrels:
-    """TREC qrels; duplicate (qid, doc) keeps the last grade, with a warning."""
-    qrels = Qrels()
-    seen: set[tuple[str, str]] = set()
+def read_qrels(path) -> dict[str, dict[str, int]]:
+    """TREC qrels as ``{qid: {doc: grade}}``, grades nonnegative integers; a duplicate
+    (qid, doc) keeps the last grade, with a warning."""
+    qrels: dict[str, dict[str, int]] = {}
     for line_no, line in _lines(path):
         parts = line.split()
         if len(parts) != 4:
@@ -414,10 +414,10 @@ def read_qrels(path) -> Qrels:
             raise FormatError(f"{path}:{line_no}: grade {grade_str!r} is not an integer") from None
         if grade < 0:
             raise FormatError(f"{path}:{line_no}: negative grade")
-        if (qid, doc) in seen:
+        judged = qrels.setdefault(qid, {})
+        if doc in judged:
             warnings.warn(f"{path}:{line_no}: duplicate qrel ({qid}, {doc}); last wins")
-        seen.add((qid, doc))
-        qrels.set(qid, doc, grade)
+        judged[doc] = grade
     return qrels
 
 

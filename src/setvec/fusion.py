@@ -12,13 +12,15 @@ first.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from typing import Mapping
 
 from .errors import NonFiniteError
 from .index import SearchResult
 
-FUSE_OPS = ("plus", "times", "minus")
+_OPS = {"plus": operator.add, "times": operator.mul, "minus": operator.sub}
+FUSE_OPS = tuple(_OPS)
 
 
 def min_max_scale(scores: dict[str, float], label: str = "run") -> dict[str, float]:
@@ -48,18 +50,12 @@ def fuse(scores_a: Mapping[str, float], scores_b: Mapping[str, float], op: str) 
     A fused score that overflows to inf or nan raises :class:`NonFiniteError`, as
     a search score does.
     """
-    if op not in FUSE_OPS:
+    if op not in _OPS:
         raise ValueError(f"op must be one of {FUSE_OPS}")
-    fused: dict[str, float] = {}
-    for doc in scores_a.keys() | scores_b.keys():
-        sa = scores_a.get(doc, 0.0)
-        sb = scores_b.get(doc, 0.0)
-        if op == "plus":
-            fused[doc] = sa + sb
-        elif op == "minus":
-            fused[doc] = sa - sb
-        else:
-            fused[doc] = sa * sb
+    combine = _OPS[op]
+    fused = {
+        doc: combine(scores_a.get(doc, 0.0), scores_b.get(doc, 0.0)) for doc in scores_a.keys() | scores_b.keys()
+    }
     if not all(map(math.isfinite, fused.values())):
         raise NonFiniteError("a fused score overflows to inf or nan")
     return sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))

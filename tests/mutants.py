@@ -305,9 +305,20 @@ MUTANTS = [
     {
         "name": "pairwise accuracy counts a tie on the first query",
         "file": "src/setvec/evaluation.py",
-        "find": "        first = scorer(p.qid_a, p.doc_a) > scorer(p.qid_a, p.doc_b)\n",
-        "replace": "        first = scorer(p.qid_a, p.doc_a) >= scorer(p.qid_a, p.doc_b)\n",
+        "find": "        first = _score(run, p.qid_a, p.doc_a) > _score(run, p.qid_a, p.doc_b)\n",
+        "replace": "        first = _score(run, p.qid_a, p.doc_a) >= _score(run, p.qid_a, p.doc_b)\n",
         "tests": ["tests/test_evaluation.py::TestPairwiseAccuracy::test_tie_on_one_side_fails_the_pair"],
+        "timeout": 300,
+    },
+    {
+        "name": "pairwise_accuracy takes a missing score as 0.0",
+        "file": "src/setvec/evaluation.py",
+        "find": "        raise UndefinedMetricError(f\"no score for ({qid!r}, {doc!r})\")\n",
+        "replace": "        return 0.0\n",
+        "tests": [
+            "tests/test_evaluation.py::TestPairwiseAccuracy::test_missing_score_is_undefined",
+            "tests/test_cli.py::TestFuseEvalPairwise::test_pairwise_missing_score_names_it_and_the_scores_file",
+        ],
         "timeout": 300,
     },
     {
@@ -324,6 +335,17 @@ MUTANTS = [
         "find": "        key=lambda row: (row[0], row[1]),\n",
         "replace": "        key=lambda row: row[1],\n",
         "tests": ["tests/test_evaluation.py::TestInterferenceBins::test_four_queries_two_bins_split_by_similarity"],
+        "timeout": 300,
+    },
+    {
+        "name": "interference_bins takes a missing metric as 0.0",
+        "file": "src/setvec/evaluation.py",
+        "find": "        raise UndefinedMetricError(f\"no per-query metric for {qid!r}\")\n",
+        "replace": "        return 0.0\n",
+        "tests": [
+            "tests/test_evaluation.py::TestInterferenceBins::test_missing_metric_is_undefined",
+            "tests/test_cli.py::TestFuseEvalPairwise::test_interference_missing_metric_names_the_query",
+        ],
         "timeout": 300,
     },
     {

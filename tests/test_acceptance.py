@@ -16,7 +16,6 @@ from setvec import (
     ActivationConfig,
     LogitMatrix,
     PairedQueries,
-    Qrels,
     SparseVector,
     Vocabulary,
     add,
@@ -229,7 +228,7 @@ class SyntheticCorpus:
 def test_criterion_6_synthetic_set_semantics():
     corpus = SyntheticCorpus()
     n = len(corpus.docs)
-    qrels = Qrels()
+    qrels = {}
 
     with criterion(6, "synthetic set-semantics end to end", budget_seconds=10.0):
         started = time.monotonic()
@@ -242,8 +241,7 @@ def test_criterion_6_synthetic_set_semantics():
 
             # (a) difference: disentangled vs ignore
             diff_qid = f"diff{pi}"
-            for doc in in_a - in_b:
-                qrels.set(diff_qid, doc, 1)
+            qrels[diff_qid] = dict.fromkeys(in_a - in_b, 1)
             ignore_run = search(idx, a, n)
             disent_run = search(idx, difference_disentangled(a, b), n)
             ignore_ranking = [doc for doc, _ in ignore_run]
@@ -269,8 +267,7 @@ def test_criterion_6_synthetic_set_semantics():
 
             # (c) union: maxpool recall at least each atomic side's
             union_qid = f"union{pi}"
-            for doc in in_a | in_b:
-                qrels.set(union_qid, doc, 1)
+            qrels[union_qid] = dict.fromkeys(in_a | in_b, 1)
             union_ranking = [doc for doc, _ in search(idx, maxpool(a, b), n)]
             b_ranking = [doc for doc, _ in search(idx, b, n)]
             r_union = recall_at_k(union_ranking, qrels, union_qid, 100)
@@ -287,12 +284,11 @@ def test_criterion_7_pairwise_random_baseline():
         pairs = [
             PairedQueries(f"qa{i}", f"qb{i}", f"da{i}", f"db{i}") for i in range(10000)
         ]
-        scores = {}
+        run = {}
         for p in pairs:
             for q in (p.qid_a, p.qid_b):
-                for d in (p.doc_a, p.doc_b):
-                    scores[(q, d)] = float(rng.random())
-        accuracy = pairwise_accuracy(pairs, lambda q, d: scores[(q, d)])
+                run[q] = {d: float(rng.random()) for d in (p.doc_a, p.doc_b)}
+        accuracy = pairwise_accuracy(pairs, run)
         assert abs(accuracy - 0.25) <= 0.02
 
 
@@ -325,9 +321,7 @@ def test_criterion_8_snrelu_properties():
 
 def test_criterion_9_metric_fixtures_and_round_trip(tmp_path):
     with criterion(9, "metric fixtures and persistence round trip", budget_seconds=10.0):
-        qrels = Qrels()
-        qrels.set("q1", "d1", 1)
-        qrels.set("q1", "d2", 1)
+        qrels = {"q1": {"d1": 1, "d2": 1}}
         assert ndcg_at_k(["d1", "d3", "d2"], qrels, "q1", 3) == pytest.approx(0.9197, abs=1e-4)
         assert recall_at_k(["d1", "d9"], qrels, "q1", 2) == 0.5
 

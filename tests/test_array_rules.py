@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from setvec import (
     CompositionalQuery,
     CompositionParams,
-    Qrels,
     SparseVector,
     Vocabulary,
     build,
@@ -43,9 +42,7 @@ def corpus():
 
 @pytest.fixture
 def qrels():
-    qrels = Qrels()
-    qrels.set("q1", "d1", 1)
-    return qrels
+    return {"q1": {"d1": 1}}
 
 
 def _counted(corpus, qrels):
@@ -58,7 +55,7 @@ def _counted(corpus, qrels):
         "m": lambda m: top_m(q, m),
         "recall k": lambda k: recall_at_k(["d1"], qrels, "q1", k),
         "ndcg k": lambda k: ndcg_at_k(["d1"], qrels, "q1", k),
-        "n_bins": lambda n: interference_bins(diffs, lambda qid: 1.0, n_bins=n),
+        "n_bins": lambda n: interference_bins(diffs, {"q0": 1.0, "q1": 1.0, "q2": 1.0}, n_bins=n),
         "params m": lambda m: CompositionParams(m=m),
     }
 

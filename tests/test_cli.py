@@ -510,10 +510,7 @@ class TestFuseEvalPairwise:
 
         vocab = setvec.Vocabulary()
         idx = setvec.build([(n, setvec.SparseVector.from_pairs(d.items(), vocab)) for n, d in zip(names, docs)], vocab)
-        qrels = setvec.Qrels()
-        for name, grade in zip(names, grades):
-            for qid in range(len(queries)):
-                qrels.set(f"q{qid}", name, grade)
+        qrels = {f"q{qid}": dict(zip(names, grades)) for qid in range(len(queries))}
         expected = {}
         for qid, q in enumerate(queries):
             hits = setvec.search(idx, setvec.SparseVector.from_pairs(q.items(), vocab), n_docs)
@@ -556,6 +553,25 @@ class TestFuseEvalPairwise:
         assert main(["pairwise", "--pairs", str(pairs), "--scores", str(scores)]) == 0
         assert "1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("missing", ["qa Q0 da", "qa Q0 db", "qb Q0 db", "qb Q0 da"])
+    def test_pairwise_missing_score_names_it_and_the_scores_file(self, tmp_path, capsys, missing):
+        pairs, scores, report = tmp_path / "pairs.jsonl", tmp_path / "scores.trec", tmp_path / "report.json"
+        write_lines(pairs, json.dumps({"qid_a": "qa", "qid_b": "qb", "doc_a": "da", "doc_b": "db"}))
+        lines = ["qa Q0 da 1 2.000000 t", "qa Q0 db 2 1.000000 t", "qb Q0 db 1 2.000000 t", "qb Q0 da 2 1.000000 t"]
+        write_lines(scores, *(line for line in lines if not line.startswith(missing)))
+        assert main(["pairwise", "--pairs", str(pairs), "--scores", str(scores), "--out", str(report)]) == 2
+        qid, _, doc = missing.split()
+        assert capsys.readouterr().err == f"error: no score for ({qid!r}, {doc!r}) in {scores}\n"
+        assert not report.exists()
+
+    def test_pairwise_without_pairs_is_data_error(self, tmp_path, capsys):
+        pairs, scores, report = tmp_path / "pairs.jsonl", tmp_path / "scores.trec", tmp_path / "report.json"
+        write_lines(pairs)
+        write_lines(scores, "qa Q0 da 1 2.000000 t")
+        assert main(["pairwise", "--pairs", str(pairs), "--scores", str(scores), "--out", str(report)]) == 2
+        assert capsys.readouterr().err == "error: pairwise accuracy needs at least one pair\n"
+        assert not report.exists()
+
     def test_analyze_interference(self, tmp_path, capsys):
         queries = tmp_path / "q.jsonl"
         write_lines(
@@ -578,6 +594,23 @@ class TestFuseEvalPairwise:
             '[\n  {\n    "low": 0.0,\n    "high": 0.0,\n    "mean_metric": 0.8,\n    "count": 1\n  },\n'
             '  {\n    "low": 1.0,\n    "high": 1.0,\n    "mean_metric": 0.2,\n    "count": 1\n  }\n]\n'
         )
+
+    def test_interference_missing_metric_names_the_query(self, tmp_path, capsys):
+        queries, metrics, report = tmp_path / "q.jsonl", tmp_path / "m.tsv", tmp_path / "report.json"
+        write_lines(
+            queries,
+            json.dumps({"qid": "q1", "operator": "difference", "method": "subtract",
+                        "a": {"x": 1.0}, "b": {"y": 1.0}}),
+            json.dumps({"qid": "q2", "operator": "difference", "method": "subtract",
+                        "a": {"x": 1.0}, "b": {"x": 1.0}}),
+        )
+        write_lines(metrics, "q1\t0.8", "q3\t0.2")
+        assert main([
+            "analyze-interference", "--queries", str(queries),
+            "--per-query-metrics", str(metrics), "--bins", "2", "--out", str(report),
+        ]) == 2
+        assert capsys.readouterr().err == "error: no per-query metric for 'q2'\n"
+        assert not report.exists()
 
     def test_interference_refuses_default_eval_output(self, tmp_path, capsys):
         """eval's default metrics write two rows per qid; analyze-interference would bin one
@@ -723,34 +756,34 @@ def _query(method, params):
                        "a": {"x": 1.0}, "b": {"y": 1.0}, "params": params})
 
 
-@pytest.mark.parametrize("command, line, line_no", [
-    ("index", '{"id": "d1", "vector": {"x": %s}}' % HUGE, 1),
-    ("compose", '{"qid": "q1", "operator": "atomic", "method": "atomic", "a": {"x": -%s}}' % HUGE, 1),
-    ("compose", _query("cpt", {"m": 0}), 1),
-    ("compose", _query("cpt", {"m": 2.7}), 1),
-    ("compose", _query("cpt", {"m": True}), 1),
-    ("compose", _query("cpt", {"m": "5"}), 1),
-    ("compose", _query("nrf", {"lambda": -1}), 1),
-    ("compose", _query("nrf", {"lambda": True}), 1),
-    ("compose", _query("nrf", {"lambda": "0.5"}), 1),
-    ("index", '{"id": "d1", "vector": {"": 1.0}}', 1),
-    ("compose", '{"qid": "q1", "operator": "union", "method": "add", "a": {"x": 1.0}, "b": {"": 1.0}}', 1),
-    ("index", "[1, 2]", 1),
-    ("compose", '{"qid": "q1", "method": "subtract", "a": {"x": 1.0}, "b": {"y": 1.0}}', 1),
-    ("compose", _query("nrf", [0.5]), 1),
-    ("compose", _query("nrf", {"lamda": 2.0}), 1),
-    ("compose", _query("cpt", {"M": 2}), 1),
-    ("eval --qrels", "q1 0 d1 x", 1),
-    ("eval --qrels", "q1 0 d1 -1", 1),
-    ("eval --run", "q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t", 2),
-    ("encode --logits", "a\t\tb\n1.0\t2.0\t3.0", 1),
-    ("encode --logits", "a\tb\n1.0\tnan", 2),
-    ("analyze-interference", "q1\tndcg@10\textra\t0.5", 1),
+@pytest.mark.parametrize("command, line, line_no, message", [
+    ("index", '{"id": "d1", "vector": {"x": %s}}' % HUGE, 1, "weight for 'x' is not finite"),
+    ("compose", '{"qid": "q1", "operator": "atomic", "method": "atomic", "a": {"x": -%s}}' % HUGE, 1, "weight for 'x' is not finite"),
+    ("compose", _query("cpt", {"m": 0}), 1, "m must be a positive integer, got 0"),
+    ("compose", _query("cpt", {"m": 2.7}), 1, "m must be a positive integer, got 2.7"),
+    ("compose", _query("cpt", {"m": True}), 1, "m must be a positive integer, got True"),
+    ("compose", _query("cpt", {"m": "5"}), 1, "m must be a positive integer, got '5'"),
+    ("compose", _query("nrf", {"lambda": -1}), 1, "lambda must be a finite number >= 0, got -1"),
+    ("compose", _query("nrf", {"lambda": True}), 1, "lambda must be a finite number >= 0, got True"),
+    ("compose", _query("nrf", {"lambda": "0.5"}), 1, "lambda must be a finite number >= 0, got '0.5'"),
+    ("index", '{"id": "d1", "vector": {"": 1.0}}', 1, "empty term"),
+    ("compose", '{"qid": "q1", "operator": "union", "method": "add", "a": {"x": 1.0}, "b": {"": 1.0}}', 1, "empty term"),
+    ("index", "[1, 2]", 1, "expected a JSON object"),
+    ("compose", '{"qid": "q1", "method": "subtract", "a": {"x": 1.0}, "b": {"y": 1.0}}', 1, "missing 'operator'"),
+    ("compose", _query("nrf", [0.5]), 1, "'params' must be an object"),
+    ("compose", _query("nrf", {"lamda": 2.0}), 1, "unknown params key 'lamda'; expected 'lambda' or 'm'"),
+    ("compose", _query("cpt", {"M": 2}), 1, "unknown params key 'M'; expected 'lambda' or 'm'"),
+    ("eval --qrels", "q1 0 d1 x", 1, "grade 'x' is not an integer"),
+    ("eval --qrels", "q1 0 d1 -1", 1, "negative grade"),
+    ("eval --run", "q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t", 2, "duplicate doc 'd1' for 'q1'"),
+    ("encode --logits", "a\t\tb\n1.0\t2.0\t3.0", 1, "empty term in header"),
+    ("encode --logits", "a\tb\n1.0\tnan", 2, "non-finite cell"),
+    ("analyze-interference", "q1\tndcg@10\textra\t0.5", 1, "expected qid<TAB>value or qid<TAB>metric<TAB>value"),
 ], ids=["vector-weight-overflow", "inline-weight-overflow", "m-0", "m-2.7", "m-true", "m-str",
         "lambda-neg", "lambda-true", "lambda-str", "vector-empty-term", "inline-empty-term",
         "not-an-object", "no-operator", "params-not-object", "params-lamda", "params-M", "grade-not-int", "grade-negative",
         "run-duplicate-doc", "logit-empty-term", "logit-non-finite", "per-query-four-columns"])
-def test_malformed_value_is_located_data_error(tmp_path, capsys, command, line, line_no):
+def test_malformed_value_is_located_data_error(tmp_path, capsys, command, line, line_no, message):
     path = tmp_path / "input.jsonl"
     write_lines(path, line)
     run, qrels = tmp_path / "run.trec", tmp_path / "q.qrels"
@@ -768,7 +801,7 @@ def test_malformed_value_is_located_data_error(tmp_path, capsys, command, line, 
                                  "--per-query-metrics", str(path)],
     }[command]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
-    assert f"{path}:{line_no}: " in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {path}:{line_no}: {message}\n"
 
 
 # Each row: the input under test, the valid inputs around it, and the command that reads it.

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from setvec import (
     CompositionalQuery,
     PairedQueries,
-    Qrels,
     SparseVector,
     UndefinedMetricError,
     Vocabulary,
@@ -21,25 +19,7 @@ from setvec import (
 
 @pytest.fixture
 def simple_qrels():
-    qrels = Qrels()
-    qrels.set("q1", "d1", 1)
-    qrels.set("q1", "d2", 1)
-    return qrels
-
-
-class TestQrels:
-    @pytest.mark.parametrize("grade", [0, 3, np.int64(2), np.uint8(1)])
-    def test_integer_grades_are_stored_as_int(self, grade):
-        qrels = Qrels()
-        qrels.set("q", "d", grade)
-        assert qrels.grade("q", "d") == grade and type(qrels.grade("q", "d")) is int
-
-    @pytest.mark.parametrize("grade", [2.7, 1.0, True, False, -1, np.int8(-1), "1", None])
-    def test_other_grades_are_refused_by_value(self, grade):
-        qrels = Qrels()
-        with pytest.raises(ValueError, match=re.escape(f"got {grade!r}")):
-            qrels.set("q", "d", grade)
-        assert len(qrels) == 0
+    return {"q1": {"d1": 1, "d2": 1}}
 
 
 class TestNdcg:
@@ -57,16 +37,15 @@ class TestNdcg:
         assert ndcg_at_k(["d3", "d4"], simple_qrels, "q1", 2) == 0.0
 
     def test_no_positive_judgments_rejected(self):
-        qrels = Qrels()
-        qrels.set("q1", "d1", 0)
         with pytest.raises(UndefinedMetricError):
-            ndcg_at_k(["d1"], qrels, "q1", 3)
+            ndcg_at_k(["d1"], {"q1": {"d1": 0}}, "q1", 3)
+
+    def test_unjudged_query_rejected(self, simple_qrels):
+        with pytest.raises(UndefinedMetricError, match="'q2' has no positively judged documents"):
+            ndcg_at_k(["d1"], simple_qrels, "q2", 3)
 
     def test_graded_gains(self):
-        qrels = Qrels()
-        qrels.set("q", "good", 3)
-        qrels.set("q", "ok", 1)
-        value = ndcg_at_k(["ok", "good"], qrels, "q", 2)
+        value = ndcg_at_k(["ok", "good"], {"q": {"good": 3, "ok": 1}}, "q", 2)
         expected = (1.0 + 3.0 / math.log2(3.0)) / (3.0 + 1.0 / math.log2(3.0))
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -104,29 +83,39 @@ class TestRecall:
 class TestPairwiseAccuracy:
     def test_perfect_scorer(self):
         pairs = [PairedQueries("qa", "qb", "da", "db")]
-        scores = {("qa", "da"): 2.0, ("qa", "db"): 1.0, ("qb", "db"): 2.0, ("qb", "da"): 1.0}
-        assert pairwise_accuracy(pairs, lambda q, d: scores[(q, d)]) == 1.0
+        run = {"qa": {"da": 2.0, "db": 1.0}, "qb": {"db": 2.0, "da": 1.0}}
+        assert pairwise_accuracy(pairs, run) == 1.0
 
     def test_one_sided_pair_contributes_zero(self):
         pairs = [PairedQueries("qa", "qb", "da", "db")]
-        scores = {("qa", "da"): 2.0, ("qa", "db"): 1.0, ("qb", "db"): 1.0, ("qb", "da"): 2.0}
-        assert pairwise_accuracy(pairs, lambda q, d: scores[(q, d)]) == 0.0
+        run = {"qa": {"da": 2.0, "db": 1.0}, "qb": {"db": 1.0, "da": 2.0}}
+        assert pairwise_accuracy(pairs, run) == 0.0
 
     def test_tie_counts_as_failure(self):
         pairs = [PairedQueries("qa", "qb", "da", "db")]
-        assert pairwise_accuracy(pairs, lambda q, d: 1.0) == 0.0
+        run = {"qa": {"da": 1.0, "db": 1.0}, "qb": {"da": 1.0, "db": 1.0}}
+        assert pairwise_accuracy(pairs, run) == 0.0
 
     @pytest.mark.parametrize("tied", ["qa", "qb"])
     def test_tie_on_one_side_fails_the_pair(self, tied):
         """One query tying its two docs fails the pair, though the other ranks its own first."""
         pairs = [PairedQueries("qa", "qb", "da", "db")]
-        scores = {("qa", "da"): 2.0, ("qa", "db"): 1.0, ("qb", "db"): 2.0, ("qb", "da"): 1.0}
-        scores[tied, "da"] = scores[tied, "db"] = 1.0
-        assert pairwise_accuracy(pairs, lambda q, d: scores[(q, d)]) == 0.0
+        run = {"qa": {"da": 2.0, "db": 1.0}, "qb": {"db": 2.0, "da": 1.0}}
+        run[tied] = {"da": 1.0, "db": 1.0}
+        assert pairwise_accuracy(pairs, run) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(UndefinedMetricError):
-            pairwise_accuracy([], lambda q, d: 0.0)
+            pairwise_accuracy([], {})
+
+    @pytest.mark.parametrize("missing", [("qa", "da"), ("qa", "db"), ("qb", "db"), ("qb", "da")])
+    def test_missing_score_is_undefined(self, missing):
+        """Any of a pair's four scores missing from the run is an error naming it, not a score of 0."""
+        pairs = [PairedQueries("qa", "qb", "da", "db")]
+        run = {"qa": {"da": 2.0, "db": 1.0}, "qb": {"db": 2.0, "da": 1.0}}
+        del run[missing[0]][missing[1]]
+        with pytest.raises(UndefinedMetricError, match=rf"^no score for \({missing[0]!r}, {missing[1]!r}\)$"):
+            pairwise_accuracy(pairs, run)
 
     def test_negated_scorer_complement(self):
         # With tie-free scores, negating the scorer flips both comparisons,
@@ -134,19 +123,14 @@ class TestPairwiseAccuracy:
         # comparisons agree.
         rng = np.random.default_rng(127)
         pairs = [PairedQueries(f"a{i}", f"b{i}", f"da{i}", f"db{i}") for i in range(500)]
-        scores = {}
-        for p in pairs:
-            for q in (p.qid_a, p.qid_b):
-                for d in (p.doc_a, p.doc_b):
-                    scores[(q, d)] = float(rng.random())
-        scorer = lambda q, d: scores[(q, d)]
-        neg_scorer = lambda q, d: -scores[(q, d)]
+        run = {q: {d: float(rng.random()) for d in (p.doc_a, p.doc_b)} for p in pairs for q in (p.qid_a, p.qid_b)}
+        negated = {q: {d: -s for d, s in scores.items()} for q, scores in run.items()}
         agree = 0
         for p in pairs:
-            first = scorer(p.qid_a, p.doc_a) > scorer(p.qid_a, p.doc_b)
-            second = scorer(p.qid_b, p.doc_b) > scorer(p.qid_b, p.doc_a)
+            first = run[p.qid_a][p.doc_a] > run[p.qid_a][p.doc_b]
+            second = run[p.qid_b][p.doc_b] > run[p.qid_b][p.doc_a]
             agree += first == second
-        total = pairwise_accuracy(pairs, scorer) + pairwise_accuracy(pairs, neg_scorer)
+        total = pairwise_accuracy(pairs, run) + pairwise_accuracy(pairs, negated)
         assert total == pytest.approx(agree / len(pairs), abs=1e-12)
 
 
@@ -165,7 +149,7 @@ class TestInterferenceBins:
         queries = [
             _diff_query(f"q{i}", [("a", 1.0)], [("a", 1.0)], vocab) for i in range(4)
         ]
-        bins = interference_bins(queries, lambda qid: 1.0, n_bins=2)
+        bins = interference_bins(queries, dict.fromkeys((q.qid for q in queries), 1.0), n_bins=2)
         assert len(bins) == 1
         assert bins[0].count == 4
         assert bins[0].low == bins[0].high == 1.0
@@ -183,7 +167,7 @@ class TestInterferenceBins:
             _diff_query(f"q{3 - i}", a, b, vocab) for i, (a, b) in enumerate(specs)
         ]
         metric = {f"q{3 - i}": float(i) for i in range(4)}
-        bins = interference_bins(queries, lambda qid: metric[qid], n_bins=2)
+        bins = interference_bins(queries, metric, n_bins=2)
         assert len(bins) == 2
         assert [b.count for b in bins] == [2, 2]
         assert bins[0].mean_metric == pytest.approx((0.0 + 1.0) / 2)
@@ -198,14 +182,14 @@ class TestInterferenceBins:
             _diff_query("cold1", [("x", 1.0)], [("y", 1.0)], vocab),
             _diff_query("cold2", [("x", 9.0), ("z", 1.0)], [("z", 1.0)], vocab),
         ]
-        bins = interference_bins(queries, lambda qid: {"hot": 1.0, "cold1": 0.0, "cold2": 0.0}[qid], n_bins=3)
+        bins = interference_bins(queries, {"hot": 1.0, "cold1": 0.0, "cold2": 0.0}, n_bins=3)
         assert bins[-1].low == pytest.approx(0.75)
         assert bins[-1].mean_metric == 1.0
 
     def test_fewer_queries_than_bins_warns(self, vocab):
         queries = [_diff_query("q0", [("a", 1.0)], [("b", 1.0)], vocab)]
         with pytest.warns(UserWarning, match="bins"):
-            bins = interference_bins(queries, lambda qid: 0.5, n_bins=4)
+            bins = interference_bins(queries, {"q0": 0.5}, n_bins=4)
         assert len(bins) == 1
 
     def test_rejects_non_difference_queries(self, birds):
@@ -214,7 +198,7 @@ class TestInterferenceBins:
             qid="u", operator="union", method="add", a=a, b=b
         )
         with pytest.raises(ValueError):
-            interference_bins([union_query], lambda qid: 0.0, n_bins=2)
+            interference_bins([union_query], {"u": 0.0}, n_bins=2)
 
     def test_zero_norm_side_names_the_query(self, vocab):
         queries = [
@@ -222,4 +206,13 @@ class TestInterferenceBins:
             _diff_query("q1", [("a", 1.0)], [], vocab),
         ]
         with pytest.raises(ZeroNormError, match=r"^query 'q1': cosine undefined for zero-norm vectors$"):
-            interference_bins(queries, lambda qid: 0.5, n_bins=2)
+            interference_bins(queries, {"q0": 0.5, "q1": 0.5}, n_bins=2)
+
+    def test_missing_metric_is_undefined(self, vocab):
+        """A query absent from the metric map is an error naming it, not a metric of 0."""
+        queries = [
+            _diff_query("q0", [("a", 1.0)], [("b", 1.0)], vocab),
+            _diff_query("q1", [("a", 1.0)], [("a", 1.0)], vocab),
+        ]
+        with pytest.raises(UndefinedMetricError, match=r"^no per-query metric for 'q1'$"):
+            interference_bins(queries, {"q0": 0.5}, n_bins=2)

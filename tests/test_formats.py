@@ -161,23 +161,47 @@ class TestQrels:
     def test_parse(self, tmp_path):
         path = tmp_path / "q.qrels"
         path.write_text("q1 0 d7 1\nq1 0 d8 0\nq2 0 d7 2\n")
-        qrels = read_qrels(path)
-        assert qrels.grade("q1", "d7") == 1
-        assert qrels.grade("q1", "d8") == 0
-        assert qrels.relevant("q2") == {"d7"}
+        assert read_qrels(path) == {"q1": {"d7": 1, "d8": 0}, "q2": {"d7": 2}}
 
     def test_duplicate_last_wins_with_warning(self, tmp_path):
         path = tmp_path / "q.qrels"
         path.write_text("q1 0 d1 1\nq1 0 d1 3\n")
         with pytest.warns(UserWarning, match="duplicate"):
             qrels = read_qrels(path)
-        assert qrels.grade("q1", "d1") == 3
+        assert qrels == {"q1": {"d1": 3}}
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "q.qrels"
         path.write_text("q1 0 d1\n")
         with pytest.raises(FormatError, match=":1"):
             read_qrels(path)
+
+    @pytest.mark.parametrize("text", ["0", "3", "02", "+1"])
+    def test_integer_grades_are_stored_as_int(self, tmp_path, text):
+        path = tmp_path / "q.qrels"
+        path.write_text(f"q 0 d {text}\n")
+        qrels = read_qrels(path)
+        assert qrels == {"q": {"d": int(text)}} and type(qrels["q"]["d"]) is int
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2.7", "grade '2.7' is not an integer"),
+            ("1.0", "grade '1.0' is not an integer"),
+            ("True", "grade 'True' is not an integer"),
+            ("False", "grade 'False' is not an integer"),
+            ("None", "grade 'None' is not an integer"),
+            ("-1", "negative grade"),
+            ("-01", "negative grade"),
+        ],
+        ids=["2.7", "1.0", "True", "False", "None", "-1", "-01"],
+    )
+    def test_other_grades_are_refused_by_value(self, tmp_path, text, message):
+        path = tmp_path / "q.qrels"
+        path.write_text(f"q 0 d 1\nq 0 d {text}\n")
+        with pytest.raises(FormatError) as info:
+            read_qrels(path)
+        assert str(info.value) == f"{path}:2: {message}"
 
 
 class TestRuns:
