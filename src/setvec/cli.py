@@ -57,9 +57,17 @@ def _run_tag(value: str) -> str:
 
 
 def _count(value: str) -> int:
-    """A count flag, as :func:`sparse._positive_int` defines a count."""
+    """A count flag, as :func:`sparse._positive_int` defines a count, written as a plain number."""
     try:
-        return _positive_int(int(value), "value")
+        return _positive_int(formats.plain_number(int, value), "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _real(value: str) -> float:
+    """A float flag, written as a plain number as in the files."""
+    try:
+        return formats.plain_number(float, value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -80,11 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="activate logit grid TSV files (one vector per file, id = file stem)",
     )
     p.add_argument("--out", required=True, help="output vector JSONL")
-    p.add_argument("--k1", type=float, default=DEFAULT_K1, help="BM25 k1 (default: %(default)s)")
-    p.add_argument("--b", type=float, default=DEFAULT_B, help="BM25 b (default: %(default)s)")
+    p.add_argument("--k1", type=_real, default=DEFAULT_K1, help="BM25 k1 (default: %(default)s)")
+    p.add_argument("--b", type=_real, default=DEFAULT_B, help="BM25 b (default: %(default)s)")
     p.add_argument("--stopwords", help="optional newline-separated stopword list")
     p.add_argument(
-        "--epsilon", type=float, default=ActivationConfig.epsilon,
+        "--epsilon", type=_real, default=ActivationConfig.epsilon,
         help="dead-zone half-width for signed activations (default: %(default)s)",
     )
     p.add_argument(
@@ -107,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     # compose and search read query files with the same overrides and defaults.
     query_flags = _Parser(add_help=False)
     query_flags.add_argument("--method", help="override the method of every non-atomic query record")
-    query_flags.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float, default=DEFAULT_LAMBDA,
+    query_flags.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=_real, default=DEFAULT_LAMBDA,
                              help="nrf lambda when a record omits it (default: %(default)s)")
     query_flags.add_argument("--m", type=_count, default=DEFAULT_M,
                              help="cpt top-m when a record omits it (default: %(default)s)")
@@ -308,11 +316,15 @@ def _parse_metrics(arg: str) -> list[tuple[str, int]]:
         if not item:
             continue
         name, _, k_str = item.partition("@")
-        if name not in ("ndcg", "recall") or not k_str.isdecimal() or int(k_str) < 1:
+        try:
+            k = _count(k_str)
+        except argparse.ArgumentTypeError:
+            k = None
+        if name not in ("ndcg", "recall") or k is None:
             raise _UsageError(f"bad metric {item!r}; expected ndcg@K or recall@K")
-        if (name, int(k_str)) in metrics:
+        if (name, k) in metrics:
             raise _UsageError(f"metric {item!r} is requested twice")
-        metrics.append((name, int(k_str)))
+        metrics.append((name, k))
     if not metrics:
         raise _UsageError("no metrics requested")
     return metrics
@@ -359,8 +371,6 @@ def cmd_pairwise(args) -> int:
     try:
         accuracy = pairwise_accuracy(pairs, runs)
     except UndefinedMetricError as exc:  # a missing score names the scores file
-        if not pairs:
-            raise
         raise UndefinedMetricError(f"{exc} in {args.scores}") from exc
     print(f"pairs: {len(pairs)}")
     print(f"pairwise accuracy: {accuracy:.4f}")

@@ -392,8 +392,9 @@ def read_queries(
     return queries
 
 
-def _number(parse, s: str):
-    """``parse(s)`` (``int`` or ``float``), refusing the underscores and non-ASCII digits Python reads."""
+def plain_number(parse, s: str):
+    """``parse(s)`` (``int`` or ``float``), refusing the underscores and non-ASCII digits Python reads;
+    the one number rule for the files and the CLI's flags."""
     if "_" in s or not s.isascii():
         raise ValueError(f"not a plain ASCII number: {s!r}")
     return parse(s)
@@ -409,7 +410,7 @@ def read_qrels(path) -> dict[str, dict[str, int]]:
             raise FormatError(f"{path}:{line_no}: expected 'qid 0 docid grade'")
         qid, _, doc, grade_str = parts
         try:
-            grade = _number(int, grade_str)
+            grade = plain_number(int, grade_str)
         except ValueError:
             raise FormatError(f"{path}:{line_no}: grade {grade_str!r} is not an integer") from None
         if grade < 0:
@@ -435,8 +436,8 @@ def read_run(path) -> dict[str, dict[str, float]]:
             raise FormatError(f"{path}:{line_no}: expected 'qid Q0 docid rank score tag'")
         qid, _, doc, rank_str, score_str, _tag = parts
         try:
-            rank = _number(int, rank_str)
-            score = _number(float, score_str)
+            rank = plain_number(int, rank_str)
+            score = plain_number(float, score_str)
         except ValueError:
             raise FormatError(f"{path}:{line_no}: bad rank or score") from None
         if not math.isfinite(score):
@@ -501,7 +502,7 @@ def read_logits(path, vocab: Vocabulary) -> LogitMatrix:
         if len(cells) != len(terms):
             raise FormatError(f"{path}:{line_no}: expected {len(terms)} columns, got {len(cells)}")
         try:
-            row = [_number(float, c) for c in cells]
+            row = [plain_number(float, c) for c in cells]
         except ValueError:
             raise FormatError(f"{path}:{line_no}: non-numeric cell") from None
         if not all(math.isfinite(v) for v in row):
@@ -526,13 +527,15 @@ def read_stopwords(path) -> set[str]:
 
 
 def read_pairs(path) -> list[PairedQueries]:
-    """Pairs JSONL for pairwise accuracy; every field is a string."""
+    """Pairs JSONL for pairwise accuracy, at least one pair; every field is a string."""
     pairs = []
     for line_no, record in _jsonl_records(path):
         for name in PAIR_FIELDS:
             if not isinstance(record.get(name), str):
                 raise FormatError(f"{path}:{line_no}: missing or non-string field {name!r}")
         pairs.append(PairedQueries(*(record[name] for name in PAIR_FIELDS)))
+    if not pairs:
+        raise FormatError(f"{path}: no pairs; pairwise accuracy needs at least one")
     return pairs
 
 
@@ -546,7 +549,7 @@ def read_per_query(path) -> dict[str, float]:
         if not 2 <= len(parts) <= 3:
             raise FormatError(f"{path}:{line_no}: expected qid<TAB>value or qid<TAB>metric<TAB>value")
         try:
-            value = _number(float, parts[-1])
+            value = plain_number(float, parts[-1])
         except ValueError:
             raise FormatError(f"{path}:{line_no}: bad metric value") from None
         if not math.isfinite(value):
@@ -573,6 +576,6 @@ def _json_lines(payload, sort_keys: bool) -> list[str]:
     return [json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n"]
 
 
-def write_json(path, payload, sort_keys: bool = False) -> None:
+def write_json(path, payload) -> None:
     """A JSON report: two-space indent and a final newline."""
-    _write((path, _json_lines(payload, sort_keys)))
+    _write((path, _json_lines(payload, sort_keys=False)))

@@ -18,7 +18,33 @@ MUTANTS = [
         "file": "src/setvec/index.py",
         "find": "                if body.crc() != crc:\n",
         "replace": "                if False:\n",
-        "tests": ["tests/test_index.py::TestLoaderStructure::test_flipped_or_cut_file_is_a_checksum_mismatch"],
+        "tests": [
+            "tests/test_index.py::TestLoaderStructure::test_flipped_or_cut_file_is_a_checksum_mismatch",
+            "tests/test_index.py::TestLoaderStructure::test_malformed_index_is_a_data_error[flipped]",
+            "tests/test_index.py::TestLoaderStructure::test_malformed_index_is_a_data_error[cut]",
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "a version-3 index is parsed as version 4",
+        "file": "src/setvec/index.py",
+        "find": "    if version != FORMAT_VERSION:\n",
+        "replace": "    if version not in (3, FORMAT_VERSION):\n",
+        "tests": [
+            "tests/test_index.py::TestLoaderStructure::test_malformed_index_is_a_data_error[version-3]",
+            "tests/test_index.py::TestPersistence::test_version_mismatch_rejected[3]",
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "load seeks a pipe instead of reading it whole",
+        "file": "src/setvec/index.py",
+        "find": "        source = fh if fh.seekable() else io.BytesIO(fh.read())\n",
+        "replace": "        source = fh\n",
+        "tests": [
+            "tests/test_cli.py::TestSearch::test_queries_read_once_from_a_fifo_or_a_pipe[index]",
+            "tests/test_index.py::TestLoaderStructure::test_index_read_from_a_pipe_loads_the_same_columns",
+        ],
         "timeout": 300,
     },
     {
@@ -110,6 +136,14 @@ MUTANTS = [
             "tests/test_index.py::TestLoaderStructure::test_malformed_structure_rejected"
             "[change28-invalid UTF-8 in a string block]"
         ],
+        "timeout": 300,
+    },
+    {
+        "name": "a doc name that starts with a non-ASCII character is refused",
+        "file": "src/setvec/index.py",
+        "find": "    if (np.frombuffer(blob, np.int8)[bounds[bounds < size]] < -64).any():\n",
+        "replace": "    if (np.frombuffer(blob, np.int8)[bounds[bounds < size]] < 0).any():\n",
+        "tests": ["tests/test_cli.py::test_non_ascii_names_without_whitespace_round_trip"],
         "timeout": 300,
     },
     {
@@ -244,6 +278,53 @@ MUTANTS = [
         "find": "            if key not in (\"lambda\", \"m\"):\n",
         "replace": "            if False:\n",
         "tests": ["tests/test_cli.py::test_malformed_value_is_located_data_error"],
+        "timeout": 300,
+    },
+    {
+        "name": "refs are read into a vocabulary of their own",
+        "file": "src/setvec/cli.py",
+        "find": "    vectors = dict(formats.read_vectors(args.vectors, vocab)) if args.vectors else {}\n",
+        "replace": "    vectors = dict(formats.read_vectors(args.vectors, Vocabulary())) if args.vectors else {}\n",
+        "tests": ["tests/test_cli.py::TestCompose::test_search_resolves_refs_to_encoded_doc_vectors"],
+        "timeout": 300,
+    },
+    {
+        "name": "compose creates --out before it reads its queries",
+        "file": "src/setvec/cli.py",
+        "find": "    queries = _load_queries(args, Vocabulary(), args.method, _query_params(args))\n",
+        "replace": (
+            "    open(args.out, \"w\").close()\n"
+            "    queries = _load_queries(args, Vocabulary(), args.method, _query_params(args))\n"
+        ),
+        "tests": ["tests/test_cli.py::test_malformed_value_is_located_data_error"],
+        "timeout": 300,
+    },
+    # The plain-number rule, one for the files and the flags, and the pairs file.
+    {
+        "name": "a plain number may hold an underscore",
+        "file": "src/setvec/formats.py",
+        "find": "    if \"_\" in s or not s.isascii():\n",
+        "replace": "    if not s.isascii():\n",
+        "tests": [
+            "tests/test_cli.py::test_malformed_value_is_located_data_error[run-rank-underscore]",
+            "tests/test_formats.py::test_number_with_underscore_or_non_ascii_digit_refused",
+        ],
+        "timeout": 300,
+    },
+    {
+        "name": "a count flag reads 1_0 as 10",
+        "file": "src/setvec/cli.py",
+        "find": "        return _positive_int(formats.plain_number(int, value), \"value\")\n",
+        "replace": "        return _positive_int(int(value), \"value\")\n",
+        "tests": ["tests/test_cli.py::TestExitCodes::test_count_flags_share_the_count_rule"],
+        "timeout": 300,
+    },
+    {
+        "name": "a pairs file without pairs is read",
+        "file": "src/setvec/formats.py",
+        "find": "    if not pairs:\n",
+        "replace": "    if False:\n",
+        "tests": ["tests/test_cli.py::TestFuseEvalPairwise::test_pairwise_without_pairs_is_data_error"],
         "timeout": 300,
     },
     # Query composition and the metrics.

@@ -53,6 +53,30 @@ class TestCompose:
             "birds": 1.0, "fly": 1.0, "colombia": 1.0, "andes": 1.0, "venezuela": -1.0
         }
 
+    def test_search_resolves_refs_to_encoded_doc_vectors(self, tmp_path):
+        """search --vectors reads the file encode --tf wrote into the index's vocabulary:
+        q3 is d1 - d2* with d2* = {venezuela}, so d1 scores its own three terms.  q1's
+        third hit is d2 at 0.0, a touched doc that only the touched fallback returns."""
+        docs, vectors, index = tmp_path / "docs.jsonl", tmp_path / "vectors.jsonl", tmp_path / "corpus.svix"
+        write_lines(docs, *(json.dumps({"id": f"d{i}", "text": text}) for i, text in enumerate(
+            ["Birds of Colombia", "Birds of Venezuela", "Coffee of Colombia"], start=1)))
+        assert main(["encode", "--tf", "--docs", str(docs), "--out", str(vectors)]) == 0
+        assert main(["index", "--vectors", str(vectors), "--out", str(index)]) == 0
+        queries, run = tmp_path / "q.jsonl", tmp_path / "run.trec"
+        write_lines(
+            queries,
+            json.dumps({"qid": "q1", "operator": "difference", "method": "disentangled",
+                        "a": {"birds": 1.0, "colombia": 1.0}, "b": {"venezuela": 1.0}}),
+            json.dumps({"qid": "q3", "operator": "difference", "method": "disentangled",
+                        "a_ref": "d1", "b_ref": "d2"}),
+        )
+        argv = ["search", "--index", str(index), "--queries", str(queries), "--vectors", str(vectors), "--k", "3"]
+        assert main([*argv, "--out", str(run)]) == 0
+        assert run.read_text() == (
+            "q1 Q0 d1 1 2.000000 setvec\nq1 Q0 d3 2 1.000000 setvec\nq1 Q0 d2 3 0.000000 setvec\n"
+            "q3 Q0 d1 1 3.000000 setvec\nq3 Q0 d3 2 2.000000 setvec\nq3 Q0 d2 3 1.000000 setvec\n"
+        )
+
     def test_record_method_used_without_override(self, tmp_path, birds_files):
         vectors, queries = birds_files
         out = tmp_path / "composed.jsonl"
@@ -207,12 +231,13 @@ class TestSearch:
         assert main(base + ["--threads", "4", "--out", str(run4)]) == 0
         assert run1.read_bytes() == run4.read_bytes()
 
-    @pytest.mark.parametrize("records", ["query", "vector"])
-    def test_queries_read_once_from_a_fifo_or_a_pipe(self, tmp_path, indexed_corpus, records):
-        """A queries file that can be read only once, /dev/stdin fed through a pipe or a FIFO
-        fed by a thread, gives the run of the same regular file.  The CLI runs in a
-        subprocess with a timeout, so that a second open of the FIFO fails the test."""
-        if records == "query":
+    @pytest.mark.parametrize("piped", ["query", "vector", "index"])
+    def test_queries_read_once_from_a_fifo_or_a_pipe(self, tmp_path, indexed_corpus, piped):
+        """A queries file of query or vector records, or the index, that can be read only
+        once, /dev/stdin fed through a pipe or a FIFO fed by a thread, gives the run of
+        the same regular file.  The CLI runs in a subprocess with a timeout, so that a
+        second open of the FIFO fails the test."""
+        if piped != "vector":
             lines = [
                 json.dumps({"qid": f"q{i}", "operator": "difference", "method": "subtract",
                             "a": {"colombia": 1.0 + i}, "b": {"venezuela": 1.0}})
@@ -225,19 +250,21 @@ class TestSearch:
             ]
         queries = tmp_path / "q.jsonl"
         write_lines(queries, "", *lines)
+        once = indexed_corpus if piped == "index" else queries  # the file that is piped
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(setvec.__file__)))
 
         def search(source, out, **stdin):
-            argv = ["search", "--index", str(indexed_corpus), "--queries", source, "--k", "3", "--out", str(out)]
+            index, query_file = (source, str(queries)) if piped == "index" else (str(indexed_corpus), source)
+            argv = ["search", "--index", index, "--queries", query_file, "--k", "3", "--out", str(out)]
             subprocess.run([sys.executable, "-m", "setvec.cli", *argv], env=env, check=True, timeout=60, **stdin)
             return out.read_bytes()
 
-        want = search(str(queries), tmp_path / "file.trec")
+        want = search(str(once), tmp_path / "file.trec")
         assert len(want.splitlines()) == 9
-        assert search("/dev/stdin", tmp_path / "pipe.trec", input=queries.read_bytes()) == want
-        fifo = tmp_path / "q.fifo"
+        assert search("/dev/stdin", tmp_path / "pipe.trec", input=once.read_bytes()) == want
+        fifo = tmp_path / "once.fifo"
         os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(queries.read_bytes(),), daemon=True)
+        writer = threading.Thread(target=fifo.write_bytes, args=(once.read_bytes(),), daemon=True)
         writer.start()
         try:
             assert search(str(fifo), tmp_path / "fifo.trec") == want
@@ -569,7 +596,7 @@ class TestFuseEvalPairwise:
         write_lines(pairs)
         write_lines(scores, "qa Q0 da 1 2.000000 t")
         assert main(["pairwise", "--pairs", str(pairs), "--scores", str(scores), "--out", str(report)]) == 2
-        assert capsys.readouterr().err == "error: pairwise accuracy needs at least one pair\n"
+        assert capsys.readouterr().err == f"error: {pairs}: no pairs; pairwise accuracy needs at least one\n"
         assert not report.exists()
 
     def test_analyze_interference(self, tmp_path, capsys):
@@ -677,7 +704,10 @@ class TestExitCodes:
             "--k", "0", "--out", str(tmp_path / "r.trec"),
         ]) == 1
 
-    @pytest.mark.parametrize("value, shown", [("0", "0"), ("-3", "-3"), ("abc", None), ("1.5", None)])
+    # 1_0 and the Arabic-Indic one are numbers to int() but not plain ASCII numbers.
+    @pytest.mark.parametrize("value, shown", [
+        ("0", "0"), ("-3", "-3"), ("abc", None), ("1.5", None), ("1_0", None), ("\u0661", None),
+    ])
     @pytest.mark.parametrize("command, flag", [
         ("search", "--k"), ("search", "--candidate-pool"), ("analyze-interference", "--bins"),
         ("search", "--threads"), ("index", "--threads"), ("search", "--m"), ("compose", "--m"),
@@ -724,6 +754,7 @@ class TestExitCodes:
         ("compose", "--m=0"), ("compose", "--lambda=-1"),
         ("eval", "--metrics=ndcg@x"), ("eval", "--metrics=,"), ("eval", "--metrics=ndcg@10,NDCG@10"),
         ("eval", "--metrics=ndcg@²"),  # a digit to str.isdigit, not to int()
+        ("eval", "--metrics=ndcg@\u0661"), ("search", "--lambda=1_0"),  # numbers to int() and float()
     ])
     def test_bad_query_default_is_usage_error(self, tmp_path, capsys, indexed_corpus, birds_files, command, flag):
         vectors, queries = birds_files
@@ -743,8 +774,8 @@ class TestExitCodes:
             assert "metric" in err
             if flag == "--metrics=ndcg@10,NDCG@10":
                 assert "metric 'ndcg@10' is requested twice" in err
-            if flag == "--metrics=ndcg@²":
-                assert "bad metric 'ndcg@²'" in err
+            if flag in ("--metrics=ndcg@²", "--metrics=ndcg@\u0661"):
+                assert f"bad metric {flag.partition('=')[2]!r}" in err
 
 
 HUGE = "1" + "0" * 400  # a JSON integer no float can hold
@@ -776,13 +807,14 @@ def _query(method, params):
     ("eval --qrels", "q1 0 d1 x", 1, "grade 'x' is not an integer"),
     ("eval --qrels", "q1 0 d1 -1", 1, "negative grade"),
     ("eval --run", "q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t", 2, "duplicate doc 'd1' for 'q1'"),
+    ("eval --run", "q1 Q0 d1 1_0 1.0 t", 1, "bad rank or score"),
     ("encode --logits", "a\t\tb\n1.0\t2.0\t3.0", 1, "empty term in header"),
     ("encode --logits", "a\tb\n1.0\tnan", 2, "non-finite cell"),
     ("analyze-interference", "q1\tndcg@10\textra\t0.5", 1, "expected qid<TAB>value or qid<TAB>metric<TAB>value"),
 ], ids=["vector-weight-overflow", "inline-weight-overflow", "m-0", "m-2.7", "m-true", "m-str",
         "lambda-neg", "lambda-true", "lambda-str", "vector-empty-term", "inline-empty-term",
         "not-an-object", "no-operator", "params-not-object", "params-lamda", "params-M", "grade-not-int", "grade-negative",
-        "run-duplicate-doc", "logit-empty-term", "logit-non-finite", "per-query-four-columns"])
+        "run-duplicate-doc", "run-rank-underscore", "logit-empty-term", "logit-non-finite", "per-query-four-columns"])
 def test_malformed_value_is_located_data_error(tmp_path, capsys, command, line, line_no, message):
     path = tmp_path / "input.jsonl"
     write_lines(path, line)
@@ -802,6 +834,7 @@ def test_malformed_value_is_located_data_error(tmp_path, capsys, command, line, 
     }[command]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {path}:{line_no}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # Each row: the input under test, the valid inputs around it, and the command that reads it.
@@ -1145,15 +1178,19 @@ def test_run_tag_with_whitespace_is_usage_error(tmp_path, capsys, indexed_corpus
 
 
 def test_non_ascii_names_without_whitespace_round_trip(tmp_path, capsys):
+    # Doc names of 2-, 3- and 4-byte UTF-8 characters (·, € and 𝄞); 𝄞 also starts its name.
     docs = tmp_path / "docs.jsonl"
-    write_lines(docs, json.dumps({"id": "döc·1", "vector": {"x": 1.0}}))
+    write_lines(docs, *(json.dumps({"id": name, "vector": {"x": w}})
+                        for name, w in (("döc·1", 1.0), ("d€1", 0.5), ("𝄞", 0.25))))
     index = tmp_path / "corpus.svix"
     assert main(["index", "--vectors", str(docs), "--out", str(index)]) == 0
     queries = tmp_path / "q.jsonl"
     write_lines(queries, json.dumps({"id": "q·é", "vector": {"x": 1.0}}))
     run = tmp_path / "run.txt"
     assert main(["search", "--index", str(index), "--queries", str(queries), "--tag", "tåg", "--out", str(run)]) == 0
-    assert run.read_text(encoding="utf-8") == "q·é Q0 döc·1 1 1.000000 tåg\n"
+    assert run.read_text(encoding="utf-8") == (
+        "q·é Q0 döc·1 1 1.000000 tåg\nq·é Q0 d€1 2 0.500000 tåg\nq·é Q0 𝄞 3 0.250000 tåg\n"
+    )
     qrels = tmp_path / "qrels"
     write_lines(qrels, "q·é 0 döc·1 1")
     assert main(["eval", "--run", str(run), "--qrels", str(qrels), "--metrics", "ndcg@1"]) == 0

@@ -1287,14 +1287,36 @@ class TestLoaderStructure:
             a, b = getattr(got, column), getattr(want, column)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_malformed_index_is_a_data_error(self, tmp_path):
-        index = tmp_path / "nan.svix"
-        write_raw_index(index, **{**VALID_PARTS, "weights": [1.5, float("nan"), 0.25]})
+    @pytest.mark.parametrize("damage, message", [
+        ("nan-weight", "non-finite weight in the weight table"),
+        ("flipped", "checksum mismatch"),
+        ("cut", "checksum mismatch"),
+        ("version-3", "unsupported format version 3; rebuild the index"),
+    ], ids=["nan-weight", "flipped", "cut", "version-3"])
+    def test_malformed_index_is_a_data_error(self, tmp_path, capsys, damage, message):
+        """search refuses a damaged index with exit 2 and says why: a byte flipped in the
+        middle, 7 bytes cut off the end, or a version-3 stamp under a recomputed CRC."""
+        index = tmp_path / "bad.svix"
+        if damage == "nan-weight":
+            write_raw_index(index, **{**VALID_PARTS, "weights": [1.5, float("nan"), 0.25]})
+        else:
+            write_raw_index(index, **VALID_PARTS)
+            data = bytearray(index.read_bytes())
+            if damage == "flipped":
+                data[len(data) // 2] ^= 0xFF
+            elif damage == "cut":
+                del data[-7:]
+            else:
+                struct.pack_into("<I", data, 4, 3)
+                struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])) & 0xFFFFFFFF)
+            index.write_bytes(bytes(data))
         queries = tmp_path / "q.jsonl"
         queries.write_text('{"id": "q", "vector": {"a": 1.0}}\n')
         argv = ["search", "--index", str(index), "--queries", str(queries),
                 "--out", str(tmp_path / "run.trec")]
         assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {index}: {message}")
+        assert not (tmp_path / "run.trec").exists()
 
 
 @st.composite
